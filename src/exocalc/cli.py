@@ -3,8 +3,6 @@
 Exit codes: 0 ok, 2 config error, 3 degenerate parameters, 4 numerical
 instability.  Every CSV starts with a ``# schema=1`` comment line and a
 fixed header; identical config + seed gives byte-identical output.
-``EXOCALC_THREADS`` caps sweep parallelism (row order is fixed by sweep
-index, not completion time).
 """
 
 from __future__ import annotations
@@ -13,10 +11,8 @@ import argparse
 import copy
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +42,8 @@ from .forms import (
 from .pde import InstabilityError, SimGrid, WavePacket, fit_decay_rate, simulate_time_domain
 
 SCHEMA_LINE = "# schema=1"
+# the one float format of every CSV cell; ``fmt`` and the snapshot blocks use it
+FLOAT_SPEC = "%.12e"
 
 
 class ConfigError(ValueError):
@@ -59,9 +57,7 @@ def fmt(x) -> str:
     """Canonical float formatting shared by implementation and fixture paths."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return format(float(x), ".12e")
+    return FLOAT_SPEC % float(x)
 
 
 def fmt6(x) -> str:
@@ -69,12 +65,18 @@ def fmt6(x) -> str:
 
 
 def write_csv(path: Path, header: str, rows) -> Path:
+    """Write the schema line, ``header`` and ``rows``.
+
+    Each item of ``rows`` is a list of cell strings or a text block of whole
+    lines.  Items are written as they arrive, so a generator of blocks is
+    streamed to the file without the table being held in memory.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(SCHEMA_LINE + "\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(row if isinstance(row, str) else ",".join(row) + "\n")
     return path
 
 
@@ -113,23 +115,6 @@ def write_svg_line(path: Path, xs, ys, title: str, x_label: str, y_label: str) -
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def thread_count() -> int:
-    raw = os.environ.get("EXOCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    n = thread_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def sweep_values(spec) -> list:
@@ -327,7 +312,7 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
             fmt6(diag),
         ]
 
-    return SPECTRUM_HEADER, _parallel_map(one, grid)
+    return SPECTRUM_HEADER, [one(item) for item in grid]
 
 
 FORMS_HEADER = "identity,seed,dimension,degree,residual_grade,pass"
@@ -405,11 +390,12 @@ def forms_check_rows(cfg: dict, seed: int, d_fn=None):
         raise ConfigError("dimension must be between 2 and 4")
     if not 0 <= deg_max <= 3:
         raise ConfigError("degree must be between 0 and 3")
-    chunks = _parallel_map(
-        lambda s: forms_identity_rows(s, n_max, deg_max, d_fn),
-        range(seed, seed + count),
-    )
-    return FORMS_HEADER, [row for chunk in chunks for row in chunk]
+    rows = [
+        row
+        for s in range(seed, seed + count)
+        for row in forms_identity_rows(s, n_max, deg_max, d_fn)
+    ]
+    return FORMS_HEADER, rows
 
 
 CARTAN_HEADER = "idx,roundtrip_err,nullity_residual,det_residual"
@@ -450,24 +436,65 @@ def cartan_rows(cfg: dict, seed: int):
     return CARTAN_HEADER, rows
 
 
+def _fit_window(spec, times: np.ndarray) -> tuple:
+    """The first and last snapshot ``times`` the fit window selects.
+
+    ``spec`` is ``[t_start, t_end]`` or ``None`` for every time after 0; it
+    must select at least 3 snapshots.
+    """
+    if spec is None:
+        selected = times[1:]
+    else:
+        try:
+            t_a, t_b = (float(v) for v in spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fit_window must be [t_start, t_end], got {spec!r}") from exc
+        selected = times[(times >= t_a) & (times <= t_b)]
+    if len(selected) < 3:
+        raise ConfigError(
+            f"fit window selects {len(selected)} stored snapshots, fewer than 3"
+        )
+    return float(selected[0]), float(selected[-1])
+
+
+def _snapshot_blocks(times, xs, snapshots):
+    """The ``t,x,re_phi,im_phi`` rows as one text block per snapshot.
+
+    Every cell reads as ``fmt`` of its value: ``x`` is formatted once,
+    ``t`` once per snapshot, and a snapshot's real and imaginary parts in
+    one ``%`` operation on a row template repeated along ``x``.
+    """
+    value_cell = "," + FLOAT_SPEC
+    row_tails = ["," + FLOAT_SPEC % x + value_cell * 2 + "\n" for x in xs.tolist()]
+    parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
+    for t, values in zip(times.tolist(), parts):
+        t_cell = FLOAT_SPEC % t
+        yield (t_cell + t_cell.join(row_tails)) % tuple(values.tolist())
+
+
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     gcfg = cfg["grid"]
-    grid = SimGrid(
-        x_min=float(gcfg["x_min"]),
-        x_max=float(gcfg["x_max"]),
-        n_x=int(gcfg["n_x"]),
-        dt=float(gcfg["dt"]),
-        n_t=int(gcfg["n_t"]),
-        bc=str(gcfg["bc"]),
-        snapshot_stride=int(gcfg["snapshot_stride"]),
-    )
     pk = cfg["packet"]
-    packet = WavePacket(
-        center=float(pk["center"]),
-        width=float(pk["width"]),
-        wavenumber=float(pk["wavenumber"]),
-        amplitude=float(pk["amplitude"]),
-    )
+    try:
+        grid = SimGrid(
+            x_min=float(gcfg["x_min"]),
+            x_max=float(gcfg["x_max"]),
+            n_x=int(gcfg["n_x"]),
+            dt=float(gcfg["dt"]),
+            n_t=int(gcfg["n_t"]),
+            bc=str(gcfg["bc"]),
+            snapshot_stride=int(gcfg["snapshot_stride"]),
+        )
+        packet = WavePacket(
+            center=float(pk["center"]),
+            width=float(pk["width"]),
+            wavenumber=float(pk["wavenumber"]),
+            amplitude=float(pk["amplitude"]),
+        )
+        grid.check_cfl()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    window = _fit_window(cfg["fit_window"], grid.snapshot_times())
     try:
         simulate_time_domain(
             grid,
@@ -479,18 +506,17 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        rate = fit_decay_rate(grid, window)
+    except ValueError as exc:
+        # the window was checked above, so only a vanishing field fails the fit
+        raise DegenerateParameterError(str(exc)) from exc
 
-    window = cfg["fit_window"]
-    if window is None:
-        window = (float(grid.times[1]), float(grid.times[-1]))
-    rate = fit_decay_rate(grid, (float(window[0]), float(window[1])))
-
-    xs = grid.xs()
-    snap_rows = []
-    for t, snap in zip(grid.times, grid.snapshots):
-        for x, val in zip(xs, snap):
-            snap_rows.append([fmt(t), fmt(x), fmt(val.real), fmt(val.imag)])
-    snap_path = write_csv(out_dir / "simulate_snapshots.csv", "t,x,re_phi,im_phi", snap_rows)
+    snap_path = write_csv(
+        out_dir / "simulate_snapshots.csv",
+        "t,x,re_phi,im_phi",
+        _snapshot_blocks(grid.times, grid.xs(), grid.snapshots),
+    )
 
     log_amp = np.log(np.sqrt(np.sum(np.abs(grid.snapshots) ** 2, axis=1) * grid.dx))
     summary_rows = [

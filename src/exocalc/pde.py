@@ -82,7 +82,15 @@ class SimGrid:
             return self.x_min + self.dx * np.arange(self.n_x)
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
+    def snapshot_times(self) -> np.ndarray:
+        """The ``times`` :func:`simulate_time_domain` stores: step 0, then
+        every ``snapshot_stride``-th step from step 2 on."""
+        steps = np.arange(0, self.n_t + 1, max(self.snapshot_stride, 1))
+        return steps[steps != 1] * self.dt
+
     def check_cfl(self):
+        if not self.dt > 0:
+            raise ValueError(f"time step {self.dt} must be positive")
         if self.dt > CFL_FACTOR * self.dx:
             raise ValueError(
                 f"time step {self.dt} violates dt <= {CFL_FACTOR} * dx = "

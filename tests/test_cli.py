@@ -6,17 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from exocalc.cli import (
     DEFAULTS,
     METRIC_HEADER,
     SCHEMA_LINE,
+    _snapshot_blocks,
     fmt,
+    load_config,
     main,
     metric_rows,
     sweep_values,
 )
+from exocalc.pde import SimGrid, WavePacket, simulate_time_domain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -277,16 +283,10 @@ def test_cartan_empty_run(tmp_path):
     assert len(lines) == 2
 
 
-def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
-    args = ["spectrum", "--out", None, "--seed", 3, *FAST_ARGS["spectrum"]]
-    args[2] = tmp_path / "serial"
-    assert run_cli(args) == 0
-    monkeypatch.setenv("EXOCALC_THREADS", "4")
-    args[2] = tmp_path / "threaded"
-    assert run_cli(args) == 0
-    assert read_all(tmp_path / "serial" / "spectrum.csv") == read_all(
-        tmp_path / "threaded" / "spectrum.csv"
-    )
+def test_spectrum_reruns_are_byte_identical(tmp_path):
+    for tag in ("a", "b"):
+        assert run_cli(["spectrum", "--out", tmp_path / tag, "--seed", 3, *FAST_ARGS["spectrum"]]) == 0
+    assert read_all(tmp_path / "a" / "spectrum.csv") == read_all(tmp_path / "b" / "spectrum.csv")
 
 
 def test_generate_fixtures_reproduces_committed_bytes(tmp_path):
@@ -368,21 +368,79 @@ def test_sweep_values_forms():
         sweep_values({"start": 0.0})
 
 
-def test_thread_count_parsing(monkeypatch):
-    from exocalc.cli import thread_count
-
-    monkeypatch.delenv("EXOCALC_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("EXOCALC_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("EXOCALC_THREADS", "abc")
-    assert thread_count() == 1
-    monkeypatch.setenv("EXOCALC_THREADS", "-2")
-    assert thread_count() == 1
-
-
 def test_fmt_stability():
     assert fmt(1) == "1"
     assert fmt(0.01) == "1.000000000000e-02"
     assert fmt(float("inf")) == "inf"
+    assert fmt(float("-inf")) == "-inf"
+    assert fmt(float("nan")) == "nan"
+    assert fmt(-0.0) == "-0.000000000000e+00"
+    assert fmt(5e-324) == "4.940656458412e-324"
     assert DEFAULTS["spectrum"]["m"] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "override, code",
+    [
+        ("grid.snapshot_stride=600", 2),  # one stored snapshot
+        ("grid.dt=-0.1", 2),
+        ("grid.dt=0", 2),
+        ("grid.n_x=abc", 2),
+        ("grid.bc=foo", 2),
+        ("fit_window=[0,1]", 2),  # selects only t = 0
+        ("fit_window=abc", 2),
+        ("packet.amplitude=0", 3),
+    ],
+)
+def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, capsys):
+    assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], "--set", override]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "simulate_snapshots.csv").exists()
+
+
+any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(
+    t=any_double,
+    xs=st.lists(any_double, min_size=1, max_size=6),
+    parts=st.lists(any_double, min_size=12, max_size=12),
+)
+@example(t=-0.0, xs=[5e-324, -5e-324], parts=[float("nan"), float("inf"), float("-inf"), 0.0,
+                                            -0.0, 1.7976931348623157e308] * 2)
+def test_snapshot_block_cells_equal_fmt(t, xs, parts):
+    snap = np.empty((1, len(xs)), dtype=np.complex128)
+    snap.real = parts[: len(xs)]
+    snap.imag = parts[6 : 6 + len(xs)]
+    (block,) = _snapshot_blocks(np.array([t]), np.array(xs), snap)
+    want = [[fmt(t), fmt(x), fmt(v.real), fmt(v.imag)] for x, v in zip(xs, snap[0])]
+    assert [line.split(",") for line in block.splitlines()] == want
+    assert block.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["grid.n_x=64", "grid.n_t=40", "grid.snapshot_stride=3"],
+        ["grid.bc=dirichlet", "grid.n_x=48", "grid.x_max=24.0", "grid.dt=0.2", "grid.n_t=50",
+         "grid.snapshot_stride=5", "packet.center=12.0", "packet.width=3.0"],
+    ],
+    ids=["periodic", "dirichlet"],
+)
+def test_snapshot_csv_matches_per_cell_fmt(sets, tmp_path):
+    """The streamed snapshot file equals the one built row by row from ``fmt``."""
+    assert run_cli(["simulate", "--out", tmp_path, *[a for s in sets for a in ("--set", s)]]) == 0
+    cfg = load_config("simulate", None, sets)
+    g, pk = cfg["grid"], cfg["packet"]
+    grid = SimGrid(g["x_min"], g["x_max"], g["n_x"], g["dt"], g["n_t"], g["bc"], g["snapshot_stride"])
+    simulate_time_domain(
+        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"],
+        initial=WavePacket(pk["center"], pk["width"], pk["wavenumber"], pk["amplitude"]),
+    )
+    rows = [
+        [fmt(t), fmt(x), fmt(v.real), fmt(v.imag)]
+        for t, snap in zip(grid.times, grid.snapshots)
+        for x, v in zip(grid.xs(), snap)
+    ]
+    want = SCHEMA_LINE + "\nt,x,re_phi,im_phi\n" + "".join(",".join(r) + "\n" for r in rows)
+    assert (tmp_path / "simulate_snapshots.csv").read_text() == want

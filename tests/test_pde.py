@@ -136,9 +136,18 @@ def test_ode_y_linearized_second_order_deviation():
 
 
 def test_cfl_guard():
-    grid = SimGrid(0.0, 10.0, 64, 0.2, 16, bc="periodic")  # dx = 0.15625
-    with pytest.raises(ValueError):
-        simulate_time_domain(grid, 1.0, 0.0, 0.0)
+    for dt in (0.2, 0.0, -0.1):  # dx = 0.15625
+        grid = SimGrid(0.0, 10.0, 64, dt, 16, bc="periodic")
+        with pytest.raises(ValueError):
+            simulate_time_domain(grid, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("stride", [0, 1, 2, 3, 16, 17, 40])
+def test_snapshot_times_predict_stored_times(stride):
+    grid = SimGrid(0.0, 10.0, 64, 0.1, 17, bc="periodic", snapshot_stride=stride)
+    planned = grid.snapshot_times()
+    simulate_time_domain(grid, 1.0, 0.0, 0.0)
+    assert planned.tolist() == grid.times.tolist()
 
 
 def test_energy_conserved_undamped():
