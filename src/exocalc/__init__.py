@@ -18,8 +18,6 @@ from .core import (
     lower_index,
     minkowski_dot,
     raise_index,
-    theta_eval,
-    theta_grad,
 )
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "lower_index",
     "minkowski_dot",
     "raise_index",
-    "theta_eval",
-    "theta_grad",
 ]
 
 __version__ = "0.1.0"

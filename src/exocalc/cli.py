@@ -29,15 +29,14 @@ from .dispersion import (
     spectrum_reference_approx,
 )
 from .forms import (
+    d_squared_check,
     dilated_connection,
-    d_squared_obstruction,
     exotic_d,
     field_strength,
-    homotopy_H,
-    pullback_at,
+    homotopy_lemma_check,
+    leibniz_check,
     random_form,
     random_linear_theta,
-    wedge,
 )
 from .pde import InstabilityError, SimGrid, WavePacket, fit_decay_rate, simulate_time_domain
 
@@ -185,6 +184,17 @@ DEFAULTS = {
 
 def load_config(command: str, path: str | None, overrides: list) -> dict:
     cfg = copy.deepcopy(DEFAULTS[command])
+
+    def merge(node: dict, key: str, value, where: str):
+        """Set ``node[key]``; a dict given for a dict section merges key by key."""
+        if key not in node:
+            raise ConfigError(f"unknown config key {where!r} for {command!r}")
+        if isinstance(node[key], dict) and isinstance(value, dict):
+            for sub, sub_value in value.items():
+                merge(node[key], sub, sub_value, f"{where}.{sub}")
+        else:
+            node[key] = value
+
     if path is not None:
         try:
             with open(path) as fh:
@@ -194,9 +204,7 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
         for key, value in data.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r} for {command!r}")
-            cfg[key] = value
+            merge(cfg, key, value, key)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -205,15 +213,13 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        *parents, leaf = key.split(".")
         node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
+        for part in parents:
             if not isinstance(node.get(part), dict):
                 raise ConfigError(f"unknown config key {key!r} for {command!r}")
             node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {key!r} for {command!r}")
-        node[parts[-1]] = value
+        merge(node, leaf, value, key)
     return cfg
 
 
@@ -248,6 +254,8 @@ LIGHTCONE_HEADER = "t,x,theta_dot,theta_prime,c,u_plus,u_minus,residual_plus,res
 
 def lightcone_rows(cfg: dict):
     td, tp, c = float(cfg["theta_dot"]), float(cfg["theta_prime"]), float(cfg["c"])
+    if not c > 0:
+        raise ConfigError(f"light speed c must be positive, got {c!r}")
     rows = []
     for t, x in cfg["points"]:
         t, x = float(t), float(x)
@@ -333,10 +341,12 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
     """Residual grades of the five identity checks for one seeded draw.
 
     ``d_fn`` selects the deformed-derivative route (defaults to the sparse
-    engine; the fixture generator passes the dense oracle route).
+    engine; the fixture generator passes the dense oracle route).  Only
+    ``d_cubed`` and the field strength have no :mod:`exocalc.forms` check.
     """
     from .poly import random_multipoly
 
+    # passed explicitly: the checks' default binds exotic_d at definition time
     d_fn = d_fn or exotic_d
     rng = random.Random(seed)
     dim = rng.randint(2, max(2, n_max))
@@ -346,19 +356,12 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
     w = random_form(rng, dim, deg, max_poly_degree=deg_max)
     other = random_form(rng, dim, rng.randint(0, min(deg_max, dim - 1)), max_poly_degree=deg_max)
 
-    leib = d_fn(wedge(w, other), theta) - wedge(d_fn(w, theta), other)
-    signed = wedge(w, d_fn(other, theta))
-    leib = leib - (-signed if w.degree % 2 else signed)
-
-    dd = d_fn(d_fn(w, theta), theta) - d_squared_obstruction(w, theta)
+    leib = leibniz_check(w, other, theta, d_fn=d_fn)
+    dd, _ = d_squared_check(w, theta, d_fn=d_fn)
     ddd = d_fn(d_fn(d_fn(w, theta), theta), theta)
 
     ext = random_form(rng, dim + 1, rng.randint(1, dim), max_poly_degree=deg_max, lambda_active=True)
-    hom = (
-        homotopy_H(d_fn(ext, theta))
-        + d_fn(homotopy_H(ext), theta)
-        - (pullback_at(ext, 1) - pullback_at(ext, 0))
-    )
+    hom = homotopy_lemma_check(ext, theta, d_fn=d_fn)
 
     a_comps = [random_multipoly(rng, dim, min(deg_max, 2)) for _ in range(dim)]
     fs = field_strength(a_comps, theta) - d_fn(dilated_connection(a_comps, theta), theta)
@@ -390,6 +393,8 @@ def forms_check_rows(cfg: dict, seed: int, d_fn=None):
         raise ConfigError("dimension must be between 2 and 4")
     if not 0 <= deg_max <= 3:
         raise ConfigError("degree must be between 0 and 3")
+    if count < 1:
+        raise ConfigError(f"seeds must be >= 1, got {count}")
     rows = [
         row
         for s in range(seed, seed + count)
@@ -492,7 +497,7 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
             amplitude=float(pk["amplitude"]),
         )
         grid.check_cfl()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     window = _fit_window(cfg["fit_window"], grid.snapshot_times())
     try:

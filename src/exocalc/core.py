@@ -371,12 +371,3 @@ class ThetaField:
             tuple(g * factor for g in self.grad_components), offset=self.offset * factor
         )
 
-
-def theta_eval(theta: ThetaField, x: Sequence):
-    """Value of the field at ``x``."""
-    return theta.value(x)
-
-
-def theta_grad(theta: ThetaField, x: Sequence | None = None) -> tuple:
-    """Covariant gradient of the field at ``x``."""
-    return theta.grad(x)

@@ -273,16 +273,18 @@ def spectrum_reference_approx(theta_dot: float, grad_norm: float, m: float) -> t
     return (complex(re, theta_dot / 2), complex(-re, theta_dot / 2))
 
 
-def plane_wave_rates(k: float, m: float, theta_dot: float, theta_prime: float) -> complex:
+def plane_wave_rates(k, m: float, theta_dot: float, theta_prime: float):
     """Complex frequency of the ``exp(i (w t - k x))`` mode of the 1+1D operator.
 
     Root with positive real part of
-    ``w^2 + i th_t w - (k^2 + m^2 - i th_x k) = 0``; for ``th_x = 0`` the
-    imaginary part is exactly ``-th_t / 2`` (amplitude factor
-    ``exp(th_t t / 2)`` under ``exp(i w t)``).
+    ``w^2 + i th_t w - (k^2 + m^2 - i th_x k) = 0``, elementwise over a
+    scalar or an array ``k``; for ``th_x = 0`` the imaginary part is
+    exactly ``-th_t / 2`` (amplitude factor ``exp(th_t t / 2)``).
     """
-    disc = cmath.sqrt(-theta_dot * theta_dot + 4 * (k * k + m * m - 1j * theta_prime * k))
-    omega = (-1j * theta_dot + disc) / 2
-    if omega.real < 0:
-        omega = (-1j * theta_dot - disc) / 2
-    return omega
+    k = np.asarray(k, dtype=float)
+    disc = np.sqrt(
+        (-theta_dot * theta_dot + 4 * (k**2 + m * m - 1j * theta_prime * k)).astype(complex)
+    )
+    plus = (-1j * theta_dot + disc) / 2
+    minus = (-1j * theta_dot - disc) / 2
+    return np.where(plus.real >= 0, plus, minus)

@@ -327,22 +327,24 @@ def d_squared_obstruction(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     return rhs
 
 
-def d_squared_check(form: ExoticForm, theta: ThetaField):
+def d_squared_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d):
     """Residual of the squared deformed derivative against its obstruction form.
 
     Returns ``(residual, rhs)`` with ``residual = d(d(form)) - rhs``; for
-    linear theta the residual vanishes identically at every grade.
+    linear theta the residual vanishes identically at every grade.  Like
+    every identity check here, ``d_fn`` is the deformed derivative under
+    test (the dense oracle route passes its own).
     """
     rhs = d_squared_obstruction(form, theta)
-    dd = exotic_d(exotic_d(form, theta), theta)
+    dd = d_fn(d_fn(form, theta), theta)
     return dd - rhs, rhs
 
 
-def leibniz_check(a: ExoticForm, b: ExoticForm, theta: ThetaField) -> ExoticForm:
+def leibniz_check(a: ExoticForm, b: ExoticForm, theta: ThetaField, d_fn=exotic_d) -> ExoticForm:
     """``d(a ^ b) - d(a) ^ b - (-1)^deg(a) a ^ d(b)``; exactly zero."""
-    lhs = exotic_d(wedge(a, b), theta)
-    rhs = wedge(exotic_d(a, theta), b)
-    signed = wedge(a, exotic_d(b, theta))
+    lhs = d_fn(wedge(a, b), theta)
+    rhs = wedge(d_fn(a, theta), b)
+    signed = wedge(a, d_fn(b, theta))
     if a.degree % 2:
         signed = -signed
     return lhs - rhs - signed
@@ -385,10 +387,10 @@ def pullback_at(form: ExoticForm, value) -> ExoticForm:
     return out
 
 
-def homotopy_lemma_check(form: ExoticForm, theta: ThetaField) -> ExoticForm:
+def homotopy_lemma_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d) -> ExoticForm:
     """Residual of ``H d w + d H w = w|_1 - w|_0`` for a form over ``R x base``."""
-    h_d = homotopy_H(exotic_d(form, theta))
-    d_h = exotic_d(homotopy_H(form), theta)
+    h_d = homotopy_H(d_fn(form, theta))
+    d_h = d_fn(homotopy_H(form), theta)
     boundary = pullback_at(form, 1) - pullback_at(form, 0)
     return h_d + d_h - boundary
 

@@ -25,6 +25,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
+from .dispersion import plane_wave_rates
+
 
 class InstabilityError(RuntimeError):
     """The discrete field amplitude blew past the abort threshold."""
@@ -71,6 +73,8 @@ class SimGrid:
             raise ValueError(f"unknown boundary tag {self.bc!r}")
         if self.n_x < 8 or self.n_t < 2:
             raise ValueError("grid too small")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot stride {self.snapshot_stride} must be >= 1")
 
     @property
     def dx(self) -> float:
@@ -83,10 +87,9 @@ class SimGrid:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
     def snapshot_times(self) -> np.ndarray:
-        """The ``times`` :func:`simulate_time_domain` stores: step 0, then
-        every ``snapshot_stride``-th step from step 2 on."""
-        steps = np.arange(0, self.n_t + 1, max(self.snapshot_stride, 1))
-        return steps[steps != 1] * self.dt
+        """The ``times`` :func:`simulate_time_domain` stores: every step
+        with ``step % snapshot_stride == 0``, step 0 included."""
+        return np.arange(0, self.n_t + 1, self.snapshot_stride) * self.dt
 
     def check_cfl(self):
         if not self.dt > 0:
@@ -110,23 +113,6 @@ class WavePacket:
     def sample(self, xs: np.ndarray) -> np.ndarray:
         env = self.amplitude * np.exp(-((xs - self.center) ** 2) / (2 * self.width**2))
         return env * np.exp(1j * self.wavenumber * xs)
-
-
-def _temporal_roots(kappa, m: float, theta_t: float, theta_x: float):
-    """Frequency (positive real part) of spatial modes ``exp(i kappa x)``.
-
-    Solves ``w^2 + i th_t w - (kappa^2 + m^2 + i th_x kappa) = 0``
-    vectorized over ``kappa``.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    disc = np.sqrt(
-        (-theta_t * theta_t + 4 * (kappa**2 + m * m + 1j * theta_x * kappa)).astype(
-            complex
-        )
-    )
-    plus = (-1j * theta_t + disc) / 2
-    minus = (-1j * theta_t - disc) / 2
-    return np.where(plus.real >= 0, plus, minus)
 
 
 def _pad(phi: np.ndarray, bc: str) -> np.ndarray:
@@ -211,11 +197,11 @@ def simulate_time_domain(
         phi0[0] = phi0[-1] = 0.0
     if bc == "periodic":
         kappa = 2 * np.pi * np.fft.fftfreq(nx, d=dx)
-        omega = _temporal_roots(kappa, m, theta_t, theta_x)
+        omega = plane_wave_rates(-kappa, m, theta_t, theta_x)
         phi_t0 = np.fft.ifft(1j * omega * np.fft.fft(phi0))
     else:
-        omega0 = _temporal_roots(initial.wavenumber, m, theta_t, theta_x)
-        phi_t0 = 1j * complex(omega0) * phi0
+        omega0 = complex(plane_wave_rates(-initial.wavenumber, m, theta_t, theta_x))
+        phi_t0 = 1j * omega0 * phi0
 
     phi_tt0 = (
         _second_diff(phi0, dx, bc)
@@ -227,16 +213,17 @@ def simulate_time_domain(
     if bc == "dirichlet":
         phi1[0] = phi1[-1] = 0.0
 
-    stride = max(grid.snapshot_stride, 1)
     stored_t, stored, energies = [], [], []
 
     def store(step, snap, pair):
-        stored_t.append(step * dt)
-        stored.append(snap.copy())
-        energies.append(_staggered_energy(pair[0], pair[1], dt, dx, m, bc))
+        if step % grid.snapshot_stride == 0:
+            stored_t.append(step * dt)
+            stored.append(snap.copy())
+            energies.append(_staggered_energy(pair[0], pair[1], dt, dx, m, bc))
 
     # the staggered energy lives on consecutive-step pairs
     store(0, phi0, (phi0, phi1))
+    store(1, phi1, (phi0, phi1))
 
     prev, cur = phi0, phi1
     denom = 1 - 0.5 * theta_t * dt
@@ -259,8 +246,7 @@ def simulate_time_domain(
         if not np.isfinite(amp) or amp > AMPLITUDE_ABORT:
             raise InstabilityError(n + 1, (n + 1) * dt, amp)
         prev, cur = cur, nxt
-        if (n + 1) % stride == 0:
-            store(n + 1, cur, (prev, cur))
+        store(n + 1, cur, (prev, cur))
 
     grid.times = np.array(stored_t)
     grid.snapshots = np.array(stored)

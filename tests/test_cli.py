@@ -141,6 +141,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run_cli(["metric", "--out", tmp_path, "--set", "bogus=1"]) == 2
 
 
+def test_partial_nested_config_merges_into_defaults(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": {"n_x": 256}}))
+    assert load_config("simulate", str(cfg_path), [])["grid"] == {
+        **DEFAULTS["simulate"]["grid"], "n_x": 256
+    }
+    assert run_cli(["simulate", "--config", cfg_path, "--out", tmp_path]) == 0
+    rows = (tmp_path / "simulate_snapshots.csv").read_text().splitlines()[2:]
+    assert len(rows) == (1024 // 32 + 1) * 256
+
+
+@pytest.mark.parametrize(
+    "doc, sets",
+    [({"grid": {"nx": 256}}, []), ({}, ["grid={\"n_x\": 256, \"bogus\": 1}"])],
+    ids=["document", "flag"],
+)
+def test_unknown_nested_config_key_exits_2(doc, sets, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    args = ["simulate", "--config", cfg_path, "--out", tmp_path]
+    assert run_cli(args + [a for s in sets for a in ("--set", s)]) == 2
+    assert "unknown config key 'grid." in capsys.readouterr().err
+
+
 def test_spectrum_degenerate_exits_3(tmp_path):
     code = run_cli(
         ["spectrum", "--out", tmp_path, "--set", "theta_dot=[0.0]", "--set", "grad_norm=[0.0]"]
@@ -383,9 +407,11 @@ def test_fmt_stability():
     "override, code",
     [
         ("grid.snapshot_stride=600", 2),  # one stored snapshot
+        ("grid.snapshot_stride=0", 2),
         ("grid.dt=-0.1", 2),
         ("grid.dt=0", 2),
         ("grid.n_x=abc", 2),
+        ("grid.n_x=[1]", 2),
         ("grid.bc=foo", 2),
         ("fit_window=[0,1]", 2),  # selects only t = 0
         ("fit_window=abc", 2),
@@ -396,6 +422,21 @@ def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, ca
     assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], "--set", override]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "simulate_snapshots.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override, csv_name",
+    [
+        ("lightcone", "c=0", "lightcone.csv"),
+        ("lightcone", "c=-1", "lightcone.csv"),
+        ("forms-check", "seeds=-5", "forms_check.csv"),
+        ("forms-check", "seeds=0", "forms_check.csv"),
+    ],
+)
+def test_out_of_range_inputs_exit_2_without_traceback(command, override, csv_name, tmp_path, capsys):
+    assert run_cli([command, "--out", tmp_path, *FAST_ARGS[command], "--set", override]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / csv_name).exists()
 
 
 any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

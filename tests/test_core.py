@@ -16,8 +16,6 @@ from exocalc.core import (
     lower_index,
     minkowski_dot,
     raise_index,
-    theta_eval,
-    theta_grad,
 )
 from helpers import rand_frac
 
@@ -106,15 +104,15 @@ def test_minkowski_dot_examples():
 
 def test_theta_linear_examples():
     flat = ThetaField.linear((0, 0, 0, 0))
-    assert theta_eval(flat, (3, 1, 4, 1)) == 0
-    assert theta_grad(flat) == (0, 0, 0, 0)
+    assert flat.value((3, 1, 4, 1)) == 0
+    assert flat.grad() == (0, 0, 0, 0)
 
     alpha, beta = Fraction(3, 7), Fraction(-2, 5)
     tilted = ThetaField.linear((alpha, beta, 0, 0))
     t, x = Fraction(2), Fraction(3)
-    assert theta_eval(tilted, (t, x, 0, 0)) == alpha * t + beta * x
+    assert tilted.value((t, x, 0, 0)) == alpha * t + beta * x
 
-    assert theta_eval(ThetaField.linear((1, 2, 3, 4)), (1, 1, 1, 1)) == 10
+    assert ThetaField.linear((1, 2, 3, 4)).value((1, 1, 1, 1)) == 10
 
 
 def test_theta_linear_hessian_zero():

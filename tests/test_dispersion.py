@@ -194,6 +194,9 @@ def test_plane_wave_rates_examples():
     assert abs(w.imag) == pytest.approx(0.01, abs=1e-12)
     w = plane_wave_rates(0.5, m, 0.0, 0.04)
     assert w.imag == pytest.approx(-0.04 * 0.5 / (2 * math.sqrt(1.25)), rel=1e-3)
+    ks = [-1.5, -0.0, 0.0, 0.5, 2.0]
+    ws = plane_wave_rates(np.array(ks), m, 0.02, 0.04)
+    assert ws.tolist() == [complex(plane_wave_rates(k, m, 0.02, 0.04)) for k in ks]
 
 
 def test_mode_rates_conjugate_to_aligned_spectrum_at_zero_wavenumber():

@@ -142,12 +142,21 @@ def test_cfl_guard():
             simulate_time_domain(grid, 1.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("stride", [0, 1, 2, 3, 16, 17, 40])
+@pytest.mark.parametrize("stride", [1, 2, 3, 16, 17, 40])
 def test_snapshot_times_predict_stored_times(stride):
     grid = SimGrid(0.0, 10.0, 64, 0.1, 17, bc="periodic", snapshot_stride=stride)
     planned = grid.snapshot_times()
     simulate_time_domain(grid, 1.0, 0.0, 0.0)
     assert planned.tolist() == grid.times.tolist()
+    assert len(grid.snapshots) == len(grid.energies) == 17 // stride + 1
+    if stride == 1:
+        assert grid.times[1] == 0.1  # step 1 is stored like every other step
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_snapshot_stride_below_one_rejected(stride):
+    with pytest.raises(ValueError):
+        SimGrid(0.0, 10.0, 64, 0.1, 17, bc="periodic", snapshot_stride=stride)
 
 
 def test_energy_conserved_undamped():

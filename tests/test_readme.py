@@ -20,3 +20,13 @@ def test_readme_python_blocks_execute():
     # the quick tour's fitted rate matches its stated value
     assert abs(abs(namespace["rate"]) - 0.01) / 0.01 < 0.02
     assert namespace["u_plus"] == 0.99
+
+
+def test_readme_layout_lists_every_module():
+    text = README.read_text()
+    layout = text[text.index("## Layout") :]
+    block = re.search(r"```\nsrc/exocalc/\n(.*?)\ntests/", layout, flags=re.DOTALL).group(1)
+    listed = {line.split()[0] for line in block.splitlines()}
+    package = README.parent / "src" / "exocalc"
+    modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert listed == modules

@@ -3,7 +3,7 @@
 import ast
 from pathlib import Path
 
-from exocalc.trace import TRACE, missing_keys, resolve_operation, unknown_keys
+from traceability import TRACE, missing_keys, resolve_operation, unknown_keys
 
 TESTS_DIR = Path(__file__).parent
 

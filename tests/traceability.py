@@ -2,9 +2,11 @@
 
 Each entry names one formula or construction of the deformed-calculus
 framework by what it does, the library operations realizing it, and the
-tests exercising it.  A completeness test cross-references the registry
+tests exercising it.  ``test_trace.py`` cross-references the registry
 against the required inventory and verifies that every referenced
-operation and test exists, so coverage cannot silently rot.
+operation and test exists, so coverage cannot silently rot.  The
+registry is test metadata, so it lives beside the tests, not in the
+package.
 """
 
 from __future__ import annotations
