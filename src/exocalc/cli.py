@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import random
@@ -116,26 +117,31 @@ def write_svg_line(path: Path, xs, ys, title: str, x_label: str, y_label: str) -
     return path
 
 
+def _finite(value, where: str) -> float:
+    """``value`` as a float; it must be a finite JSON number (not a bool)."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def sweep_values(spec) -> list:
-    """A sweep axis is a list of numbers or {start, stop, count} (inclusive)."""
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
+    """A sweep axis is a number, a list of numbers or {start, stop, count} (inclusive)."""
     if isinstance(spec, list):
         if not spec:
             raise ConfigError("empty sweep range")
-        return [float(v) for v in spec]
-    if isinstance(spec, dict):
-        try:
-            start, stop, count = spec["start"], spec["stop"], int(spec["count"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad sweep spec: {spec!r}") from exc
-        if count < 1:
-            raise ConfigError("sweep count must be >= 1")
-        if count == 1:
-            return [float(start)]
-        step = (stop - start) / (count - 1)
-        return [float(start + i * step) for i in range(count)]
-    raise ConfigError(f"bad sweep spec: {spec!r}")
+        return [_finite(v, "sweep value") for v in spec]
+    if not isinstance(spec, dict):
+        return [_finite(spec, "sweep value")]
+    if spec.keys() != {"start", "stop", "count"}:
+        raise ConfigError(f"bad sweep spec: {spec!r}")
+    start, stop = _finite(spec["start"], "sweep start"), _finite(spec["stop"], "sweep stop")
+    count = spec["count"]
+    if type(count) is not int or count < 1:
+        raise ConfigError(f"sweep count must be an integer >= 1, got {count!r}")
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [_finite(start + i * step, "sweep value") for i in range(count)]
 
 
 # ------------------------------------------------------------------- config
@@ -182,7 +188,29 @@ DEFAULTS = {
 }
 
 
+# spectrum's sweep axes take several forms; ``sweep_values`` checks them
+SWEEP_AXES = ("theta_dot", "grad_norm", "m")
+
+
+def _typed(value, default, where: str):
+    """``value`` typed as ``default`` is (README, "Config types"); a ``None``
+    default (``fit_window``) is left to its command's parser."""
+    if default is None or (type(default) in (bool, int, str) and type(value) is type(default)):
+        return value
+    if type(default) is float:
+        return _finite(value, where)
+    if isinstance(default, dict) and isinstance(value, dict):
+        return {key: _typed(value[key], sub, f"{where}.{key}") for key, sub in default.items()}
+    if isinstance(default, list) and isinstance(value, list):
+        if isinstance(default[0], list):
+            return [_typed(row, default[0], f"{where}[{i}]") for i, row in enumerate(value)]
+        if len(value) == len(default):
+            return [_typed(v, d, f"{where}[{i}]") for i, (v, d) in enumerate(zip(value, default))]
+    raise ConfigError(f"{where} must be typed like its default {default!r}, got {value!r}")
+
+
 def load_config(command: str, path: str | None, overrides: list) -> dict:
+    """The merged config of ``command``, typed against ``DEFAULTS[command]``."""
     cfg = copy.deepcopy(DEFAULTS[command])
 
     def merge(node: dict, key: str, value, where: str):
@@ -220,7 +248,8 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
                 raise ConfigError(f"unknown config key {key!r} for {command!r}")
             node = node[part]
         merge(node, leaf, value, key)
-    return cfg
+    own_parser = SWEEP_AXES if command == "spectrum" else ()
+    return {k: v if k in own_parser else _typed(v, DEFAULTS[command][k], k) for k, v in cfg.items()}
 
 
 # ------------------------------------------------------------------ commands
@@ -233,11 +262,11 @@ METRIC_HEADER = (
 
 
 def metric_rows(cfg: dict):
-    theta = ThetaField.linear(tuple(float(g) for g in cfg["theta_grad"]))
-    probe = tuple(float(v) for v in cfg["probe"])
+    theta = ThetaField.linear(tuple(cfg["theta_grad"]))
+    probe = tuple(cfg["probe"])
     rows = []
     for idx, point in enumerate(cfg["points"]):
-        x = tuple(float(c) for c in point)
+        x = tuple(point)
         g = metric_mod.metric_full(x, theta)
         witness = metric_mod.degeneracy_witness(probe, x, theta)
         w_norm = math.sqrt(sum(float(w) ** 2 for w in witness))
@@ -253,12 +282,11 @@ LIGHTCONE_HEADER = "t,x,theta_dot,theta_prime,c,u_plus,u_minus,residual_plus,res
 
 
 def lightcone_rows(cfg: dict):
-    td, tp, c = float(cfg["theta_dot"]), float(cfg["theta_prime"]), float(cfg["c"])
+    td, tp, c = cfg["theta_dot"], cfg["theta_prime"], cfg["c"]
     if not c > 0:
         raise ConfigError(f"light speed c must be positive, got {c!r}")
     rows = []
     for t, x in cfg["points"]:
-        t, x = float(t), float(x)
         u_plus, u_minus = metric_mod.lightcone_velocity(t, x, td, tp, c)
         res_p = metric_mod.interval_2d(1.0, u_plus, t, x, td, tp, c)
         res_m = metric_mod.interval_2d(1.0, u_minus, t, x, td, tp, c)
@@ -276,10 +304,8 @@ SPECTRUM_HEADER = (
 
 def _box_from_config(spec: dict) -> BoxRegion:
     try:
-        return BoxRegion(
-            float(spec["t0"]), float(spec["t1"]), tuple(tuple(map(float, ab)) for ab in spec["spatial"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return BoxRegion(spec["t0"], spec["t1"], tuple(map(tuple, spec["spatial"])))
+    except ValueError as exc:
         raise ConfigError(f"bad box spec: {spec!r}") from exc
 
 
@@ -292,15 +318,9 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
     spectrum_fn = spectrum_fn or constrained_spectrum
     delta_fn = delta_fn or delta_sigma
     box = _box_from_config(cfg["box"])
-    grid = [
-        (td, gn, m)
-        for td in sweep_values(cfg["theta_dot"])
-        for gn in sweep_values(cfg["grad_norm"])
-        for m in sweep_values(cfg["m"])
-    ]
+    axes = [sweep_values(cfg[axis]) for axis in SWEEP_AXES]
 
-    def one(item):
-        td, gn, m = item
+    def one(td, gn, m):
         v = (td, gn, 0.0, 0.0)
         e_plus, e_minus = spectrum_fn(v, m)
         ref = spectrum_reference_approx(td, gn, m)
@@ -320,7 +340,7 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
             fmt6(diag),
         ]
 
-    return SPECTRUM_HEADER, [one(item) for item in grid]
+    return SPECTRUM_HEADER, [one(*point) for point in itertools.product(*axes)]
 
 
 FORMS_HEADER = "identity,seed,dimension,degree,residual_grade,pass"
@@ -386,9 +406,7 @@ def fmt_grade(grade) -> str:
 
 
 def forms_check_rows(cfg: dict, seed: int, d_fn=None):
-    n_max = int(cfg["dimension"])
-    deg_max = int(cfg["degree"])
-    count = int(cfg["seeds"])
+    n_max, deg_max, count = cfg["dimension"], cfg["degree"], cfg["seeds"]
     if not 2 <= n_max <= 4:
         raise ConfigError("dimension must be between 2 and 4")
     if not 0 <= deg_max <= 3:
@@ -407,7 +425,9 @@ CARTAN_HEADER = "idx,roundtrip_err,nullity_residual,det_residual"
 
 
 def cartan_rows(cfg: dict, seed: int):
-    n = int(cfg["samples"])
+    n = cfg["samples"]
+    if n < 0:
+        raise ConfigError(f"samples must be >= 0, got {n}")
     rng = random.Random(seed)
     rows = []
     for idx in range(n):
@@ -450,10 +470,9 @@ def _fit_window(spec, times: np.ndarray) -> tuple:
     if spec is None:
         selected = times[1:]
     else:
-        try:
-            t_a, t_b = (float(v) for v in spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"fit_window must be [t_start, t_end], got {spec!r}") from exc
+        if not isinstance(spec, list) or len(spec) != 2:
+            raise ConfigError(f"fit_window must be [t_start, t_end], got {spec!r}")
+        t_a, t_b = (_finite(v, "fit_window") for v in spec)
         selected = times[(times >= t_a) & (times <= t_b)]
     if len(selected) < 3:
         raise ConfigError(
@@ -478,39 +497,18 @@ def _snapshot_blocks(times, xs, snapshots):
 
 
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
-    gcfg = cfg["grid"]
-    pk = cfg["packet"]
     try:
-        grid = SimGrid(
-            x_min=float(gcfg["x_min"]),
-            x_max=float(gcfg["x_max"]),
-            n_x=int(gcfg["n_x"]),
-            dt=float(gcfg["dt"]),
-            n_t=int(gcfg["n_t"]),
-            bc=str(gcfg["bc"]),
-            snapshot_stride=int(gcfg["snapshot_stride"]),
-        )
-        packet = WavePacket(
-            center=float(pk["center"]),
-            width=float(pk["width"]),
-            wavenumber=float(pk["wavenumber"]),
-            amplitude=float(pk["amplitude"]),
-        )
+        grid = SimGrid(**cfg["grid"])
         grid.check_cfl()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    window = _fit_window(cfg["fit_window"], grid.snapshot_times())
-    try:
-        simulate_time_domain(
-            grid,
-            float(cfg["m"]),
-            float(cfg["theta_dot"]),
-            float(cfg["theta_prime"]),
-            include_x_term=bool(cfg["include_x_term"]),
-            initial=packet,
-        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg["include_x_term"] and grid.bc != "dirichlet":
+        raise ConfigError("the point-dependent term requires dirichlet boundaries")
+    window = _fit_window(cfg["fit_window"], grid.snapshot_times())
+    simulate_time_domain(
+        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], cfg["include_x_term"],
+        WavePacket(**cfg["packet"]),
+    )
     try:
         rate = fit_decay_rate(grid, window)
     except ValueError as exc:
@@ -662,7 +660,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateParameterError as exc:
+    except (DegenerateParameterError, OverflowError, ZeroDivisionError) as exc:
+        # a finite input can still overflow, or underflow to a zero divisor, once squared
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return 3
     except InstabilityError as exc:

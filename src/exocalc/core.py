@@ -275,13 +275,6 @@ def eps_grade(value):
     return math.inf if value == 0 else 0
 
 
-def min_eps_grade(values) -> float:
-    g = math.inf
-    for v in values:
-        g = min(g, eps_grade(v))
-    return g
-
-
 @dataclass(frozen=True)
 class ThetaField:
     """The topological scalar ``theta(x)`` with its gradient.

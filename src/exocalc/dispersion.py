@@ -34,6 +34,8 @@ class BoxRegion:
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise ValueError("empty time interval")
+        if len(self.spatial) != 3:
+            raise ValueError(f"a box needs three spatial intervals, got {len(self.spatial)}")
         for a, b in self.spatial:
             if not b > a:
                 raise ValueError("empty spatial interval")
@@ -89,7 +91,10 @@ def _segment_integral(c, a: float, b: float) -> complex:
     if abs(u) < _SERIES_CUTOFF:
         # 4-term expansion of (exp(u) - 1)/u removes the 0/0 singularity
         return cmath.exp(1j * c * a) * width * (1 + u / 2 + u * u / 6 + u**3 / 24)
-    return (cmath.exp(1j * c * b) - cmath.exp(1j * c * a)) / (1j * c)
+    try:
+        return (cmath.exp(1j * c * b) - cmath.exp(1j * c * a)) / (1j * c)
+    except ValueError as exc:  # cmath rejects a phase that overflowed to inf
+        raise OverflowError(f"box kernel phase overflows on [{a}, {b}]") from exc
 
 
 def delta_sigma(p: ComplexMomentum, box: BoxRegion) -> complex:

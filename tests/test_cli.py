@@ -1,14 +1,16 @@
 """CLI surface: determinism, schemas, exit codes, golden files."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exocalc.cli import (
@@ -415,26 +417,56 @@ def test_fmt_stability():
         ("grid.bc=foo", 2),
         ("fit_window=[0,1]", 2),  # selects only t = 0
         ("fit_window=abc", 2),
+        ("grid.n_x=256.7", 2),  # not truncated to 256
+        ("grid.n_x=true", 2),
+        ("include_x_term=abc", 2),  # not read as true
+        ("theta_dot=NaN", 2),
+        ("packet=5", 2),
         ("packet.amplitude=0", 3),
+        # the implicit solver's band overflows: a non-finite field, not a config error
+        ("grid.bc=dirichlet include_x_term=true theta_dot=1e300", 4),
     ],
 )
 def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, capsys):
-    assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], "--set", override]) == code
+    sets = [a for s in override.split() for a in ("--set", s)]
+    assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], *sets]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "simulate_snapshots.csv").exists()
 
 
+BAD_INPUTS = [  # command, space-separated overrides, output file, exit code
+    ("lightcone", "c=0", "lightcone.csv", 2),
+    ("lightcone", "c=-1", "lightcone.csv", 2),
+    ("forms-check", "seeds=-5", "forms_check.csv", 2),
+    ("forms-check", "seeds=0", "forms_check.csv", 2),
+    ("lightcone", "c=abc", "lightcone.csv", 2),
+    ("lightcone", "points=[[1,2,3]]", "lightcone.csv", 2),
+    ("forms-check", "seeds=abc", "forms_check.csv", 2),
+    ("forms-check", "seeds=2.5", "forms_check.csv", 2),  # not truncated to 2
+    ("cartan", "samples=abc", "cartan.csv", 2),
+    ("cartan", "samples=-3", "cartan.csv", 2),
+    ("metric", "points=[[1,2]]", "metric.csv", 2),
+    ("metric", "probe=[1,2]", "metric.csv", 2),
+    ("spectrum", 'theta_dot={"start":"a","stop":0.02,"count":2}', "spectrum.csv", 2),
+    ("spectrum", "m=[true]", "spectrum.csv", 2),  # not read as m = 1
+    ("spectrum", 'grad_norm={"start":0,"stop":0.1,"count":2.5}', "spectrum.csv", 2),
+    ("spectrum", "box.spatial=[[0,1]]", "spectrum.csv", 2),  # three intervals needed
+    ("metric", "theta_grad=[0,1e308,0,0]", "metric.csv", 3),  # overflows once squared
+    ("spectrum", "theta_dot=[1e308] grad_norm=[1e308]", "spectrum.csv", 3),
+    ("spectrum", "theta_dot=[1e-100] grad_norm=[1e140]", "spectrum.csv", 3),
+    ("lightcone", "c=1e-200", "lightcone.csv", 3),  # c * c underflows to 0
+    ("spectrum", "box.t1=1e308 m=[2.0]", "spectrum.csv", 3),  # the kernel phase overflows
+]
+
+
 @pytest.mark.parametrize(
-    "command, override, csv_name",
-    [
-        ("lightcone", "c=0", "lightcone.csv"),
-        ("lightcone", "c=-1", "lightcone.csv"),
-        ("forms-check", "seeds=-5", "forms_check.csv"),
-        ("forms-check", "seeds=0", "forms_check.csv"),
-    ],
+    "command, overrides, csv_name, code", BAD_INPUTS, ids=["-".join(case[:3]) for case in BAD_INPUTS]
 )
-def test_out_of_range_inputs_exit_2_without_traceback(command, override, csv_name, tmp_path, capsys):
-    assert run_cli([command, "--out", tmp_path, *FAST_ARGS[command], "--set", override]) == 2
+def test_out_of_range_inputs_exit_2_without_traceback(
+    command, overrides, csv_name, code, tmp_path, capsys
+):
+    sets = [a for s in overrides.split() for a in ("--set", s)]
+    assert run_cli([command, "--out", tmp_path, *FAST_ARGS[command], *sets]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
 
@@ -472,11 +504,9 @@ def test_snapshot_csv_matches_per_cell_fmt(sets, tmp_path):
     """The streamed snapshot file equals the one built row by row from ``fmt``."""
     assert run_cli(["simulate", "--out", tmp_path, *[a for s in sets for a in ("--set", s)]]) == 0
     cfg = load_config("simulate", None, sets)
-    g, pk = cfg["grid"], cfg["packet"]
-    grid = SimGrid(g["x_min"], g["x_max"], g["n_x"], g["dt"], g["n_t"], g["bc"], g["snapshot_stride"])
+    grid = SimGrid(**cfg["grid"])
     simulate_time_domain(
-        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"],
-        initial=WavePacket(pk["center"], pk["width"], pk["wavenumber"], pk["amplitude"]),
+        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], initial=WavePacket(**cfg["packet"])
     )
     rows = [
         [fmt(t), fmt(x), fmt(v.real), fmt(v.imag)]
@@ -485,3 +515,72 @@ def test_snapshot_csv_matches_per_cell_fmt(sets, tmp_path):
     ]
     want = SCHEMA_LINE + "\nt,x,re_phi,im_phi\n" + "".join(",".join(r) + "\n" for r in rows)
     assert (tmp_path / "simulate_snapshots.csv").read_text() == want
+
+
+def test_config_values_are_typed_by_their_defaults():
+    cfg = load_config("lightcone", None, ["c=1", "points=[[0, 1], [2, 3.5]]"])
+    assert cfg["c"] == 1.0 and type(cfg["c"]) is float
+    assert cfg["points"] == [[0.0, 1.0], [2.0, 3.5]]
+    assert all(type(v) is float for row in cfg["points"] for v in row)
+    assert type(load_config("cartan", None, ["samples=3"])["samples"]) is int
+    assert load_config("metric", None, ["points=[]"])["points"] == []
+    sim = load_config("simulate", None, ["include_x_term=true", "fit_window=[1, 2]"])
+    assert sim["include_x_term"] is True and sim["fit_window"] == [1, 2]
+    # the sweep axes keep their several forms for sweep_values
+    assert load_config("spectrum", None, ["m=2"])["m"] == 2
+
+
+def test_bool_key_needs_json_bool(tmp_path, capsys):
+    assert run_cli(["simulate", "--out", tmp_path, "--set", "include_x_term=abc"]) == 2
+    err = capsys.readouterr().err
+    assert "include_x_term" in err and "dirichlet" not in err
+
+
+def _dotted_keys(node, prefix=""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted_keys(value, f"{prefix}{key}.")
+
+
+CONFIG_KEYS = [(command, key) for command in FAST_ARGS for key in _dotted_keys(DEFAULTS[command])]
+# keys whose integers set a loop length, directly or inside a sweep {start, stop, count}
+SIZE_KEYS = {"n_t", "n_x", "seeds", "samples", "count", "theta_dot", "grad_norm", "m", "grid"}
+
+
+def _json_values(max_int=None):
+    scalars = (
+        st.text(max_size=3) | st.booleans() | st.none() | st.integers(max_value=max_int)
+        | st.floats().filter(lambda v: not v.is_integer())
+        | st.sampled_from([math.nan, math.inf, -math.inf])
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def _config_case(draw):
+    command, key = draw(st.sampled_from(CONFIG_KEYS))
+    small = SIZE_KEYS.intersection(key.split("."))
+    return command, key, draw(_json_values(64 if small else None))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_config_case())
+def test_any_config_value_keeps_the_exit_code_contract(case):
+    """A drawn value, by flag or in a document, exits 0, 2, 3 or 4 and raises nothing."""
+    command, key, value = case
+    doc = value
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        fast, codes = FAST_ARGS[command], (0, 2, 3, 4)
+        assert run_cli([command, "--out", tmp, *fast, "--set", f"{key}={json.dumps(value)}"]) in codes
+        # the document's value must not be overridden by the same key's fast flag
+        fast = [a for s in fast[1::2] if s.partition("=")[0] != key for a in ("--set", s)]
+        assert run_cli([command, "--out", tmp, "--config", cfg_path, *fast]) in codes

@@ -213,6 +213,18 @@ def test_instability_detected():
         simulate_time_domain(grid, 6.0, 0.0, 0.0, initial=WavePacket(50.0, 5.0, 0.5))
 
 
+@pytest.mark.parametrize("theta_t", [math.nan, math.inf, 1e300], ids=["nan", "inf", "huge"])
+@pytest.mark.parametrize("x_term", [False, True], ids=["explicit", "implicit"])
+def test_non_finite_field_is_instability(theta_t, x_term):
+    # the CLI rejects non-finite config values; the library reports a non-finite field
+    grid = SimGrid(0.0, 100.0, 64, 0.3, 16, bc="dirichlet", snapshot_stride=4)
+    with np.errstate(all="ignore"), warnings.catch_warnings(), pytest.raises(InstabilityError):
+        warnings.simplefilter("ignore")
+        simulate_time_domain(
+            grid, 1.0, theta_t, 0.0, include_x_term=x_term, initial=WavePacket(50.0, 5.0, 0.5)
+        )
+
+
 def test_x_term_runs_and_warns_out_of_scale():
     grid = SimGrid(0.0, 40.0, 256, 0.1, 64, bc="dirichlet", snapshot_stride=16)
     with warnings.catch_warnings(record=True) as caught:
