@@ -39,16 +39,17 @@ def spinor_to_point(s: Sequence) -> tuple:
     )
 
 
-def point_to_spinor(v: Sequence, null_tol: float = 1e-9) -> SpinorPair:
+def point_to_spinor(v: Sequence) -> SpinorPair:
     """Invert :func:`spinor_to_point` on a future null vector.
 
     The overall phase is a gauge freedom; the canonical convention fixes
     the first component real and nonnegative (second component real >= 0
-    when the first vanishes).  Rejects non-null input or ``t <= 0``.
+    when the first vanishes).  Rejects non-null input (relative tolerance
+    1e-9) or ``t <= 0``.
     """
     t, x, y, z = (float(c) for c in v)
     scale = max(t * t, x * x + y * y + z * z, 1e-300)
-    if abs(minkowski_dot(v, v)) > null_tol * scale:
+    if abs(minkowski_dot(v, v)) > 1e-9 * scale:
         raise ValueError(f"not a null vector: {tuple(v)!r}")
     if t <= 0:
         raise ValueError("point reconstruction requires t > 0")
@@ -91,15 +92,15 @@ def hermitian_to_point(m: np.ndarray) -> tuple:
     return (t, x, y, z)
 
 
-def sl2c_act(lam: np.ndarray, v_matrix: np.ndarray, det_tol: float = 1e-12) -> np.ndarray:
+def sl2c_act(lam: np.ndarray, v_matrix: np.ndarray) -> np.ndarray:
     """Conjugation ``V -> lam V lam^dagger`` for unimodular-in-modulus ``lam``.
 
     ``det V' = |det lam|^2 det V = det V``, so the encoded quadratic form
-    is preserved.  Rejects ``| |det lam| - 1 | > det_tol``.
+    is preserved.  Rejects ``| |det lam| - 1 | > 1e-12``.
     """
     lam = np.asarray(lam, dtype=complex)
     d = np.linalg.det(lam)
-    if abs(abs(d) - 1.0) > det_tol:
+    if abs(abs(d) - 1.0) > 1e-12:
         raise ValueError(f"conjugation matrix must have |det| = 1, got |det| = {abs(d)}")
     return lam @ v_matrix @ lam.conj().T
 

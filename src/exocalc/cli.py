@@ -42,7 +42,8 @@ from .forms import (
 from .pde import InstabilityError, SimGrid, WavePacket, fit_decay_rate, simulate_time_domain
 
 SCHEMA_LINE = "# schema=1"
-# the one float format of every CSV cell; ``fmt`` and the snapshot blocks use it
+# the float format of every CSV cell but ``delta_diag`` (``fmt6``); ``fmt`` and the
+# snapshot blocks use it
 FLOAT_SPEC = "%.12e"
 
 
@@ -184,7 +185,6 @@ DEFAULTS = {
     },
     "forms-check": {"seeds": 20, "dimension": 3, "degree": 2},
     "cartan": {"samples": 1000},
-    "generate-fixtures": {},
 }
 
 
@@ -521,7 +521,7 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
         _snapshot_blocks(grid.times, grid.xs(), grid.snapshots),
     )
 
-    log_amp = np.log(np.sqrt(np.sum(np.abs(grid.snapshots) ** 2, axis=1) * grid.dx))
+    log_amp = np.log(grid.l2_norms())
     summary_rows = [
         [fmt(t), fmt(a), fmt(rate)] for t, a in zip(grid.times, log_amp)
     ]
@@ -543,49 +543,6 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     return written
 
 
-# ------------------------------------------------------------------- fixtures
-
-
-class FixtureMismatchError(RuntimeError):
-    pass
-
-
-def generate_fixtures(out_dir: Path, seed: int = 42) -> list:
-    """Write golden CSVs from the oracle routes, verified against the implementation.
-
-    The oracle and implementation rows are formatted through the same
-    writers; any string-level disagreement aborts with a per-row diff.
-    """
-    from .oracles import delta_quadrature, dense_exotic_d, spectrum_companion
-
-    spec_cfg = copy.deepcopy(DEFAULTS["spectrum"])
-    header, oracle_rows = spectrum_rows(
-        spec_cfg, spectrum_fn=spectrum_companion, delta_fn=delta_quadrature
-    )
-    _, impl_rows = spectrum_rows(spec_cfg)
-    _diff_or_raise("spectrum", oracle_rows, impl_rows)
-    paths = [write_csv(out_dir / "spectrum_golden.csv", header, oracle_rows)]
-
-    forms_cfg = copy.deepcopy(DEFAULTS["forms-check"])
-    header, oracle_rows = forms_check_rows(forms_cfg, seed, d_fn=dense_exotic_d)
-    _, impl_rows = forms_check_rows(forms_cfg, seed)
-    _diff_or_raise("forms-check", oracle_rows, impl_rows)
-    paths.append(write_csv(out_dir / "forms_check_golden.csv", header, oracle_rows))
-    return paths
-
-
-def _diff_or_raise(name: str, oracle_rows, impl_rows):
-    if oracle_rows == impl_rows:
-        return
-    lines = [f"oracle/implementation mismatch in {name}:"]
-    for i, (a, b) in enumerate(zip(oracle_rows, impl_rows)):
-        if a != b:
-            lines.append(f"  row {i}: oracle={','.join(a)} impl={','.join(b)}")
-    if len(oracle_rows) != len(impl_rows):
-        lines.append(f"  row count: oracle={len(oracle_rows)} impl={len(impl_rows)}")
-    raise FixtureMismatchError("\n".join(lines))
-
-
 # ---------------------------------------------------------------------- main
 
 
@@ -595,11 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deformed flat-spacetime calculus: metric, light cone, spectrum, "
         "simulation, exterior-calculus identity checks, spinor-point maps.",
     )
-    names = ["metric", "lightcone", "spectrum", "simulate", "forms-check", "cartan"]
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(names) + "}"
-    )
-    for name in names + ["generate-fixtures"]:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in DEFAULTS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config document")
         p.add_argument(
@@ -618,6 +572,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(args) -> list:
     out_dir = Path(args.out)
     cfg = load_config(args.command, args.config, args.set)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # checked before compute, so a bad path wastes no run
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc}") from exc
     if args.command == "metric":
         header, rows = metric_rows(cfg)
         return [write_csv(out_dir / "metric.csv", header, rows)]
@@ -647,9 +605,6 @@ def run(args) -> list:
     if args.command == "cartan":
         header, rows = cartan_rows(cfg, args.seed)
         return [write_csv(out_dir / "cartan.csv", header, rows)]
-    if args.command == "generate-fixtures":
-        return generate_fixtures(out_dir, args.seed)
-    raise ConfigError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -667,9 +622,6 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 4
-    except FixtureMismatchError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     for path in written:
         print(path)
     return 0

@@ -69,6 +69,18 @@ def identity_matrix(exact: bool = False) -> np.ndarray:
     return _obj([[one if i == j else zero for j in range(4)] for i in range(4)])
 
 
+def _spatial_gammas(exact: bool) -> tuple:
+    """``gamma^1 .. gamma^3``, the same in the Dirac and the Weyl representation."""
+    one, iu, zero = _units(exact)
+    g1 = [[zero, zero, zero, one], [zero, zero, one, zero],
+          [zero, -one, zero, zero], [-one, zero, zero, zero]]
+    g2 = [[zero, zero, zero, -iu], [zero, zero, iu, zero],
+          [zero, iu, zero, zero], [-iu, zero, zero, zero]]
+    g3 = [[zero, zero, one, zero], [zero, zero, zero, -one],
+          [-one, zero, zero, zero], [zero, one, zero, zero]]
+    return tuple(_obj(g) for g in (g1, g2, g3))
+
+
 @dataclass(frozen=True)
 class GammaRep:
     """Four 4x4 matrices satisfying ``{g^m, g^n} = 2 eta^{mn} Id`` exactly.
@@ -95,29 +107,17 @@ class GammaRep:
 
     @classmethod
     def dirac(cls, exact: bool = False) -> "GammaRep":
-        one, iu, zero = _units(exact)
+        one, _, zero = _units(exact)
         g0 = [[one, zero, zero, zero], [zero, one, zero, zero],
               [zero, zero, -one, zero], [zero, zero, zero, -one]]
-        g1 = [[zero, zero, zero, one], [zero, zero, one, zero],
-              [zero, -one, zero, zero], [-one, zero, zero, zero]]
-        g2 = [[zero, zero, zero, -iu], [zero, zero, iu, zero],
-              [zero, iu, zero, zero], [-iu, zero, zero, zero]]
-        g3 = [[zero, zero, one, zero], [zero, zero, zero, -one],
-              [-one, zero, zero, zero], [zero, one, zero, zero]]
-        return cls(tuple(_obj(g) for g in (g0, g1, g2, g3)), exact, "dirac")
+        return cls((_obj(g0), *_spatial_gammas(exact)), exact, "dirac")
 
     @classmethod
     def weyl(cls, exact: bool = False) -> "GammaRep":
-        one, iu, zero = _units(exact)
+        one, _, zero = _units(exact)
         g0 = [[zero, zero, one, zero], [zero, zero, zero, one],
               [one, zero, zero, zero], [zero, one, zero, zero]]
-        g1 = [[zero, zero, zero, one], [zero, zero, one, zero],
-              [zero, -one, zero, zero], [-one, zero, zero, zero]]
-        g2 = [[zero, zero, zero, -iu], [zero, zero, iu, zero],
-              [zero, iu, zero, zero], [-iu, zero, zero, zero]]
-        g3 = [[zero, zero, one, zero], [zero, zero, zero, -one],
-              [-one, zero, zero, zero], [zero, one, zero, zero]]
-        return cls(tuple(_obj(g) for g in (g0, g1, g2, g3)), exact, "weyl")
+        return cls((_obj(g0), *_spatial_gammas(exact)), exact, "weyl")
 
     @classmethod
     def conjugated(cls, u: np.ndarray, base: "GammaRep") -> "GammaRep":
@@ -140,7 +140,8 @@ class GammaRep:
         return identity_matrix(self.exact)
 
 
-def matrices_equal(a: np.ndarray, b: np.ndarray, exact: bool, tol: float = 1e-12) -> bool:
+def matrices_equal(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:
+    """Entrywise equality: exact, or within 1e-12 for float matrices."""
     n = a.shape[0]
     for i in range(n):
         for j in range(n):
@@ -148,7 +149,7 @@ def matrices_equal(a: np.ndarray, b: np.ndarray, exact: bool, tol: float = 1e-12
                 if not a[i, j] == b[i, j]:
                     return False
             else:
-                if abs(complex(a[i, j]) - complex(b[i, j])) > tol:
+                if abs(complex(a[i, j]) - complex(b[i, j])) > 1e-12:
                     return False
     return True
 
@@ -294,14 +295,12 @@ def apply_exotic_kg(
     include_x_term: bool = False,
     spinor: np.ndarray | None = None,
     rep: GammaRep | None = None,
-    ghost: int = 2,
 ) -> np.ndarray:
     """Centered-stencil application of the deformed wave operator in 1+1D.
 
     ``phi`` is sampled on the uniform grid ``times x xs``; the result is
-    the operator value trimmed by ``ghost`` layers on every edge (the
-    sampling must provide at least two ghost layers so nested first-order
-    applications stay second-order accurate).
+    the operator value trimmed by two ghost layers on every edge, so
+    nested first-order applications stay second-order accurate.
 
     For a scalar field the commutator term acts through the identity and
     is omitted; passing ``spinor`` returns the 4-component overlay
@@ -309,16 +308,14 @@ def apply_exotic_kg(
     """
     phi = np.asarray(phi)
     nt, nx = phi.shape
-    if ghost < 1:
-        raise ValueError("ghost width must be >= 1")
-    if nt <= 2 * ghost + 0 or nx <= 2 * ghost or nt < 5 or nx < 5:
-        raise ValueError("grid too small for the requested ghost layers")
+    if nt < 5 or nx < 5:
+        raise ValueError("grid too small for the two ghost layers")
     dt = float(times[1] - times[0])
     dx = float(xs[1] - xs[0])
     if not np.allclose(np.diff(times), dt) or not np.allclose(np.diff(xs), dx):
         raise ValueError("stencils require uniform grid spacing")
 
-    g = ghost
+    g = 2  # ghost layers
     c = np.s_[g:nt - g, g:nx - g]
     up = np.s_[g + 1:nt - g + 1, g:nx - g]
     dn = np.s_[g - 1:nt - g - 1, g:nx - g]

@@ -97,13 +97,6 @@ class EpsSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def eval_at(self, eps_value):
-        """Evaluate the truncated polynomial at a numeric ``eps`` value."""
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * eps_value + c
-        return total
-
     def _coerce(self, other) -> "EpsSeries | None":
         if isinstance(other, EpsSeries):
             return other

@@ -62,6 +62,8 @@ class ComplexMomentum:
     p_space: tuple
 
     def covariant(self) -> tuple:
+        """Covariant components, also the per-coordinate kernel phases:
+        ``p.x = p0 t - p_space . x``."""
         return (self.p0, -self.p_space[0], -self.p_space[1], -self.p_space[2])
 
     @classmethod
@@ -74,10 +76,6 @@ class ComplexMomentum:
         if v_cov[0] == 0:
             raise DegenerateParameterError("alignment requires v_0 != 0")
         return cls.from_covariant(tuple((va * energy) / v_cov[0] for va in v_cov))
-
-    def phase_coefficients(self) -> tuple:
-        """Per-coordinate kernel phases: ``p.x = p0 t - p_space . x``."""
-        return (self.p0, -self.p_space[0], -self.p_space[1], -self.p_space[2])
 
 
 _SERIES_CUTOFF = 1e-6
@@ -103,7 +101,7 @@ def delta_sigma(p: ComplexMomentum, box: BoxRegion) -> complex:
     At ``p = 0`` the value is exactly the 4-volume.
     """
     value = 1.0 + 0.0j
-    for c, (lo, hi) in zip(p.phase_coefficients(), box.intervals()):
+    for c, (lo, hi) in zip(p.covariant(), box.intervals()):
         value *= _segment_integral(c, lo, hi)
     return value
 
@@ -177,11 +175,11 @@ def fourier_parts_check(
     derivative equals ``-i p_a`` times the transform plus the face term,
     and the corresponding second-derivative identity for every index pair.
     """
-    cs = p.phase_coefficients()
+    p_cov = p.covariant()
     ivs = box.intervals()
 
     def seg(fn, axis):
-        c = cs[axis]
+        c = p_cov[axis]
         a, b = ivs[axis]
         return _quad_complex(lambda z: fn(z) * cmath.exp(1j * complex(c) * z), a, b)
 
@@ -190,7 +188,7 @@ def fourier_parts_check(
     second = [seg(phi.factors[i].second, i) for i in range(4)]
 
     def face_term(fn, axis):
-        c = complex(cs[axis])
+        c = complex(p_cov[axis])
         a, b = ivs[axis]
         return fn(b) * cmath.exp(1j * c * b) - fn(a) * cmath.exp(1j * c * a)
 
@@ -201,7 +199,6 @@ def fourier_parts_check(
                 out *= v
         return out
 
-    p_cov = p.covariant()
     worst = 0.0
     for al in range(4):
         lhs = first[al] * product_except(base, {al})

@@ -91,15 +91,11 @@ class ExoticForm:
     def component(self, idx: Sequence[int]) -> MultiPoly:
         key, sign = _canonical(idx)
         if key is None:
-            return MultiPoly.zero(self._nvars, self.trunc)
+            return MultiPoly.zero(self.dim, self.trunc)
         poly = self.coeffs.get(key)
         if poly is None:
-            return MultiPoly.zero(self._nvars, self.trunc)
+            return MultiPoly.zero(self.dim, self.trunc)
         return sign * poly
-
-    @property
-    def _nvars(self) -> int:
-        return self.dim
 
     def _like(self, degree: int | None = None, basis: str | None = None) -> "ExoticForm":
         return ExoticForm(

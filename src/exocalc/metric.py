@@ -29,18 +29,13 @@ _MINKOWSKI = tuple(
 
 @dataclass(frozen=True)
 class ExoticMetric:
-    """Deformed metric components at a point.
+    """Deformed metric components at a point; exactly symmetric.
 
-    ``order`` is ``"full"`` (quadratic gradient terms kept) or ``"first"``;
-    ``variance`` distinguishes the covariant components from the
-    contravariant inverse.  Components are exactly symmetric.
+    The builder fixes whether they are covariant or contravariant and
+    whether the quadratic gradient terms are kept.
     """
 
-    point: tuple
-    theta: ThetaField
     components: tuple
-    order: str
-    variance: str = "covariant"
 
     def __getitem__(self, idx):
         a, b = idx
@@ -74,7 +69,7 @@ def metric_full(x: Sequence, theta: ThetaField) -> ExoticMetric:
         + x_low[b] * grad[a]
         + xx * grad[a] * grad[b]
     )
-    return ExoticMetric(tuple(x), theta, comps, order="full")
+    return ExoticMetric(comps)
 
 
 def metric_first_order(x: Sequence, theta: ThetaField) -> ExoticMetric:
@@ -84,7 +79,7 @@ def metric_first_order(x: Sequence, theta: ThetaField) -> ExoticMetric:
     comps = _symmetric_components(
         lambda a, b: _MINKOWSKI[a][b] + x_low[a] * grad[b] + x_low[b] * grad[a]
     )
-    return ExoticMetric(tuple(x), theta, comps, order="first")
+    return ExoticMetric(comps)
 
 
 def metric_inverse_first_order(x: Sequence, theta: ThetaField) -> ExoticMetric:
@@ -97,7 +92,7 @@ def metric_inverse_first_order(x: Sequence, theta: ThetaField) -> ExoticMetric:
     comps = _symmetric_components(
         lambda a, b: _MINKOWSKI[a][b] - x[a] * grad_up[b] - x[b] * grad_up[a]
     )
-    return ExoticMetric(tuple(x), theta, comps, order="first", variance="contravariant")
+    return ExoticMetric(comps)
 
 
 def bilinear_eval(v: Sequence, w: Sequence, x: Sequence, theta: ThetaField):

@@ -33,7 +33,7 @@ from .poly import MultiPoly
 def delta_quadrature(p: ComplexMomentum, box: BoxRegion) -> complex:
     """Box kernel evaluated by per-axis adaptive quadrature."""
     value = 1.0 + 0.0j
-    for c, (lo, hi) in zip(p.phase_coefficients(), box.intervals()):
+    for c, (lo, hi) in zip(p.covariant(), box.intervals()):
         c = complex(c)
         re = quad(
             lambda z, c=c: cmath.exp(1j * c * z).real, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,6 @@ class SimGrid:
     times: np.ndarray | None = None
     snapshots: np.ndarray | None = None
     energies: np.ndarray | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.bc not in BOUNDARY_TAGS:
@@ -85,6 +84,10 @@ class SimGrid:
         if self.bc == "periodic":
             return self.x_min + self.dx * np.arange(self.n_x)
         return np.linspace(self.x_min, self.x_max, self.n_x)
+
+    def l2_norms(self) -> np.ndarray:
+        """``||phi(t, .)||_2`` of every stored snapshot."""
+        return np.sqrt(np.sum(np.abs(self.snapshots) ** 2, axis=1) * self.dx)
 
     def snapshot_times(self) -> np.ndarray:
         """The ``times`` :func:`simulate_time_domain` stores: every step
@@ -251,13 +254,6 @@ def simulate_time_domain(
     grid.times = np.array(stored_t)
     grid.snapshots = np.array(stored)
     grid.energies = np.array(energies)
-    grid.params = {
-        "m": m,
-        "theta_t": theta_t,
-        "theta_x": theta_x,
-        "include_x_term": include_x_term,
-        "packet": initial,
-    }
     return grid
 
 
@@ -307,7 +303,7 @@ def fit_decay_rate(grid: SimGrid, window: tuple) -> float:
     mask = (grid.times >= t_a) & (grid.times <= t_b)
     if int(mask.sum()) < 3:
         raise ValueError("window selects fewer than 3 stored snapshots")
-    norms = np.sqrt(np.sum(np.abs(grid.snapshots[mask]) ** 2, axis=1) * grid.dx)
+    norms = grid.l2_norms()[mask]
     if np.any(norms <= 0):
         raise ValueError("non-positive amplitude inside the fit window")
     slope = np.polyfit(grid.times[mask], np.log(norms), 1)[0]
@@ -322,25 +318,24 @@ class OdeSolution:
     phi: np.ndarray
     phi_closed: np.ndarray | None
     char_roots: tuple | None
-    params: dict
-    _numeric_eval: Callable | None = None
-    _closed_eval: Callable | None = None
+    _residual_fn: Callable
+    _numeric_eval: Callable
 
     def at(self, points) -> np.ndarray:
         return self._numeric_eval(np.asarray(points, dtype=float))
 
-    def closed_at(self, points) -> np.ndarray:
-        if self._closed_eval is None:
-            raise ValueError("no closed-form branch for this solution")
-        return self._closed_eval(np.asarray(points, dtype=float))
-
     def stencil_residual(self) -> float:
         """Max centered-stencil residual of the sampled ODE at interior points."""
-        fn = self.params["residual_fn"]
-        return fn(self.x, self.phi)
+        return self._residual_fn(self.x, self.phi)
 
 
-def _shoot_linear(rhs_coeff: Callable, domain, bc, n_out, rtol, atol):
+# samples per solution, and the shooting integrator's tolerances
+ODE_SAMPLES = 201
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+
+
+def _shoot_linear(rhs_coeff: Callable, domain, bc):
     """Linear shooting by superposition of two basis initial-value solutions.
 
     ``rhs_coeff(x)`` returns ``(b(x), q(x))`` for ``phi'' = b phi' + q phi``.
@@ -362,8 +357,8 @@ def _shoot_linear(rhs_coeff: Callable, domain, bc, n_out, rtol, atol):
             y0,
             method="RK45",
             dense_output=True,
-            rtol=rtol,
-            atol=atol,
+            rtol=ODE_RTOL,
+            atol=ODE_ATOL,
         )
         if not sol.success:
             raise RuntimeError(f"integration failed: {sol.message}")
@@ -437,9 +432,6 @@ def solve_ode_x(
     beta: float,
     domain: tuple = (0.0, 1.0),
     bc: tuple = (1.0 + 0.0j, 0.0j),
-    n_out: int = 201,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> OdeSolution:
     """Two-point solution of ``-phi'' + beta phi' + (m^2 - w^2 + w a) phi = 0``.
 
@@ -451,13 +443,13 @@ def solve_ode_x(
     """
     q = m * m - omega * omega + omega * alpha
 
-    numeric = _shoot_linear(lambda x: (beta, q), domain, bc, n_out, rtol, atol)
+    numeric = _shoot_linear(lambda x: (beta, q), domain, bc)
     disc = cmath.sqrt(beta * beta + 4 * q)
     r_plus = (beta + disc) / 2
     r_minus = (beta - disc) / 2
     closed = _closed_form_two_exp(r_plus, r_minus, domain, bc)
 
-    xs = np.linspace(domain[0], domain[1], n_out)
+    xs = np.linspace(domain[0], domain[1], ODE_SAMPLES)
 
     def residual_fn(x, phi, beta=beta, q=q):
         h = x[1] - x[0]
@@ -471,16 +463,8 @@ def solve_ode_x(
         phi=numeric(xs),
         phi_closed=closed(xs),
         char_roots=(r_plus, r_minus),
-        params={
-            "omega": omega,
-            "m": m,
-            "alpha": alpha,
-            "beta": beta,
-            "variable": "x",
-            "residual_fn": residual_fn,
-        },
+        _residual_fn=residual_fn,
         _numeric_eval=numeric,
-        _closed_eval=closed,
     )
 
 
@@ -511,9 +495,6 @@ def solve_ode_y(
     domain: tuple = (0.0, 1.0),
     bc: tuple = (1.0 + 0.0j, 0.0j),
     linearized: bool = False,
-    n_out: int = 201,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> OdeSolution:
     """Same boundary-value problem after the exponential change of variable.
 
@@ -532,8 +513,8 @@ def solve_ode_y(
         shape = (1 - 2 * beta * x_of_y) if linearized else math.exp(-2 * beta * x_of_y)
         return (0.0, -big_q * shape)
 
-    numeric = _shoot_linear(coeff, (y0, y1), bc, n_out, rtol, atol)
-    ys = np.linspace(y0, y1, n_out)
+    numeric = _shoot_linear(coeff, (y0, y1), bc)
+    ys = np.linspace(y0, y1, ODE_SAMPLES)
 
     def residual_fn(y, phi, beta=beta, big_q=big_q, linearized=linearized):
         h = y[1] - y[0]
@@ -548,14 +529,6 @@ def solve_ode_y(
         phi=numeric(ys),
         phi_closed=None,
         char_roots=None,
-        params={
-            "omega": omega,
-            "m": m,
-            "alpha": alpha,
-            "beta": beta,
-            "variable": "y",
-            "linearized": linearized,
-            "residual_fn": residual_fn,
-        },
+        _residual_fn=residual_fn,
         _numeric_eval=numeric,
     )

@@ -192,11 +192,6 @@ class MultiPoly:
             out._accumulate((e, mono[1:]), coeff)
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for _, m in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"

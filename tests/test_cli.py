@@ -25,6 +25,7 @@ from exocalc.cli import (
     sweep_values,
 )
 from exocalc.pde import SimGrid, WavePacket, simulate_time_domain
+from regenerate_fixtures import fixture_tables, write_fixtures
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -316,9 +317,21 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
 
 
 def test_generate_fixtures_reproduces_committed_bytes(tmp_path):
-    assert run_cli(["generate-fixtures", "--out", tmp_path, "--seed", 42]) == 0
-    for name in ("spectrum_golden.csv", "forms_check_golden.csv"):
-        assert read_all(tmp_path / name) == read_all(FIXTURES / name)
+    tables = fixture_tables(42)
+    for name, (_, oracle_rows, impl_rows) in tables.items():
+        assert oracle_rows == impl_rows, name
+    paths = write_fixtures(tmp_path, tables)
+    assert sorted(p.name for p in paths) == ["forms_check_golden.csv", "spectrum_golden.csv"]
+    for path in paths:
+        assert read_all(path) == read_all(FIXTURES / path.name)
+
+
+def test_generate_fixtures_is_not_a_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate-fixtures", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_module_entry_point_smoke(tmp_path):
@@ -341,18 +354,6 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "cartan.csv").exists()
-
-
-def test_fixture_mismatch_aborts_with_diff():
-    from exocalc.cli import FixtureMismatchError, _diff_or_raise
-
-    rows_a = [["a", "1"], ["b", "2"]]
-    rows_b = [["a", "1"], ["b", "3"]]
-    with pytest.raises(FixtureMismatchError) as err:
-        _diff_or_raise("demo", rows_a, rows_b)
-    assert "row 1" in str(err.value)
-    assert "b,2" in str(err.value) and "b,3" in str(err.value)
-    _diff_or_raise("demo", rows_a, rows_a)  # equal rows pass silently
 
 
 def test_forms_check_hundred_seed_budget(tmp_path):
@@ -434,7 +435,16 @@ def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, ca
     assert not (tmp_path / "simulate_snapshots.csv").exists()
 
 
-BAD_INPUTS = [  # command, space-separated overrides, output file, exit code
+def test_unusable_out_dir_fails_before_simulating(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the leapfrog ran before the output directory was checked")
+
+    monkeypatch.setattr("exocalc.cli.simulate_time_domain", must_not_run)
+    (tmp_path / "file").write_text("")
+    assert run_cli(["simulate", "--out", tmp_path / "file", *FAST_ARGS["simulate"]]) == 2
+
+
+BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, --out under tmp_path]
     ("lightcone", "c=0", "lightcone.csv", 2),
     ("lightcone", "c=-1", "lightcone.csv", 2),
     ("forms-check", "seeds=-5", "forms_check.csv", 2),
@@ -456,17 +466,22 @@ BAD_INPUTS = [  # command, space-separated overrides, output file, exit code
     ("spectrum", "theta_dot=[1e-100] grad_norm=[1e140]", "spectrum.csv", 3),
     ("lightcone", "c=1e-200", "lightcone.csv", 3),  # c * c underflows to 0
     ("spectrum", "box.t1=1e308 m=[2.0]", "spectrum.csv", 3),  # the kernel phase overflows
+    ("metric", "", "metric.csv", 2, "file"),  # --out names an existing file
+    ("metric", "", "metric.csv", 2, "file/sub"),  # --out lies under a file
 ]
 
 
 @pytest.mark.parametrize(
-    "command, overrides, csv_name, code", BAD_INPUTS, ids=["-".join(case[:3]) for case in BAD_INPUTS]
+    "command, overrides, csv_name, code, out",
+    [case if len(case) == 5 else (*case, ".") for case in BAD_INPUTS],
+    ids=["-".join(case[:3] + case[4:]) for case in BAD_INPUTS],
 )
 def test_out_of_range_inputs_exit_2_without_traceback(
-    command, overrides, csv_name, code, tmp_path, capsys
+    command, overrides, csv_name, code, out, tmp_path, capsys
 ):
+    (tmp_path / "file").write_text("")
     sets = [a for s in overrides.split() for a in ("--set", s)]
-    assert run_cli([command, "--out", tmp_path, *FAST_ARGS[command], *sets]) == code
+    assert run_cli([command, "--out", tmp_path / out, *FAST_ARGS[command], *sets]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
 
