@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .clifford import GammaRep, symbol_matrix
 from .core import MINKOWSKI_SIGNS
@@ -161,6 +160,8 @@ class SeparableTestFunction:
 
 
 def _quad_complex(fn, a: float, b: float) -> complex:
+    from scipy.integrate import quad  # scipy loads only on the paths that call it
+
     re = quad(lambda z: fn(z).real, a, b, limit=200, epsabs=1e-12, epsrel=1e-10)[0]
     im = quad(lambda z: fn(z).imag, a, b, limit=200, epsabs=1e-12, epsrel=1e-10)[0]
     return complex(re, im)
@@ -287,6 +288,9 @@ def plane_wave_rates(k, m: float, theta_dot: float, theta_prime: float):
     disc = np.sqrt(
         (-theta_dot * theta_dot + 4 * (k**2 + m * m - 1j * theta_prime * k)).astype(complex)
     )
-    plus = (-1j * theta_dot + disc) / 2
-    minus = (-1j * theta_dot - disc) / 2
+    # an overflowing theta_dot leaves inf * 0 in the complex halving; the
+    # resulting nan reaches the simulator's amplitude probe, which reports it
+    with np.errstate(invalid="ignore"):
+        plus = (-1j * theta_dot + disc) / 2
+        minus = (-1j * theta_dot - disc) / 2
     return np.where(plus.real >= 0, plus, minus)

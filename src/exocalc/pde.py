@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
 from .dispersion import plane_wave_rates
 
@@ -263,6 +261,8 @@ def _implicit_x_term_step(prev, cur, t_now, xs, dt, dx, m, theta_t, theta_x, bc)
     The mixed time-space derivative couples neighbouring points of the new
     level, giving a tridiagonal complex system per step.
     """
+    from scipy.linalg import solve_banded  # scipy loads only on the paths that call it
+
     n = len(cur)
     a_tt = 1 - 2 * theta_t * t_now
     c_cross = 2 * (theta_x * t_now - theta_t * xs)
@@ -340,6 +340,8 @@ def _shoot_linear(rhs_coeff: Callable, domain, bc):
 
     ``rhs_coeff(x)`` returns ``(b(x), q(x))`` for ``phi'' = b phi' + q phi``.
     """
+    from scipy.integrate import solve_ivp  # scipy loads only on the paths that call it
+
     x0, x1 = float(domain[0]), float(domain[1])
     if not x1 > x0:
         raise ValueError("empty domain")

@@ -2,41 +2,115 @@
 
 Coefficient ring for the exotic exterior calculus: every appendix-style
 identity is checked with zero tolerance, and "first order" claims become
-statements about the minimal ``eps`` power present.  Terms are stored
-sparsely as ``(eps_power, exponent_tuple) -> Fraction`` with zero
-coefficients absent (canonical form); products truncate ``eps`` powers
-beyond the grading order.
+statements about the minimal ``eps`` power present.  Products truncate
+``eps`` powers beyond the grading order.
+
+Storage is the content/primitive-part form: ``terms`` maps a packed
+monomial key to a nonzero ``int`` numerator, and ``den`` is one positive
+``int`` denominator shared by every term, normalised so that
+``gcd(den, *numerators) == 1`` (zero is ``{}`` over 1).  Equal
+polynomials therefore have equal ``terms`` and ``den``.
+
+A key packs the ``eps`` power and every exponent into fixed-width bit
+fields: ``eps`` in the top field, then ``x0``, ``x1``, ... down to the
+last variable in the lowest.  A monomial product is one integer add, eps
+truncation one compare against ``(trunc + 1) << shift``, the ``eps``
+grade ``min(terms) >> shift``, a derivative one subtraction, and keys
+sort like ``(eps, exponents)`` tuples.  The top bit of each variable field
+is a guard: stored exponents stay below ``EXP_LIMIT``, so the sum of two
+never carries into a neighbouring field, and a product that reaches
+``EXP_LIMIT`` in any variable raises ``OverflowError``.
+
+Coefficients are read as ``Fraction`` through :meth:`MultiPoly.coefficient`;
+scalars (``int`` or ``Fraction``) combine with polynomials on either side.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+
+FIELD_BITS = 16
+EXP_LIMIT = 1 << (FIELD_BITS - 1)  # exclusive bound on a stored exponent
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def _guard(nvars: int) -> int:
+    """The top bit of every variable field."""
+    return ((1 << FIELD_BITS * nvars) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
+
+
+def _offset(var: int, nvars: int) -> int:
+    if not 0 <= var < nvars:
+        raise IndexError(f"variable {var} outside 0..{nvars - 1}")
+    return FIELD_BITS * (nvars - 1 - var)
+
+
+def _pack(eps: int, mono, nvars: int) -> int:
+    if len(mono) != nvars:
+        raise ValueError("exponent tuple length mismatch")
+    if eps < 0 or min(mono, default=0) < 0:
+        raise ValueError("negative eps power or exponent")
+    if max(mono, default=0) >= EXP_LIMIT:
+        raise OverflowError(f"exponent reaches the field limit {EXP_LIMIT}")
+    key = eps
+    for k in mono:
+        key = key << FIELD_BITS | k
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    mono = []
+    for _ in range(nvars):
+        mono.append(key & _FIELD_MASK)
+        key >>= FIELD_BITS
+    return key, tuple(reversed(mono))
+
+
+def _ratio(value):
+    """``(numerator, denominator)`` of an ``int`` or ``Fraction`` scalar, else None."""
+    if isinstance(value, int):
+        return int(value), 1  # a bool becomes a plain int
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    return None
+
+
+def _poly(nvars: int, trunc: int, terms: dict, den: int) -> "MultiPoly":
+    """A polynomial from nonzero numerators over ``den > 0``, content removed."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: v // g for k, v in terms.items()}
+            den //= g
+    out = object.__new__(MultiPoly)
+    out.nvars = nvars
+    out.trunc = trunc
+    out.terms = terms
+    out.den = den
+    return out
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "trunc", "terms")
+    __slots__ = ("nvars", "trunc", "terms", "den")
 
     def __init__(self, nvars: int, trunc: int = 3, terms: dict | None = None):
+        """Polynomial from ``{(eps_power, exponent_tuple): coefficient}``.
+
+        Coefficients are anything ``Fraction`` accepts; zero coefficients and
+        grades above ``trunc`` are dropped.
+        """
+        kept = {}
+        for (eps, mono), coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if eps <= trunc and coeff:
+                kept[_pack(eps, mono, nvars)] = coeff
         self.nvars = nvars
         self.trunc = trunc
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                self._accumulate(key, Fraction(coeff))
-
-    def _accumulate(self, key, coeff: Fraction):
-        eps, mono = key
-        if eps > self.trunc or coeff == 0:
-            return
-        if len(mono) != self.nvars:
-            raise ValueError("exponent tuple length mismatch")
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        self.den = math.lcm(*(c.denominator for c in kept.values()))  # 1 when empty
+        self.terms = {k: c.numerator * (self.den // c.denominator) for k, c in kept.items()}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -45,78 +119,118 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int = 3) -> "MultiPoly":
-        mono = (0,) * nvars
-        return cls(nvars, trunc, {(0, mono): Fraction(value)})
+        value = Fraction(value)
+        terms = {0: value.numerator} if value else {}
+        return _poly(nvars, trunc, terms, value.denominator)
 
     @classmethod
     def variable(cls, index: int, nvars: int, trunc: int = 3) -> "MultiPoly":
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, trunc, {(0, mono): Fraction(1)})
+        return _poly(nvars, trunc, {1 << _offset(index, nvars): 1}, 1)
 
-    def _new(self, terms: dict) -> "MultiPoly":
-        out = MultiPoly(self.nvars, self.trunc)
-        for key, coeff in terms.items():
-            out._accumulate(key, coeff)
-        return out
+    def coefficient(self, eps: int, mono) -> Fraction:
+        """Exact coefficient of ``eps**eps * x**mono`` (zero when absent)."""
+        return Fraction(self.terms.get(_pack(eps, mono, self.nvars), 0), self.den)
 
     # -- ring operations ----------------------------------------------
+    def _add(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """``self + sign * other`` for ``sign`` in ``(1, -1)``."""
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.terms)
+            scale = sign
+        else:
+            g = math.gcd(da, db)
+            up = db // g
+            out = {k: v * up for k, v in self.terms.items()}
+            scale = sign * (da // g)
+            da *= up
+        get = out.get
+        for k, v in other.terms.items():
+            n = get(k, 0) + v * scale
+            if n:
+                out[k] = n
+            else:
+                del out[k]
+        trunc = min(self.trunc, other.trunc)
+        if self.trunc != other.trunc:
+            limit = (trunc + 1) << FIELD_BITS * self.nvars
+            out = {k: v for k, v in out.items() if k < limit}
+        return _poly(self.nvars, trunc, out, da)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = MultiPoly(self.nvars, min(self.trunc, other.trunc))
-        for key, coeff in self.terms.items():
-            out._accumulate(key, coeff)
-        for key, coeff in other.terms.items():
-            out._accumulate(key, coeff)
-        return out
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({key: -c for key, c in self.terms.items()})
+        return _poly(self.nvars, self.trunc, {k: -v for k, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._add(self, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = MultiPoly(self.nvars, min(self.trunc, other.trunc))
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
-                if e1 + e2 > out.trunc:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out._accumulate((e1 + e2, mono), c1 * c2)
-        return out
+        if not isinstance(other, MultiPoly):
+            scalar = _ratio(other)
+            return NotImplemented if scalar is None else self._scaled(*scalar)
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        trunc = min(self.trunc, other.trunc)
+        limit = (trunc + 1) << FIELD_BITS * self.nvars
+        outer, inner = self.terms, other.terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        out = {}
+        get = out.get
+        for k1, c1 in outer.items():
+            for k2, c2 in inner.items():
+                k = k1 + k2
+                if k < limit:
+                    out[k] = get(k, 0) + c1 * c2
+        out = {k: v for k, v in out.items() if v}
+        if out and reduce(or_, out) & _guard(self.nvars):
+            raise OverflowError(f"product exponent reaches the field limit {EXP_LIMIT}")
+        return _poly(self.nvars, trunc, out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, num: int, den: int) -> "MultiPoly":
+        """``self * num / den`` for a reduced fraction with ``den > 0``."""
+        if not num:
+            return MultiPoly(self.nvars, self.trunc)
+        return _poly(self.nvars, self.trunc, {k: v * num for k, v in self.terms.items()}, self.den * den)
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other, self.nvars, self.trunc)
-        return None
+        scalar = _ratio(other)
+        if scalar is None:
+            return None
+        num, den = scalar
+        return _poly(self.nvars, self.trunc, {0: num} if num else {}, den)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).is_zero()
+        if other.trunc == self.trunc:
+            return self.den == other.den and self.terms == other.terms
+        return self._add(other, -1).is_zero()
 
     def __bool__(self):
         return bool(self.terms)
@@ -127,76 +241,92 @@ class MultiPoly:
     # -- grading -------------------------------------------------------
     def scale_eps(self, k: int = 1) -> "MultiPoly":
         """Multiply by ``eps**k`` (grades above the truncation drop out)."""
-        return self._new({(e + k, m): c for (e, m), c in self.terms.items() if e + k <= self.trunc})
+        if k < 0:
+            raise ValueError("negative eps power")
+        shift = FIELD_BITS * self.nvars
+        step, limit = k << shift, (self.trunc + 1) << shift
+        out = {key + step: v for key, v in self.terms.items() if key + step < limit}
+        return _poly(self.nvars, self.trunc, out, self.den)
 
     def eps_grade(self):
         """Minimal ``eps`` power present; ``inf`` for the zero polynomial."""
         if not self.terms:
             return math.inf
-        return min(e for e, _ in self.terms)
+        return min(self.terms) >> FIELD_BITS * self.nvars
 
     def eps_component(self, k: int) -> "MultiPoly":
         """Coefficient polynomial of ``eps**k`` (returned at grade 0)."""
-        return self._new({(0, m): c for (e, m), c in self.terms.items() if e == k})
+        shift = FIELD_BITS * self.nvars
+        lo, hi = k << shift, (k + 1) << shift
+        out = {key - lo: v for key, v in self.terms.items() if lo <= key < hi}
+        return _poly(self.nvars, self.trunc, out, self.den)
 
     def eps_truncated(self, max_grade: int) -> "MultiPoly":
-        return self._new({(e, m): c for (e, m), c in self.terms.items() if e <= max_grade})
+        limit = (max_grade + 1) << FIELD_BITS * self.nvars
+        out = {key: v for key, v in self.terms.items() if key < limit}
+        return _poly(self.nvars, self.trunc, out, self.den)
 
     # -- calculus -------------------------------------------------------
     def diff(self, var: int) -> "MultiPoly":
+        off = _offset(var, self.nvars)
+        one = 1 << off
         out = {}
-        for (e, mono), coeff in self.terms.items():
-            k = mono[var]
-            if k == 0:
-                continue
-            new_mono = tuple(m - 1 if i == var else m for i, m in enumerate(mono))
-            key = (e, new_mono)
-            out[key] = out.get(key, Fraction(0)) + coeff * k
-        return self._new(out)
+        for key, v in self.terms.items():
+            k = key >> off & _FIELD_MASK
+            if k:
+                out[key - one] = v * k
+        return _poly(self.nvars, self.trunc, out, self.den)
 
     def integrate_unit(self, var: int) -> "MultiPoly":
         """Exact definite integral over ``var`` from 0 to 1."""
-        out = {}
-        for (e, mono), coeff in self.terms.items():
-            k = mono[var]
-            new_mono = tuple(0 if i == var else m for i, m in enumerate(mono))
-            key = (e, new_mono)
-            out[key] = out.get(key, Fraction(0)) + coeff / (k + 1)
-        return self._new(out)
+        off = _offset(var, self.nvars)
+        powers = [(key, v, key >> off & _FIELD_MASK) for key, v in self.terms.items()]
+        den = math.lcm(*(k + 1 for _, _, k in powers))
+        return self._collect(((key - (k << off), v * (den // (k + 1))) for key, v, k in powers), den)
 
     def subst_const(self, var: int, value) -> "MultiPoly":
         """Substitute an exact constant for one variable."""
         value = Fraction(value)
+        p, q = value.numerator, value.denominator
+        off = _offset(var, self.nvars)
+        powers = [(key, v, key >> off & _FIELD_MASK) for key, v in self.terms.items()]
+        top = max((k for _, _, k in powers), default=0)
+        return self._collect(
+            ((key - (k << off), v * p**k * q ** (top - k)) for key, v, k in powers), q**top
+        )
+
+    def _collect(self, pairs, den: int) -> "MultiPoly":
+        """Sum ``(key, numerator)`` pairs over ``self.den * den``."""
         out = {}
-        for (e, mono), coeff in self.terms.items():
-            k = mono[var]
-            new_mono = tuple(0 if i == var else m for i, m in enumerate(mono))
-            key = (e, new_mono)
-            out[key] = out.get(key, Fraction(0)) + coeff * value**k
-        return self._new(out)
+        for key, v in pairs:
+            out[key] = out.get(key, 0) + v
+        out = {k: v for k, v in out.items() if v}
+        return _poly(self.nvars, self.trunc, out, self.den * den)
 
     # -- variable bookkeeping (lambda extension) ------------------------
     def promote(self) -> "MultiPoly":
         """Reinterpret over one extra leading variable (exponent 0)."""
-        out = MultiPoly(self.nvars + 1, self.trunc)
-        for (e, mono), coeff in self.terms.items():
-            out._accumulate((e, (0,) + mono), coeff)
-        return out
+        shift = FIELD_BITS * self.nvars
+        low = (1 << shift) - 1
+        out = {(key >> shift) << (shift + FIELD_BITS) | key & low: v for key, v in self.terms.items()}
+        return _poly(self.nvars + 1, self.trunc, out, self.den)
 
     def drop_leading_var(self) -> "MultiPoly":
         """Remove the leading variable; it must not occur."""
-        out = MultiPoly(self.nvars - 1, self.trunc)
-        for (e, mono), coeff in self.terms.items():
-            if mono[0] != 0:
-                raise ValueError("leading variable still present")
-            out._accumulate((e, mono[1:]), coeff)
-        return out
+        shift = FIELD_BITS * (self.nvars - 1)
+        lead, low = _FIELD_MASK << shift, (1 << shift) - 1
+        if any(key & lead for key in self.terms):
+            raise ValueError("leading variable still present")
+        out = {(key >> shift + FIELD_BITS) << shift | key & low: v for key, v in self.terms.items()}
+        return _poly(self.nvars - 1, self.trunc, out, self.den)
 
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"
         bits = []
-        for (e, mono), coeff in sorted(self.terms.items()):
+        for key in sorted(self.terms):
+            e, mono = _unpack(key, self.nvars)
+            coeff = Fraction(self.terms[key], self.den)
             mono_s = "*".join(
                 f"x{i}^{k}" if k > 1 else f"x{i}"
                 for i, k in enumerate(mono)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,15 @@ def test_module_entry_point_smoke(tmp_path):
     assert (tmp_path / "cartan.csv").exists()
 
 
+def test_importing_the_cli_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, exocalc.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_forms_check_hundred_seed_budget(tmp_path):
     import time
 
@@ -433,6 +443,15 @@ def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, ca
     assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], *sets]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "simulate_snapshots.csv").exists()
+
+
+def test_overflowing_x_term_run_is_instability_without_numpy_warnings(tmp_path):
+    sets = ["--set", "grid.bc=dirichlet", "--set", "include_x_term=true", "--set", "theta_dot=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # documented: extent * |grad theta| is far above 0.1 here
+        warnings.filterwarnings("ignore", "point-dependent term", UserWarning)
+        assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], *sets]) == 4
 
 
 def test_unusable_out_dir_fails_before_simulating(tmp_path, monkeypatch):

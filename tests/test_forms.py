@@ -292,8 +292,8 @@ def test_field_strength_constant_connection_breaks_gauge():
     for mu in range(n):
         for nu in range(mu + 1, n):
             expect = MultiPoly.constant(
-                a_comps[mu].terms.get((0, (0,) * n), 0) * grad[nu]
-                - a_comps[nu].terms.get((0, (0,) * n), 0) * grad[mu],
+                a_comps[mu].coefficient(0, (0,) * n) * grad[nu]
+                - a_comps[nu].coefficient(0, (0,) * n) * grad[mu],
                 n,
             ).scale_eps(1)
             assert fs.component((mu, nu)) == expect

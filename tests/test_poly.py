@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exocalc.poly import MultiPoly, random_multipoly
+from exocalc.poly import EXP_LIMIT, FIELD_BITS, MultiPoly, random_multipoly
 
 
 def test_constant_and_variable():
@@ -62,6 +62,8 @@ def test_eps_truncation_drops_high_grades():
     a = MultiPoly.variable(0, 1, trunc=2).scale_eps(1)
     assert (a * a).eps_grade() == 2
     assert (a * a * a).is_zero()
+    c = MultiPoly.constant(1, 1, trunc=2)
+    assert (c.scale_eps(1) * c.scale_eps(2)).is_zero()  # eps^3 times the unit monomial
 
 
 def test_promote_and_drop():
@@ -83,3 +85,42 @@ def test_total_degree_and_repr():
     p = MultiPoly.variable(0, 2) * MultiPoly.variable(1, 2) + MultiPoly.constant(1, 2)
     assert "MultiPoly" in repr(p)
     assert repr(MultiPoly.zero(2)) == "MultiPoly(0)"
+
+
+def test_coefficient_reads_exact_fractions():
+    p = MultiPoly(2, 2, {(0, (0, 0)): Fraction(3, 4), (1, (2, 1)): -2, (3, (1, 0)): 5})
+    assert p.coefficient(0, (0, 0)) == Fraction(3, 4)
+    assert p.coefficient(1, (2, 1)) == -2
+    assert p.coefficient(1, (1, 2)) == 0
+    assert p.coefficient(3, (1, 0)) == 0  # above the truncation order
+    assert p.terms and all(type(v) is int for v in p.terms.values())
+
+
+def test_products_fill_the_exponent_field_and_overflow_raises():
+    top = EXP_LIMIT - 1  # the largest exponent a packed field holds
+    half = MultiPoly.variable(0, 2)
+    for _ in range(FIELD_BITS - 2):
+        half = half * half  # x0^(EXP_LIMIT / 2)
+    rest = MultiPoly(2, 3, {(1, (top - EXP_LIMIT // 2, top)): Fraction(3, 2)})
+    full = half * rest
+    assert repr(full) == f"MultiPoly(3/2*eps*x0^{top}*x1^{top})"
+    assert full.eps_grade() == 1
+    # one more power of either variable would carry into its neighbour or eps
+    for var in (0, 1):
+        with pytest.raises(OverflowError):
+            full * MultiPoly.variable(var, 2)
+    with pytest.raises(OverflowError):
+        MultiPoly(2, 3, {(0, (0, EXP_LIMIT)): 1})
+
+
+def test_results_are_in_lowest_terms():
+    rng = random.Random(81)
+    for _ in range(40):
+        a, b = random_multipoly(rng, 3, 3), random_multipoly(rng, 3, 3)
+        for p in (a + b, a - b, a * b, 6 * a, Fraction(4, 3) * a, a.diff(0), a.integrate_unit(1),
+                  a.subst_const(2, Fraction(2, 3)), (a * b).eps_component(0)):
+            assert p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1
+            assert all(type(v) is int and v for v in p.terms.values())
+        assert (a * 2) * Fraction(1, 2) == a
+    x = MultiPoly.variable(0, 1)
+    assert len(((x + 1) * (x - 1)).terms) == 2  # the cross terms cancel inside the product
