@@ -1,5 +1,6 @@
 """Exotic exterior calculus: exact identity checks with zero tolerance."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,6 +41,83 @@ def test_canonical_antisymmetric_storage():
     assert f.component((0, 1)) == -p
     assert f.component((1, 0)) == p
     assert f.component((1, 1)).is_zero()
+
+
+def _snapshot(form):
+    return {idx: repr(poly) for idx, poly in form.coeffs.items()}
+
+
+def _inserted(template, *parts):
+    """Empty form shaped like ``template``, then every ``(idx, poly)`` inserted."""
+    out = ExoticForm(template.dim, template.degree, template.basis, template.lambda_active, template.trunc)
+    for items in parts:
+        for idx, poly in items:
+            out.insert(idx, poly)
+    return out
+
+
+def _inversions(perm):
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+def _mixed_grades(rng, dim, degree, lambda_active):
+    """Random form with coefficients at every ``eps`` grade up to 3."""
+    shape = ExoticForm(dim, degree, lambda_active=lambda_active)
+    grades = [random_form(rng, dim, degree, lambda_active=lambda_active) for _ in range(4)]
+    return _inserted(shape, *(
+        [(idx, poly.scale_eps(k)) for idx, poly in part.coeffs.items()]
+        for k, part in enumerate(grades)
+    ))
+
+
+def test_form_algebra_agrees_with_insert_and_leaves_operands_unchanged():
+    rng = random.Random(60)
+    for dim in (2, 3, 4):
+        for degree in range(dim + 1):
+            for lam in (False, True):
+                a = _mixed_grades(rng, dim, degree, lam)
+                b = _mixed_grades(rng, dim, degree, lam)
+                before = _snapshot(a), _snapshot(b)
+                results = []
+
+                total = a + b
+                assert _snapshot(total) == _snapshot(_inserted(a, a.coeffs.items(), b.coeffs.items()))
+                assert _snapshot(a - b) == _snapshot(a + (-1) * b)
+                assert (a - a).is_zero()
+                assert _snapshot(-(-a)) == _snapshot(a)
+                assert _snapshot(2 * a) == _snapshot(a + a)
+                results += [total, a - b, -a, 2 * a, a * 1]
+
+                for key, poly in a.coeffs.items():
+                    for perm in itertools.permutations(key):
+                        sign = (-1) ** _inversions(perm)
+                        assert a.component(perm) == sign * a.component(tuple(sorted(perm)))
+                        assert a.component(perm) == sign * poly
+
+                partial = _inserted(a)
+                for k in range(a.trunc + 1):
+                    part = a.eps_component(k)
+                    partial = partial + _inserted(
+                        a, [(idx, poly.scale_eps(k)) for idx, poly in part.coeffs.items()]
+                    )
+                    truncated = a.eps_truncated(k)
+                    assert _snapshot(truncated) == _snapshot(partial)
+                    results += [part, truncated]
+                assert _snapshot(partial) == _snapshot(a)
+
+                if not lam:
+                    ext = a.extend_with_lambda()
+                    assert (ext.dim, ext.degree, ext.lambda_active) == (dim + 1, degree, True)
+                    assert _snapshot(ext) == {
+                        tuple(i + 1 for i in idx): repr(poly.promote()) for idx, poly in a.coeffs.items()
+                    }
+                    results.append(ext)
+
+                # writing into a result must not reach back into an operand
+                for out in results:
+                    if out.degree <= out.dim:
+                        out.insert(tuple(range(out.degree)), MultiPoly.constant(7, out.dim, out.trunc))
+                assert (_snapshot(a), _snapshot(b)) == before
 
 
 def test_deformed_to_plain_trivial():
