@@ -377,8 +377,8 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
     other = random_form(rng, dim, rng.randint(0, min(deg_max, dim - 1)), max_poly_degree=deg_max)
 
     leib = leibniz_check(w, other, theta, d_fn=d_fn)
-    dd, _ = d_squared_check(w, theta, d_fn=d_fn)
-    ddd = d_fn(d_fn(d_fn(w, theta), theta), theta)
+    d_squared, dd = d_squared_check(w, theta, d_fn=d_fn)
+    ddd = d_fn(dd, theta)
 
     ext = random_form(rng, dim + 1, rng.randint(1, dim), max_poly_degree=deg_max, lambda_active=True)
     hom = homotopy_lemma_check(ext, theta, d_fn=d_fn)
@@ -388,7 +388,7 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
 
     residuals = {
         "leibniz": leib,
-        "d_squared": dd,
+        "d_squared": d_squared,
         "d_cubed": ddd,
         "homotopy": hom,
         "field_strength": fs,
@@ -500,14 +500,16 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     try:
         grid = SimGrid(**cfg["grid"])
         grid.check_cfl()
+        packet = WavePacket(**cfg["packet"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg["include_x_term"] and grid.bc != "dirichlet":
         raise ConfigError("the point-dependent term requires dirichlet boundaries")
     window = _fit_window(cfg["fit_window"], grid.snapshot_times())
+    if packet.width**2 == 0:
+        raise DegenerateParameterError(f"packet width {packet.width!r} squares to zero")
     simulate_time_domain(
-        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], cfg["include_x_term"],
-        WavePacket(**cfg["packet"]),
+        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], cfg["include_x_term"], packet,
     )
     try:
         rate = fit_decay_rate(grid, window)

@@ -9,6 +9,12 @@ generated by a *linear* theta field, whose gradient terms always enter at
 ``eps`` grade >= 1 so that first-order statements are grade projections,
 never truncations inside the operators.
 
+Coefficients are immutable and shared between forms: wherever an
+operation leaves a coefficient's value unchanged, the result stores the
+operand's polynomial itself, not a copy.  :meth:`ExoticForm.insert` is
+the one path that validates and sorts indices; operations whose keys are
+canonical by construction fill the coefficient dict directly.
+
 When ``lambda_active`` is set, coordinate 0 is the auxiliary homotopy
 parameter: it is never deformed, never scanned by the dilatation term,
 and the theta gradient is extended by a leading zero.
@@ -55,7 +61,6 @@ class ExoticForm:
         basis: str = PLAIN,
         lambda_active: bool = False,
         trunc: int = 3,
-        coeffs: dict | None = None,
     ):
         if degree < 0:
             raise ValueError("negative form degree")
@@ -65,9 +70,6 @@ class ExoticForm:
         self.lambda_active = lambda_active
         self.trunc = trunc
         self.coeffs = {}
-        if coeffs:
-            for idx, poly in coeffs.items():
-                self.insert(idx, poly)
 
     # construction-time accumulation; forms are treated as immutable once built
     def insert(self, idx: Sequence[int], poly: MultiPoly):
@@ -79,10 +81,12 @@ class ExoticForm:
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {i} outside dimension {self.dim}")
         key, sign = _canonical(idx)
-        if key is None:
-            return
+        if key is not None:
+            self._accumulate(key, poly if sign > 0 else -poly)
+
+    def _accumulate(self, key: tuple, poly: MultiPoly):
         cur = self.coeffs.get(key)
-        new = sign * poly if cur is None else cur + sign * poly
+        new = poly if cur is None else cur + poly
         if new.is_zero():
             self.coeffs.pop(key, None)
         else:
@@ -90,18 +94,16 @@ class ExoticForm:
 
     def component(self, idx: Sequence[int]) -> MultiPoly:
         key, sign = _canonical(idx)
-        if key is None:
-            return MultiPoly.zero(self.dim, self.trunc)
         poly = self.coeffs.get(key)
         if poly is None:
             return MultiPoly.zero(self.dim, self.trunc)
-        return sign * poly
+        return poly if sign > 0 else -poly
 
-    def _like(self, degree: int | None = None, basis: str | None = None) -> "ExoticForm":
+    def _like(self, degree: int | None = None) -> "ExoticForm":
         return ExoticForm(
             self.dim,
             self.degree if degree is None else degree,
-            self.basis if basis is None else basis,
+            self.basis,
             self.lambda_active,
             self.trunc,
         )
@@ -118,27 +120,19 @@ class ExoticForm:
         self._compatible(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch in form addition")
-        out = self._like()
-        for idx, poly in self.coeffs.items():
-            out.insert(idx, poly)
+        out = _filled(self._like(), self.coeffs.items())
         for idx, poly in other.coeffs.items():
-            out.insert(idx, poly)
+            out._accumulate(idx, poly)
         return out
 
     def __neg__(self) -> "ExoticForm":
-        out = self._like()
-        for idx, poly in self.coeffs.items():
-            out.insert(idx, -poly)
-        return out
+        return _filled(self._like(), ((idx, -poly) for idx, poly in self.coeffs.items()))
 
     def __sub__(self, other: "ExoticForm") -> "ExoticForm":
         return self + (-other)
 
     def __mul__(self, scalar) -> "ExoticForm":
-        out = self._like()
-        for idx, poly in self.coeffs.items():
-            out.insert(idx, scalar * poly)
-        return out
+        return _filled(self._like(), ((idx, scalar * poly) for idx, poly in self.coeffs.items()))
 
     __rmul__ = __mul__
 
@@ -158,25 +152,18 @@ class ExoticForm:
         return grade
 
     def eps_component(self, k: int) -> "ExoticForm":
-        out = self._like()
-        for idx, poly in self.coeffs.items():
-            out.insert(idx, poly.eps_component(k))
-        return out
+        return _filled(self._like(), ((i, p.eps_component(k)) for i, p in self.coeffs.items()))
 
     def eps_truncated(self, max_grade: int) -> "ExoticForm":
-        out = self._like()
-        for idx, poly in self.coeffs.items():
-            out.insert(idx, poly.eps_truncated(max_grade))
-        return out
+        return _filled(self._like(), ((i, p.eps_truncated(max_grade)) for i, p in self.coeffs.items()))
 
     def extend_with_lambda(self) -> "ExoticForm":
         """View over ``R x base``: indices and variables shift up by one."""
         if self.lambda_active:
             raise ValueError("form already carries the lambda coordinate")
         out = ExoticForm(self.dim + 1, self.degree, self.basis, True, self.trunc)
-        for idx, poly in self.coeffs.items():
-            out.insert(tuple(i + 1 for i in idx), poly.promote())
-        return out
+        shifted = ((tuple(i + 1 for i in idx), p.promote()) for idx, p in self.coeffs.items())
+        return _filled(out, shifted)
 
     def __repr__(self):
         kind = "deformed" if self.basis == DEFORMED else "plain"
@@ -184,6 +171,16 @@ class ExoticForm:
             f"ExoticForm(dim={self.dim}, degree={self.degree}, {kind}, "
             f"components={len(self.coeffs)})"
         )
+
+
+def _filled(out: ExoticForm, items) -> ExoticForm:
+    """``out`` holding ``items``, whose keys are canonical by construction.
+
+    Zero coefficients are dropped and nothing else is checked; coefficients
+    are stored as given, shared with the form they came from.
+    """
+    out.coeffs = {idx: poly for idx, poly in items if not poly.is_zero()}
+    return out
 
 
 def _grad_for(form: ExoticForm, theta: ThetaField) -> tuple:
@@ -326,14 +323,15 @@ def d_squared_obstruction(form: ExoticForm, theta: ThetaField) -> ExoticForm:
 def d_squared_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d):
     """Residual of the squared deformed derivative against its obstruction form.
 
-    Returns ``(residual, rhs)`` with ``residual = d(d(form)) - rhs``; for
-    linear theta the residual vanishes identically at every grade.  Like
+    Returns ``(residual, dd)`` with ``dd = d(d(form))`` and ``residual = dd``
+    minus :func:`d_squared_obstruction`; for linear theta the residual
+    vanishes identically at every grade.  ``dd`` is returned so a caller
+    can apply ``d`` once more without recomputing it.  Like
     every identity check here, ``d_fn`` is the deformed derivative under
     test (the dense oracle route passes its own).
     """
-    rhs = d_squared_obstruction(form, theta)
     dd = d_fn(d_fn(form, theta), theta)
-    return dd - rhs, rhs
+    return dd - d_squared_obstruction(form, theta), dd
 
 
 def leibniz_check(a: ExoticForm, b: ExoticForm, theta: ThetaField, d_fn=exotic_d) -> ExoticForm:
@@ -358,29 +356,24 @@ def homotopy_H(form: ExoticForm) -> ExoticForm:
     if form.degree == 0:
         return ExoticForm(form.dim - 1, 0, form.basis, False, form.trunc)
     out = ExoticForm(form.dim - 1, form.degree - 1, form.basis, False, form.trunc)
-    for idx, poly in form.coeffs.items():
-        if idx[0] != 0:
-            continue
-        integrated = poly.integrate_unit(0).drop_leading_var()
-        if not integrated.is_zero():
-            out.insert(tuple(i - 1 for i in idx[1:]), integrated)
-    return out
+    return _filled(out, (
+        (tuple(i - 1 for i in idx[1:]), poly.integrate_unit(0).drop_leading_var())
+        for idx, poly in form.coeffs.items()
+        if idx[0] == 0
+    ))
 
 
 def pullback_at(form: ExoticForm, value) -> ExoticForm:
     """Pullback along the inclusion at fixed lambda: drop dlambda, substitute."""
     if not form.lambda_active:
         raise ValueError("pullback needs the lambda coordinate")
+    # no degree guard: a key that skips the lambda slot 0 has at most dim - 1 indices
     out = ExoticForm(form.dim - 1, form.degree, form.basis, False, form.trunc)
-    if out.degree > out.dim:
-        return out
-    for idx, poly in form.coeffs.items():
-        if 0 in idx:
-            continue
-        fixed = poly.subst_const(0, value).drop_leading_var()
-        if not fixed.is_zero():
-            out.insert(tuple(i - 1 for i in idx), fixed)
-    return out
+    return _filled(out, (
+        (tuple(i - 1 for i in idx), poly.subst_const(0, value).drop_leading_var())
+        for idx, poly in form.coeffs.items()
+        if 0 not in idx
+    ))
 
 
 def homotopy_lemma_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d) -> ExoticForm:
@@ -401,13 +394,9 @@ def field_strength(a_components: Sequence[MultiPoly], theta: ThetaField) -> Exot
     gradient already yields a nonzero result: gauge invariance is lost.
     """
     n = len(a_components)
-    if not theta.is_linear:
-        raise ValueError("field strength requires a linear theta field")
-    g = tuple(Fraction(c) for c in theta.grad())
-    if len(g) != n:
-        raise ValueError("gradient and connection dimensions differ")
     trunc = a_components[0].trunc
     out = ExoticForm(n, 2, PLAIN, False, trunc)
+    g = _grad_for(out, theta)
     xs = [MultiPoly.variable(i, n, trunc) for i in range(n)]
     for mu in range(n):
         for nu in range(n):
@@ -423,25 +412,21 @@ def field_strength(a_components: Sequence[MultiPoly], theta: ThetaField) -> Exot
             for al in range(n):
                 swirl = swirl + xs[al] * a_components[nu].diff(al)
             theta_part = (g[nu] * dil + g[mu] * swirl).scale_eps(1)
-            total = f_part + theta_part
-            if not total.is_zero():
-                out.insert((mu, nu), total)
+            out.insert((mu, nu), f_part + theta_part)
     return out
 
 
 def dilated_connection(a_components: Sequence[MultiPoly], theta: ThetaField) -> ExoticForm:
     """The 1-form ``(A_m + eps g_m sum_a x^a A_a) dx^m`` over the plain basis."""
     n = len(a_components)
-    g = tuple(Fraction(c) for c in theta.grad())
     trunc = a_components[0].trunc
+    out = ExoticForm(n, 1, PLAIN, False, trunc)
+    g = _grad_for(out, theta)
     xa = MultiPoly.zero(n, trunc)
     for al in range(n):
         xa = xa + MultiPoly.variable(al, n, trunc) * a_components[al]
-    out = ExoticForm(n, 1, PLAIN, False, trunc)
     for mu in range(n):
-        poly = a_components[mu] + (g[mu] * xa).scale_eps(1)
-        if not poly.is_zero():
-            out.insert((mu,), poly)
+        out.insert((mu,), a_components[mu] + (g[mu] * xa).scale_eps(1))
     return out
 
 
@@ -461,9 +446,7 @@ def random_form(
     for idx in combinations(range(dim), degree):
         if rng.random() < 0.25 and degree > 0:
             continue
-        poly = random_multipoly(rng, dim, max_poly_degree, trunc)
-        if not poly.is_zero():
-            out.insert(idx, poly)
+        out.insert(idx, random_multipoly(rng, dim, max_poly_degree, trunc))
     return out
 
 

@@ -111,6 +111,10 @@ class WavePacket:
     wavenumber: float
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"packet width must be positive, got {self.width!r}")
+
     def sample(self, xs: np.ndarray) -> np.ndarray:
         env = self.amplitude * np.exp(-((xs - self.center) ** 2) / (2 * self.width**2))
         return env * np.exp(1j * self.wavenumber * xs)

@@ -434,13 +434,19 @@ def test_fmt_stability():
         ("theta_dot=NaN", 2),
         ("packet=5", 2),
         ("packet.amplitude=0", 3),
+        ("packet.width=0", 2),
+        ("packet.width=-12", 2),  # not squared into a valid width
+        ("packet.width=1e-300", 3),  # its square underflows to zero
         # the implicit solver's band overflows: a non-finite field, not a config error
         ("grid.bc=dirichlet include_x_term=true theta_dot=1e300", 4),
     ],
 )
 def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, capsys):
     sets = [a for s in override.split() for a in ("--set", s)]
-    assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], *sets]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], *sets]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "simulate_snapshots.csv").exists()
 

@@ -216,7 +216,8 @@ def test_d_squared_hand_example():
     theta = ThetaField.linear((0, b))
     f = ExoticForm(2, 0)
     f.insert((), MultiPoly.variable(0, 2))
-    residual, rhs = d_squared_check(f, theta)
+    residual, _ = d_squared_check(f, theta)
+    rhs = d_squared_obstruction(f, theta)
     assert residual.is_zero()
     assert rhs.component((0, 1)) == MultiPoly.constant(b, 2).scale_eps(1)
     dd = exotic_d(exotic_d(f, theta), theta)
@@ -375,6 +376,15 @@ def test_field_strength_constant_connection_breaks_gauge():
                 n,
             ).scale_eps(1)
             assert fs.component((mu, nu)) == expect
+
+
+@pytest.mark.parametrize("grad", [(1, 2, 3), (1,)])
+def test_connection_builders_reject_a_gradient_of_the_wrong_length(grad):
+    a_comps = [MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)]
+    with pytest.raises(ValueError):
+        field_strength(a_comps, ThetaField.linear(grad))
+    with pytest.raises(ValueError):
+        dilated_connection(a_comps, ThetaField.linear(grad))
 
 
 def test_field_strength_cross_check_against_derivative():
