@@ -19,6 +19,7 @@ from exocalc.cli import (
     METRIC_HEADER,
     SCHEMA_LINE,
     _snapshot_blocks,
+    cartan_rows,
     fmt,
     load_config,
     main,
@@ -26,6 +27,7 @@ from exocalc.cli import (
     sweep_values,
 )
 from exocalc.pde import SimGrid, WavePacket, simulate_time_domain
+from cartan_reference import cartan_rows_reference
 from regenerate_fixtures import fixture_tables, write_fixtures
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -309,6 +311,27 @@ def test_cartan_empty_run(tmp_path):
     assert run_cli(["cartan", "--out", tmp_path, "--set", "samples=0"]) == 0
     lines = (tmp_path / "cartan.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+def _line(row) -> str:
+    return row if isinstance(row, str) else ",".join(row) + "\n"
+
+
+@pytest.mark.parametrize("seed", [7, 42, 5])
+def test_cartan_rows_match_the_per_sample_reference(seed):
+    # sample counts straddle the boundaries of 1024-sample chunks
+    counts = (0, 1, 1023, 1024, 1025, 2051)
+    reference = cartan_rows_reference(max(counts), seed)
+    for n in counts:
+        _, rows = cartan_rows({"samples": n}, seed)
+        assert len(rows) == n
+        assert [_line(r) for r in rows] == reference[:n]
+
+
+def test_cartan_rows_match_the_reference_at_benchmark_size():
+    _, rows = cartan_rows({"samples": 20000}, 5)
+    assert len(rows) == 20000
+    assert [_line(r) for r in rows] == cartan_rows_reference(20000, 5)
 
 
 def test_spectrum_reruns_are_byte_identical(tmp_path):
