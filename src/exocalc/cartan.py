@@ -4,6 +4,18 @@ A future null vector is encoded in a pair of complex components whose
 outer product is a rank-1 Hermitian 2x2 matrix; unimodular conjugation of
 that matrix realizes Lorentz transformations, with ``lam`` and ``-lam``
 acting identically.
+
+``spinor_to_point``, ``point_to_spinor``, ``outer_matrix``, ``sl2c_act`` and
+``sample_residuals`` are array-first: they take one sample or a stack of
+samples along leading axes and check every row.  A stacked row gives bit for
+bit what plain complex arithmetic gives for that sample alone, because
+- a complex modulus is ``np.hypot`` of its parts, as Python's ``abs`` is;
+  ``np.abs`` of a complex array may take a SIMD loop that differs in the
+  last bit;
+- complex division is CPython's (Smith's method), mirrored by ``_quot``;
+- the nullity residual squares with Python's ``**`` (libm ``pow``), which
+  differs from ``x * x`` in the last bit of about one square in a thousand;
+- batched ``np.linalg.det`` and stacked ``@`` repeat the per-matrix calls.
 """
 
 from __future__ import annotations
@@ -21,58 +33,86 @@ _SQRT2 = math.sqrt(2.0)
 SpinorPair = tuple  # (zeta, chi), both complex
 
 
-def spinor_to_point(s: Sequence) -> tuple:
+def _quot(ar, ai, br, bi):
+    """Real and imaginary parts of ``(ar + i ai) / (br + i bi)`` as CPython divides."""
+    first = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(first, bi / br, br / bi)
+        denom = np.where(first, br + bi * ratio, br * ratio + bi)
+        return (
+            np.where(first, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(first, ai - ar * ratio, ai * ratio - ar) / denom,
+        )
+
+
+def spinor_to_point(s):
     """Map a spinor pair to a real, future-pointing null 4-vector.
 
     ``t = (|z|^2 + |c|^2)/sqrt2``, ``x = (z c* + c z*)/sqrt2``,
     ``y = (z c* - c z*)/(i sqrt2)``, ``z = (|z|^2 - |c|^2)/sqrt2``.
+    One pair gives a 4-tuple; an ``(..., 2)`` array of pairs gives an
+    ``(..., 4)`` array.
     """
-    ze, ch = complex(s[0]), complex(s[1])
-    zz = (ze * ze.conjugate()).real
-    cc = (ch * ch.conjugate()).real
-    zc = ze * ch.conjugate()
-    return (
-        (zz + cc) / _SQRT2,
-        2.0 * zc.real / _SQRT2,
-        2.0 * zc.imag / _SQRT2,
-        (zz - cc) / _SQRT2,
+    s = np.asarray(s, dtype=complex)
+    zr, zi, cr, ci = s[..., 0].real, s[..., 0].imag, s[..., 1].real, s[..., 1].imag
+    zz = zr * zr + zi * zi
+    cc = cr * cr + ci * ci
+    v = np.stack(
+        [
+            (zz + cc) / _SQRT2,
+            2.0 * (zr * cr + zi * ci) / _SQRT2,
+            2.0 * (zi * cr - zr * ci) / _SQRT2,
+            (zz - cc) / _SQRT2,
+        ],
+        axis=-1,
     )
+    return v if s.ndim > 1 else tuple(v.tolist())
 
 
-def point_to_spinor(v: Sequence) -> SpinorPair:
+def point_to_spinor(v):
     """Invert :func:`spinor_to_point` on a future null vector.
 
     The overall phase is a gauge freedom; the canonical convention fixes
     the first component real and nonnegative (second component real >= 0
     when the first vanishes).  Rejects non-null input (relative tolerance
-    1e-9) or ``t <= 0``.
+    1e-9) or ``t <= 0`` in any row.  One point gives a pair of complex
+    numbers; an ``(..., 4)`` array gives an ``(..., 2)`` complex array.
     """
-    t, x, y, z = (float(c) for c in v)
-    scale = max(t * t, x * x + y * y + z * z, 1e-300)
-    if abs(minkowski_dot(v, v)) > 1e-9 * scale:
-        raise ValueError(f"not a null vector: {tuple(v)!r}")
-    if t <= 0:
+    v = np.asarray(v, dtype=float)
+    t, x, y, z = comps = np.moveaxis(v, -1, 0)
+    scale = np.maximum(np.maximum(t * t, x * x + y * y + z * z), 1e-300)
+    off = np.abs(minkowski_dot(comps, comps)) > 1e-9 * scale
+    if off.any():
+        raise ValueError(f"not a null vector: {tuple(v[off][0].tolist())!r}")
+    if (t <= 0).any():
         raise ValueError("point reconstruction requires t > 0")
     zz = (t + z) / _SQRT2
     cc = (t - z) / _SQRT2
-    if zz >= cc:
-        ze = math.sqrt(zz)
-        ch = complex(x, -y) / (_SQRT2 * ze)
-    else:
-        ch = math.sqrt(cc)
-        ze = complex(x, y) / (_SQRT2 * ch)
-        # rotate the pair so the leading component is real >= 0
-        if abs(ze) > 0:
-            phase = ze / abs(ze)
-            ze, ch = ze / phase, ch / phase
-    return (complex(ze), complex(ch))
+    north = zz >= cc
+    # the larger of |z|^2, |c|^2 fixes its component real; the other one is
+    # (x - iy) / (sqrt2 z) in the north, (x + iy) / (sqrt2 c) in the south
+    root = np.sqrt(np.where(north, zz, cc))
+    zero = np.zeros_like(root)
+    o_r, o_i = _quot(x, np.where(north, -y, y), _SQRT2 * root, zero)
+    ze = np.where(north, (root, zero), (o_r, o_i))
+    ch = np.where(north, (o_r, o_i), (root, zero))
+    # rotate a south pair so the leading component is real >= 0
+    mag = np.hypot(*ze)
+    turn = ~north & (mag > 0)
+    phase = _quot(*ze, mag, zero)
+    ze = np.where(turn, _quot(*ze, *phase), ze)
+    ch = np.where(turn, _quot(*ch, *phase), ch)
+    pair = np.stack([*ze, *ch], axis=-1).view(complex)
+    return pair if v.ndim > 1 else tuple(pair.tolist())
 
 
-def outer_matrix(s: Sequence) -> np.ndarray:
-    """Rank-1 Hermitian matrix ``(z, c)^T (z*, c*)``; its determinant vanishes."""
-    ze, ch = complex(s[0]), complex(s[1])
-    col = np.array([[ze], [ch]], dtype=complex)
-    return col @ col.conj().T
+def outer_matrix(s) -> np.ndarray:
+    """Rank-1 Hermitian matrix ``(z, c)^T (z*, c*)``; its determinant vanishes.
+
+    An ``(..., 2)`` array of pairs gives an ``(..., 2, 2)`` stack.
+    """
+    col = np.asarray(s, dtype=complex)[..., :, None]
+    return col @ col.conj().swapaxes(-1, -2)
 
 
 def point_to_hermitian(v: Sequence) -> np.ndarray:
@@ -96,13 +136,44 @@ def sl2c_act(lam: np.ndarray, v_matrix: np.ndarray) -> np.ndarray:
     """Conjugation ``V -> lam V lam^dagger`` for unimodular-in-modulus ``lam``.
 
     ``det V' = |det lam|^2 det V = det V``, so the encoded quadratic form
-    is preserved.  Rejects ``| |det lam| - 1 | > 1e-12``.
+    is preserved.  Rejects ``| |det lam| - 1 | > 1e-12`` in any matrix of a
+    ``(..., 2, 2)`` stack.
     """
     lam = np.asarray(lam, dtype=complex)
     d = np.linalg.det(lam)
-    if abs(abs(d) - 1.0) > 1e-12:
-        raise ValueError(f"conjugation matrix must have |det| = 1, got |det| = {abs(d)}")
-    return lam @ v_matrix @ lam.conj().T
+    mod = np.hypot(d.real, d.imag)
+    off = np.abs(mod - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"conjugation matrix must have |det| = 1, got |det| = {mod[off][0]}")
+    return lam @ v_matrix @ lam.conj().swapaxes(-1, -2)
+
+
+def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
+    """The ``cartan`` command's three residuals for stacked samples.
+
+    ``s`` is an ``(n, 2)`` array of spinor pairs and ``lam`` an
+    ``(n, 2, 2)`` array of complex matrices, each shifted by the identity
+    when ``|det lam| < 1e-8`` and then scaled to ``|det lam| = 1``.  Returns
+    three lists of floats: the spinor -> point -> spinor -> point roundtrip
+    error over ``max(1, t)`` (0 where ``t <= 1e-12``), the nullity
+    ``|v.v| / max(1, t^2)`` and ``|det(lam V lam^dagger) - det V|``.
+    """
+    v = spinor_to_point(s)
+    nonzero = v[:, 0] > 1e-12
+    roundtrip = np.zeros(len(v))
+    back = spinor_to_point(point_to_spinor(v[nonzero]))
+    roundtrip[nonzero] = np.abs(v[nonzero] - back).max(axis=1) / np.maximum(1.0, v[nonzero, 0])
+    nullity = [abs(t**2 - x**2 - y**2 - z**2) / max(1.0, t * t) for t, x, y, z in v.tolist()]
+
+    lam = np.array(lam, dtype=complex)
+    d = np.linalg.det(lam)
+    small = np.hypot(d.real, d.imag) < 1e-8
+    lam[small] += np.eye(2)
+    d[small] = np.linalg.det(lam[small])
+    lam = lam / np.sqrt(np.hypot(d.real, d.imag))[:, None, None]
+    vm = outer_matrix(s)
+    res = np.linalg.det(sl2c_act(lam, vm)) - np.linalg.det(vm)
+    return roundtrip.tolist(), nullity, np.hypot(res.real, res.imag).tolist()
 
 
 def rotate_phase(s: Sequence, alpha: float) -> SpinorPair:

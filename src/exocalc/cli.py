@@ -422,42 +422,23 @@ def forms_check_rows(cfg: dict, seed: int, d_fn=None):
 
 
 CARTAN_HEADER = "idx,roundtrip_err,nullity_residual,det_residual"
+CARTAN_ROW = "%d," + ",".join([FLOAT_SPEC] * 3) + "\n"
+# samples drawn and computed per numpy pass; bounds the arrays held at once
+CARTAN_CHUNK = 1024
 
 
 def cartan_rows(cfg: dict, seed: int):
     n = cfg["samples"]
     if n < 0:
         raise ConfigError(f"samples must be >= 0, got {n}")
-    rng = random.Random(seed)
+    draw = itertools.starmap(random.Random(seed).gauss, itertools.repeat((0, 1)))
     rows = []
-    for idx in range(n):
-        s = (
-            complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-            complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-        )
-        v = cartan_mod.spinor_to_point(s)
-        scale = max(1.0, v[0] * v[0])
-        nullity = abs(v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2) / scale
-        if v[0] > 1e-12:
-            back = cartan_mod.spinor_to_point(cartan_mod.point_to_spinor(v))
-            roundtrip = max(abs(a - b) for a, b in zip(v, back)) / max(1.0, abs(v[0]))
-        else:
-            roundtrip = 0.0
-        lam = np.array(
-            [
-                [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
-                for _ in range(2)
-            ]
-        )
-        det = np.linalg.det(lam)
-        if abs(det) < 1e-8:
-            lam = lam + np.eye(2)
-            det = np.linalg.det(lam)
-        lam = lam / np.sqrt(abs(det))
-        vm = cartan_mod.outer_matrix(s)
-        out = cartan_mod.sl2c_act(lam, vm)
-        det_res = abs(np.linalg.det(out) - np.linalg.det(vm))
-        rows.append([str(idx), fmt(roundtrip), fmt(nullity), fmt(det_res)])
+    for start in range(0, n, CARTAN_CHUNK):
+        size = min(CARTAN_CHUNK, n - start)
+        # 12 draws a sample: zeta, chi, then lam row-major, each complex as re, im
+        z = np.fromiter(draw, float, count=12 * size).view(complex).reshape(size, 6)
+        cells = cartan_mod.sample_residuals(z[:, :2], z[:, 2:].reshape(size, 2, 2))
+        rows += [CARTAN_ROW % r for r in zip(range(start, start + size), *cells)]
     return CARTAN_HEADER, rows
 
 

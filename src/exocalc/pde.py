@@ -116,7 +116,9 @@ class WavePacket:
             raise ValueError(f"packet width must be positive, got {self.width!r}")
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
-        env = self.amplitude * np.exp(-((xs - self.center) ** 2) / (2 * self.width**2))
+        # a tiny width overflows the exponent to -inf, whose exp is the right 0
+        with np.errstate(over="ignore"):
+            env = self.amplitude * np.exp(-((xs - self.center) ** 2) / (2 * self.width**2))
         return env * np.exp(1j * self.wavenumber * xs)
 
 

@@ -1,6 +1,7 @@
 """Spinor <-> point dictionary and the double-cover conjugation action."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from exocalc.cartan import (
     point_to_hermitian,
     point_to_spinor,
     rotate_phase,
+    sample_residuals,
     sl2c_act,
     spinor_to_point,
 )
 from exocalc.core import minkowski_dot
+
+import cartan_reference as reference
 
 ROOT2_4 = 2.0**0.25
 
@@ -169,3 +173,74 @@ def test_lorentz_matrix_double_cover_and_metric():
         big = lorentz_matrix(lam)
         assert np.allclose(big, lorentz_matrix(-lam))
         assert np.allclose(big.T @ eta @ big, eta, atol=1e-10)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def _random_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 12)).view(complex)
+    return z[:, :2], z[:, 2:].reshape(n, 2, 2)
+
+
+def test_scalar_call_forms_match_the_per_sample_formulas():
+    spinors, lams = _random_samples(300, 8)
+    spinors = np.concatenate([spinors, [[0, 0.7 - 1.3j], [0, 0], [1.1, 0], [0.5j, -2]]])
+    for s in spinors:
+        s = tuple(s.tolist())
+        v = spinor_to_point(s)
+        assert _bits(v) == _bits(reference.spinor_to_point(s))
+        assert _bits(outer_matrix(s)) == _bits(reference.outer_matrix(s))
+        if v[0] > 0:
+            assert _bits(point_to_spinor(v)) == _bits(reference.point_to_spinor(v))
+    for lam in lams:
+        lam = lam / np.sqrt(abs(np.linalg.det(lam)))
+        vm = reference.outer_matrix((0.3 - 0.4j, 1.2 + 0.1j))
+        assert _bits(sl2c_act(lam, vm)) == _bits(reference.sl2c_act(lam, vm))
+
+
+def test_stacked_kernels_repeat_the_per_sample_rows():
+    spinors, lams = _random_samples(200, 9)
+    v = spinor_to_point(spinors)
+    assert _bits(v) == _bits([reference.spinor_to_point(s) for s in spinors])
+    assert _bits(point_to_spinor(v)) == _bits([reference.point_to_spinor(p) for p in v])
+    stack = outer_matrix(spinors)
+    assert _bits(stack) == _bits([reference.outer_matrix(s) for s in spinors])
+    lams = lams / np.sqrt(abs(np.linalg.det(lams)))[:, None, None]
+    assert _bits(sl2c_act(lams, stack)) == _bits(
+        [reference.sl2c_act(lam, m) for lam, m in zip(lams, stack)]
+    )
+
+
+def test_sample_residuals_edge_rows_match_the_per_sample_formulas():
+    spinors, lams = _random_samples(6, 10)
+    # rank-1 lam: |det lam| < 1e-8, so it is shifted by the identity first
+    lams[1] = np.outer([1 + 2j, 2 - 1j], [0.5 - 1j, 3j])
+    assert abs(np.linalg.det(lams[1])) < 1e-8
+    # (0, chi) reaches the south branch with a vanishing first component, so
+    # the phase is left alone; the zero spinor's roundtrip is 0 (t = 0)
+    spinors[3] = (0, 0.7 - 1.3j)
+    spinors[4] = (0, 0)
+    got = list(zip(*sample_residuals(spinors, lams)))
+    want = [reference.sample_cells(s, lam) for s, lam in zip(spinors, lams)]
+    assert _bits(got) == _bits(want)
+    assert got[4][0] == 0.0
+
+
+def test_stacked_rejections_match_the_scalar_ones():
+    good = spinor_to_point(_random_samples(5, 11)[0])
+    for bad in ((1, 0.5, 0, 0), (-1, 0, 0, 1)):
+        with pytest.raises(ValueError) as scalar:
+            point_to_spinor(bad)
+        stack = np.concatenate([good[:2], [bad], good[2:]])
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            point_to_spinor(stack)
+
+    lams = np.stack([np.eye(2), 2 * np.eye(2), np.eye(2)]).astype(complex)
+    v = point_to_hermitian((1, 0, 0, 1))
+    with pytest.raises(ValueError) as scalar:
+        sl2c_act(lams[1], v)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        sl2c_act(lams, np.stack([v] * 3))

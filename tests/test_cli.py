@@ -460,6 +460,7 @@ def test_fmt_stability():
         ("packet.width=0", 2),
         ("packet.width=-12", 2),  # not squared into a valid width
         ("packet.width=1e-300", 3),  # its square underflows to zero
+        ("packet.width=1e-160", 0),  # the envelope's exponent overflows to -inf
         # the implicit solver's band overflows: a non-finite field, not a config error
         ("grid.bc=dirichlet include_x_term=true theta_dot=1e300", 4),
     ],
@@ -471,7 +472,8 @@ def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, ca
         assert run_cli(["simulate", "--out", tmp_path, *FAST_ARGS["simulate"], *sets]) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "Traceback" not in capsys.readouterr().err
-    assert not (tmp_path / "simulate_snapshots.csv").exists()
+    # only a run that exits 0 writes its snapshots
+    assert (tmp_path / "simulate_snapshots.csv").exists() == (code == 0)
 
 
 def test_overflowing_x_term_run_is_instability_without_numpy_warnings(tmp_path):

@@ -105,6 +105,7 @@ TRACE = (
             "test_cartan.py::test_point_to_spinor_examples",
             "test_cartan.py::test_point_spinor_roundtrip",
             "test_cartan.py::test_point_to_spinor_phase_convention",
+            "test_cartan.py::test_stacked_rejections_match_the_scalar_ones",
         ),
     ),
     TraceEntry(
@@ -124,6 +125,7 @@ TRACE = (
             "test_cartan.py::test_sl2c_identity_and_boost",
             "test_cartan.py::test_sl2c_sign_blind_and_det_preserving",
             "test_cartan.py::test_sl2c_rejects_non_unimodular",
+            "test_cartan.py::test_stacked_kernels_repeat_the_per_sample_rows",
         ),
     ),
     TraceEntry(
