@@ -385,6 +385,24 @@ def test_importing_the_cli_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_simulate_without_the_x_term_does_not_load_scipy(tmp_path):
+    # only the implicit x-term step needs scipy's tridiagonal solver
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['exocalc', 'simulate', '--out', {str(tmp_path)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('exocalc', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "0 False"
+    assert (tmp_path / "simulate_summary.csv").exists()
+
+
 def test_forms_check_hundred_seed_budget(tmp_path):
     import time
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from exocalc.pde import (
     solve_ode_x,
     solve_ode_y,
 )
+from pde_reference import reference_simulate
 
 
 def test_ode_x_free_case_oscillatory():
@@ -223,6 +225,83 @@ def test_non_finite_field_is_instability(theta_t, x_term):
         simulate_time_domain(
             grid, 1.0, theta_t, 0.0, include_x_term=x_term, initial=WavePacket(50.0, 5.0, 0.5)
         )
+
+
+def _same_bits(a, b) -> bool:
+    """Equal as stored doubles, so -0.0 differs from 0.0 and NaN equals NaN."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# explicit leapfrog: every boundary kind, theta_t of both signs, with and without theta_x
+_EXPLICIT_RUNS = [
+    (bc, theta_t, theta_x)
+    for bc in ("periodic", "dirichlet", "neumann")
+    for theta_t in (0.04, -0.04)
+    for theta_x in (0.0, 0.03)
+]
+# implicit x-term leg: dirichlet only, on boxes with x_min at zero and below it
+_X_TERM_RUNS = [
+    (x_min, x_max, theta_t, theta_x)
+    for x_min, x_max in ((0.0, 4.0), (-2.0, 2.0))
+    for theta_t, theta_x in ((0.015, 0.0), (-0.015, 0.01))
+]
+
+
+@pytest.mark.parametrize("bc,theta_t,theta_x", _EXPLICIT_RUNS)
+def test_leapfrog_matches_the_allocating_reference_bit_for_bit(bc, theta_t, theta_x):
+    packet = WavePacket(10.0, 2.0, 1.3)
+    grids = [SimGrid(0.0, 20.0, 96, 0.1, 120, bc=bc, snapshot_stride=1) for _ in range(2)]
+    simulate_time_domain(grids[0], 1.0, theta_t, theta_x, initial=packet)
+    times, snapshots, energies = reference_simulate(grids[1], 1.0, theta_t, theta_x, initial=packet)
+    assert _same_bits(grids[0].times, times)
+    assert _same_bits(grids[0].snapshots, snapshots)
+    assert _same_bits(grids[0].energies, energies)
+
+
+@pytest.mark.parametrize("x_min,x_max,theta_t,theta_x", _X_TERM_RUNS)
+def test_x_term_step_matches_the_allocating_reference_bit_for_bit(x_min, x_max, theta_t, theta_x):
+    packet = WavePacket(0.5 * (x_min + x_max), 0.4, 3.0)
+    grids = [SimGrid(x_min, x_max, 64, 0.005, 80, bc="dirichlet", snapshot_stride=1) for _ in range(2)]
+    simulate_time_domain(grids[0], 1.0, theta_t, theta_x, include_x_term=True, initial=packet)
+    times, snapshots, energies = reference_simulate(
+        grids[1], 1.0, theta_t, theta_x, include_x_term=True, initial=packet
+    )
+    assert _same_bits(grids[0].times, times)
+    assert _same_bits(grids[0].snapshots, snapshots)
+    assert _same_bits(grids[0].energies, energies)
+
+
+def _instability(fn, grid, m, theta_t, x_term, packet) -> InstabilityError:
+    with np.errstate(all="ignore"), warnings.catch_warnings(), pytest.raises(InstabilityError) as info:
+        warnings.simplefilter("ignore")
+        fn(grid, m, theta_t, 0.0, include_x_term=x_term, initial=packet)
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "grid_args,m,theta_t,x_term,packet",
+    [
+        ((0.0, 100.0, 256, 0.33, 4000, "periodic", 100), 6.0, 0.0, False, WavePacket(50.0, 5.0, 0.5)),
+    ]
+    + [
+        ((0.0, 100.0, 64, 0.3, 16, "dirichlet", 4), 1.0, theta_t, x_term, WavePacket(50.0, 5.0, 0.5))
+        for theta_t in (math.nan, math.inf, 1e300)
+        for x_term in (False, True)
+    ],
+    ids=["mass-dominated"] + [f"{t}-{k}" for t in ("nan", "inf", "huge") for k in ("explicit", "implicit")],
+)
+def test_instability_matches_the_allocating_reference(grid_args, m, theta_t, x_term, packet):
+    got = _instability(simulate_time_domain, SimGrid(*grid_args), m, theta_t, x_term, packet)
+    want = _instability(reference_simulate, SimGrid(*grid_args), m, theta_t, x_term, packet)
+    assert got.step == want.step
+    assert _float_bits(got.time) == _float_bits(want.time)
+    assert _float_bits(got.amplitude) == _float_bits(want.amplitude)
+    assert str(got) == str(want)
 
 
 def test_x_term_runs_and_warns_out_of_scale():
