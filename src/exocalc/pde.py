@@ -122,23 +122,32 @@ class WavePacket:
         return env * np.exp(1j * self.wavenumber * xs)
 
 
-def _pad(phi: np.ndarray, bc: str) -> np.ndarray:
+def _fill_ghosts(buf: np.ndarray, bc: str):
+    """Set the ghost cells around the interior ``buf[1:-1]`` for ``bc``."""
     if bc == "periodic":
-        return np.concatenate([phi[-1:], phi, phi[:1]])
-    if bc == "dirichlet":
-        zero = np.zeros(1, dtype=phi.dtype)
-        return np.concatenate([zero, phi, zero])
-    return np.concatenate([phi[1:2], phi, phi[-2:-1]])  # neumann mirror
+        buf[0], buf[-1] = buf[-2], buf[1]
+    elif bc == "neumann":  # mirror
+        buf[0], buf[-1] = buf[2], buf[-3]
+    # dirichlet ghosts are zero from allocation and never written
 
 
-def _first_diff(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
-    p = _pad(phi, bc)
-    return (p[2:] - p[:-2]) / (2 * dx)
+def _padded(phi: np.ndarray, bc: str) -> np.ndarray:
+    buf = np.zeros(len(phi) + 2, dtype=complex)
+    buf[1:-1] = phi
+    _fill_ghosts(buf, bc)
+    return buf
 
 
-def _second_diff(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
-    p = _pad(phi, bc)
-    return (p[2:] - 2 * phi + p[:-2]) / (dx * dx)
+def _stencil(p, two_phi, dx2, two_dx, lap=None, adv=None):
+    """Centered ``(p[2:] - 2 phi + p[:-2]) / dx2`` and ``(p[2:] - p[:-2]) / two_dx``
+    of the ghost-padded field ``p``, written into ``lap`` and ``adv`` when given."""
+    right, left = p[2:], p[:-2]
+    lap = np.subtract(right, two_phi, out=lap)
+    np.add(lap, left, out=lap)
+    np.true_divide(lap, dx2, out=lap)
+    adv = np.subtract(right, left, out=adv)
+    np.true_divide(adv, two_dx, out=adv)
+    return lap, adv
 
 
 def _staggered_energy(phi0, phi1, dt, dx, m, bc) -> float:
@@ -173,8 +182,14 @@ def simulate_time_domain(
 
     The point-dependent second-derivative term is off by default (its
     momentum-side counterpart is the regime where the box kernel is
-    negligible); enabling it switches to an implicit banded update and
-    warns when ``max(|t|, |x|) * ||grad theta||`` is large.
+    negligible); enabling it switches to an implicit tridiagonal update,
+    which needs dirichlet boundaries, and warns when
+    ``max(|t|, |x|) * ||grad theta||`` is large.
+
+    Each step runs in place: the explicit leapfrog and the implicit
+    update's band and right-hand side are evaluated in buffers allocated
+    once per call, and the implicit system is solved by LAPACK ``?gtsv``.
+    The results are bit-identical to the plain array expressions.
     """
     grid.check_cfl()
     if initial is None:
@@ -189,6 +204,8 @@ def simulate_time_domain(
     bc = grid.bc
 
     if include_x_term:
+        if bc != "dirichlet":
+            raise ValueError("the point-dependent term requires dirichlet boundaries")
         extent = max(abs(grid.x_min), abs(grid.x_max), dt * nt)
         if extent * math.hypot(theta_t, theta_x) > 0.1:
             warnings.warn(
@@ -196,8 +213,6 @@ def simulate_time_domain(
                 "(extent * |grad theta| > 0.1)",
                 stacklevel=2,
             )
-        if bc != "dirichlet":
-            raise ValueError("the point-dependent term requires dirichlet boundaries")
 
     phi0 = initial.sample(xs).astype(complex)
     if bc == "dirichlet":
@@ -210,12 +225,10 @@ def simulate_time_domain(
         omega0 = complex(plane_wave_rates(-initial.wavenumber, m, theta_t, theta_x))
         phi_t0 = 1j * omega0 * phi0
 
-    phi_tt0 = (
-        _second_diff(phi0, dx, bc)
-        - m * m * phi0
-        + theta_t * phi_t0
-        - theta_x * _first_diff(phi0, dx, bc)
-    )
+    # the time levels rotate through three ghost-padded buffers
+    prev = _padded(phi0, bc)
+    lap0, adv0 = _stencil(prev, 2 * phi0, dx * dx, 2 * dx)
+    phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
     phi1 = phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0
     if bc == "dirichlet":
         phi1[0] = phi1[-1] = 0.0
@@ -232,28 +245,20 @@ def simulate_time_domain(
     store(0, phi0, (phi0, phi1))
     store(1, phi1, (phi0, phi1))
 
-    prev, cur = phi0, phi1
-    denom = 1 - 0.5 * theta_t * dt
+    if include_x_term:
+        stepper = _x_term_stepper(xs, dx, dt, m, theta_t, theta_x)
+    else:
+        stepper = _leapfrog_stepper(nx, dx, dt, m, theta_t, theta_x)
+    cur, nxt = _padded(phi1, bc), np.zeros(nx + 2, dtype=complex)
     for n in range(1, nt):
-        if include_x_term:
-            nxt = _implicit_x_term_step(
-                prev, cur, n * dt, xs, dt, dx, m, theta_t, theta_x, bc
-            )
-        else:
-            lap = _second_diff(cur, dx, bc)
-            adv = _first_diff(cur, dx, bc)
-            nxt = (
-                2 * cur
-                - (1 + 0.5 * theta_t * dt) * prev
-                + dt * dt * (lap - m * m * cur - theta_x * adv)
-            ) / denom
+        stepper(n, prev, cur, nxt)
+        new = nxt[1:-1]
         if bc == "dirichlet":
-            nxt[0] = nxt[-1] = 0.0
-        amp = float(np.max(np.abs(nxt)))
-        if not np.isfinite(amp) or amp > AMPLITUDE_ABORT:
-            raise InstabilityError(n + 1, (n + 1) * dt, amp)
-        prev, cur = cur, nxt
-        store(n + 1, cur, (prev, cur))
+            new[0] = new[-1] = 0.0
+        _check_amplitude(new, n + 1, dt)
+        _fill_ghosts(nxt, bc)
+        prev, cur, nxt = cur, nxt, prev
+        store(n + 1, new, (prev[1:-1], new))
 
     grid.times = np.array(stored_t)
     grid.snapshots = np.array(stored)
@@ -261,44 +266,117 @@ def simulate_time_domain(
     return grid
 
 
-def _implicit_x_term_step(prev, cur, t_now, xs, dt, dx, m, theta_t, theta_x, bc):
-    """One implicit step with the point-dependent second-derivative term on.
+def _check_amplitude(field: np.ndarray, step: int, dt: float):
+    """Raise :class:`InstabilityError` when ``max |field|`` is not finite or
+    exceeds ``AMPLITUDE_ABORT``.
+
+    ``|z| <= sqrt(2) * max(|re z|, |im z|)``, so a field whose parts all stay
+    within ``AMPLITUDE_ABORT / 1.5`` passes without computing a modulus; any
+    other field (NaN included) is judged on the exact ``max |z|``.
+    """
+    parts = field.view(np.float64)
+    if max(parts.max(), -parts.min()) <= AMPLITUDE_ABORT / 1.5:
+        return
+    amp = float(np.max(np.abs(field)))
+    if not np.isfinite(amp) or amp > AMPLITUDE_ABORT:
+        raise InstabilityError(step, step * dt, amp)
+
+
+# The steppers below write time level n + 1 into the interior of ``out`` from
+# the ghost-padded levels ``prev`` (n - 1) and ``cur`` (n). They evaluate
+# their update formula with the same ufuncs, operand order and dtypes as the
+# plain array expression, but into scratch arrays allocated once, so the
+# result is bit-identical to that expression.
+
+
+def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
+    """Explicit centered update
+    ``(2 cur - (1 + th_t dt/2) prev + dt^2 (lap - m^2 cur - th_x adv)) / (1 - th_t dt/2)``."""
+    lag = 1 + 0.5 * theta_t * dt
+    denom = 1 - 0.5 * theta_t * dt
+    dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
+    two_cur, lap, adv, tmp = (np.empty(n_x, dtype=complex) for _ in range(4))
+
+    def step(n, prev, cur, out):
+        now, new = cur[1:-1], out[1:-1]
+        np.multiply(2, now, out=two_cur)
+        _stencil(cur, two_cur, dx2, two_dx, lap, adv)
+        np.multiply(mm, now, out=tmp)
+        np.subtract(lap, tmp, out=lap)
+        np.multiply(theta_x, adv, out=adv)
+        np.subtract(lap, adv, out=lap)
+        np.multiply(dt2, lap, out=lap)
+        np.multiply(lag, prev[1:-1], out=tmp)
+        np.subtract(two_cur, tmp, out=new)
+        np.add(new, lap, out=new)
+        np.true_divide(new, denom, out=new)
+
+    return step
+
+
+def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
+    """Implicit update with the point-dependent second-derivative term on.
 
     The mixed time-space derivative couples neighbouring points of the new
-    level, giving a tridiagonal complex system per step.
+    level, giving a tridiagonal complex system per step with dirichlet rows
+    at both ends. LAPACK ``?gtsv`` solves it, the routine
+    ``scipy.linalg.solve_banded((1, 1), ...)`` calls, without a finiteness
+    check, so non-finite values reach the amplitude probe.
     """
-    from scipy.linalg import solve_banded  # scipy loads only on the paths that call it
+    from scipy.linalg import get_lapack_funcs  # scipy loads only on the paths that call it
 
-    n = len(cur)
-    a_tt = 1 - 2 * theta_t * t_now
-    c_cross = 2 * (theta_x * t_now - theta_t * xs)
+    n_x = len(xs)
     a_xx = -1 + 2 * theta_x * xs
+    theta_t_xs = theta_t * xs
+    dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
+    half_tt, shift_scale = 0.5 * theta_t, 4 * dt * dx
+    c_cross, off = np.empty(n_x), np.empty(n_x - 1)
+    rhs, d, two_cur, lap, adv, tmp = (np.empty(n_x, dtype=complex) for _ in range(6))
+    du, dl = np.empty(n_x - 1, dtype=complex), np.empty(n_x - 1, dtype=complex)
+    (gtsv,) = get_lapack_funcs(("gtsv",), (d, rhs))
 
-    lap = _second_diff(cur, dx, bc)
-    adv = _first_diff(cur, dx, bc)
-    prev_shift = (np.pad(prev, 1)[2:] - np.pad(prev, 1)[:-2]) / (4 * dt * dx)
+    def step(n, prev, cur, out):
+        t_now = n * dt
+        a_tt = 1 - 2 * theta_t * t_now
+        np.subtract(theta_x * t_now, theta_t_xs, out=c_cross)
+        np.multiply(2, c_cross, out=c_cross)
+        # rhs = a_tt (2 cur - prev) / dt^2 - th_t prev / (2 dt) + c_cross dprev / (4 dt dx)
+        #       - a_xx lap - m^2 cur - th_x adv
+        now, before = cur[1:-1], prev[1:-1]
+        np.multiply(2, now, out=two_cur)
+        np.subtract(two_cur, before, out=rhs)
+        np.multiply(a_tt, rhs, out=rhs)
+        np.true_divide(rhs, dt2, out=rhs)
+        np.multiply(half_tt, before, out=tmp)
+        np.true_divide(tmp, dt, out=tmp)
+        np.subtract(rhs, tmp, out=rhs)
+        np.subtract(prev[2:], prev[:-2], out=tmp)
+        np.true_divide(tmp, shift_scale, out=tmp)
+        np.multiply(c_cross, tmp, out=tmp)
+        np.add(rhs, tmp, out=rhs)
+        _stencil(cur, two_cur, dx2, two_dx, lap, adv)
+        np.multiply(a_xx, lap, out=lap)
+        np.subtract(rhs, lap, out=rhs)
+        np.multiply(mm, now, out=tmp)
+        np.subtract(rhs, tmp, out=rhs)
+        np.multiply(theta_x, adv, out=adv)
+        np.subtract(rhs, adv, out=rhs)
+        # the band, dirichlet rows pinning the boundary values; off-diagonals
+        # are divided as reals, then widened to complex
+        d.fill(a_tt / dt2 - half_tt / dt)
+        np.true_divide(c_cross[:-1], shift_scale, out=du)
+        np.negative(c_cross[1:], out=off)
+        np.true_divide(off, shift_scale, out=dl)
+        d[0] = d[-1] = 1.0
+        du[0] = dl[-1] = 0.0
+        rhs[0] = rhs[-1] = 0.0
+        # solved in place: the factors overwrite dl, d, du and the solution rhs
+        *_, x, info = gtsv(dl, d, du, rhs, True, True, True, True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        out[1:-1] = x
 
-    rhs = (
-        a_tt * (2 * cur - prev) / (dt * dt)
-        - 0.5 * theta_t * prev / dt
-        + c_cross * prev_shift
-        - a_xx * lap
-        - m * m * cur
-        - theta_x * adv
-    )
-    diag = np.full(n, a_tt / (dt * dt) - 0.5 * theta_t / dt, dtype=complex)
-    upper = np.zeros(n, dtype=complex)
-    lower = np.zeros(n, dtype=complex)
-    upper[1:] = c_cross[:-1] / (4 * dt * dx)
-    lower[:-1] = -c_cross[1:] / (4 * dt * dx)
-    # dirichlet rows pin the boundary values
-    diag[0] = diag[-1] = 1.0
-    upper[1] = 0.0
-    lower[-2] = 0.0
-    rhs[0] = rhs[-1] = 0.0
-    band = np.vstack([upper, diag, lower])
-    # non-finite values pass through to the caller's amplitude probe
-    return solve_banded((1, 1), band, rhs, check_finite=False)
+    return step
 
 
 def fit_decay_rate(grid: SimGrid, window: tuple) -> float:

@@ -11,6 +11,7 @@ import pytest
 
 from exocalc.dispersion import plane_wave_rates
 from exocalc.pde import (
+    AMPLITUDE_ABORT,
     InstabilityError,
     SimGrid,
     WavePacket,
@@ -20,6 +21,7 @@ from exocalc.pde import (
     simulate_time_domain,
     solve_ode_x,
     solve_ode_y,
+    _check_amplitude,
 )
 from pde_reference import reference_simulate
 
@@ -302,6 +304,31 @@ def test_instability_matches_the_allocating_reference(grid_args, m, theta_t, x_t
     assert _float_bits(got.time) == _float_bits(want.time)
     assert _float_bits(got.amplitude) == _float_bits(want.amplitude)
     assert str(got) == str(want)
+
+
+def test_amplitude_probe_judges_the_modulus_near_the_threshold():
+    # every part 0.8e12 is below the threshold, every modulus ~1.13e12 above it
+    field = np.full(64, 0.8e12 * (1 + 1j))
+    assert np.max(np.abs(field.view(np.float64))) < AMPLITUDE_ABORT < np.min(np.abs(field))
+    with pytest.raises(InstabilityError) as info:
+        _check_amplitude(field, 7, 0.25)
+    assert (info.value.step, info.value.time) == (7, 7 * 0.25)
+    assert _float_bits(info.value.amplitude) == _float_bits(float(np.max(np.abs(field))))
+    # just under the threshold in modulus, and far under it: no abort
+    for value in (0.7e12 * (1 + 1j), AMPLITUDE_ABORT * (1 - 1e-12) + 0j, 1.0 - 2.0j):
+        field = np.full(64, value)
+        assert np.max(np.abs(field)) <= AMPLITUDE_ABORT
+        _check_amplitude(field, 7, 0.25)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "neumann"])
+def test_x_term_on_other_boundaries_raises_without_a_warning(bc):
+    # the gradient is far outside the x-term's validity scale, which only warns on a valid call
+    grid = SimGrid(0.0, 100.0, 64, 0.3, 16, bc=bc)
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="dirichlet"):
+        warnings.simplefilter("always")
+        simulate_time_domain(grid, 1.0, 0.02, 0.0, include_x_term=True)
+    assert caught == []
 
 
 def test_x_term_runs_and_warns_out_of_scale():
