@@ -32,21 +32,16 @@ COMMUTATOR_TERM_SIGN = -1
 
 
 def _obj(rows) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, val in enumerate(row):
-            out[i, j] = val
-    return out
-
-
-def _conj_entry(v):
-    return v.conjugate() if hasattr(v, "conjugate") else v
+    return np.array(rows, dtype=object)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Entrywise conjugate transpose, valid for exact and float matrices."""
-    n = m.shape[0]
-    return _obj([[_conj_entry(m[j, i]) for j in range(n)] for i in range(n)])
+    """Entrywise conjugate transpose, valid for exact and float matrices.
+
+    Every entry must have ``conjugate()``, as ``int``, ``Fraction``,
+    ``float``, ``complex`` and :class:`RationalComplex` do.
+    """
+    return _obj(m).T.conj()
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,8 +94,7 @@ class GammaRep:
             for nu in range(4):
                 want = 2 * MINKOWSKI_SIGNS[mu] if mu == nu else 0
                 got = anticommutator(self.matrices[mu], self.matrices[nu])
-                expect = want * ident if want else 0 * ident
-                if not matrices_equal(got, expect, exact=self.exact):
+                if not matrices_equal(got, want * ident, exact=self.exact):
                     raise ValueError(
                         f"flat anticommutator violated at ({mu},{nu}) in rep {self.name!r}"
                     )
@@ -131,111 +125,75 @@ class GammaRep:
 
     def as_complex(self) -> tuple:
         """Float versions of the matrices for numerical work."""
-        return tuple(
-            np.array([[complex(g[i, j]) for j in range(4)] for i in range(4)])
-            for g in self.matrices
-        )
+        return tuple(g.astype(complex) for g in self.matrices)
 
     def identity(self) -> np.ndarray:
         return identity_matrix(self.exact)
 
 
 def matrices_equal(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:
-    """Entrywise equality: exact, or within 1e-12 for float matrices."""
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if exact:
-                if not a[i, j] == b[i, j]:
-                    return False
-            else:
-                if abs(complex(a[i, j]) - complex(b[i, j])) > 1e-12:
-                    return False
-    return True
+    """Entrywise equality: exact, or within 1e-12 for float matrices.
+
+    In float mode a NaN entry on either side makes the matrices unequal.
+    """
+    if exact:
+        return bool(np.all(a == b))
+    return bool(np.all(np.abs(a.astype(complex) - b.astype(complex)) <= 1e-12))
 
 
 @dataclass(frozen=True)
 class TetradPair:
     """Frame maps between deformed and flat coordinates.
 
-    ``up[mu][alpha] = delta - x^mu d_alpha theta`` and
-    ``down[mu][alpha] = delta + x^alpha d_mu theta``; the two contract to
-    the identity up to grade-2 terms.
+    ``up[mu, alpha] = delta - x^mu d_alpha theta`` and
+    ``down[mu, alpha] = delta + x^alpha d_mu theta``, both 4x4 object
+    arrays; the two contract to the identity up to grade-2 terms.  Each
+    contraction returns a 4x4 object array, indexed ``[a][b]`` or ``[a, b]``.
     """
 
-    up: tuple
-    down: tuple
+    up: np.ndarray
+    down: np.ndarray
 
-    def contract_frame(self) -> list:
-        """``sum_mu up[mu][a] down[mu][b]`` as a 4x4 table."""
-        return [
-            [sum(self.up[mu][a] * self.down[mu][b] for mu in range(4)) for b in range(4)]
-            for a in range(4)
-        ]
+    def contract_frame(self) -> np.ndarray:
+        """``sum_mu up[mu][a] down[mu][b]`` as a 4x4 object array."""
+        return self.up.T @ self.down
 
-    def contract_coord(self) -> list:
-        """``sum_alpha up[mu][alpha] down[nu][alpha]`` as a 4x4 table."""
-        return [
-            [sum(self.up[mu][al] * self.down[nu][al] for al in range(4)) for nu in range(4)]
-            for mu in range(4)
-        ]
+    def contract_coord(self) -> np.ndarray:
+        """``sum_alpha up[mu][alpha] down[nu][alpha]`` as a 4x4 object array."""
+        return self.up @ self.down.T
 
-    def inverse_metric(self) -> list:
+    def inverse_metric(self) -> np.ndarray:
         """Reconstruction ``g^{mn} = up[m][a] up[n][b] eta^{ab}`` (all grades)."""
-        return [
-            [
-                sum(MINKOWSKI_SIGNS[al] * self.up[mu][al] * self.up[nu][al] for al in range(4))
-                for nu in range(4)
-            ]
-            for mu in range(4)
-        ]
+        return (self.up * MINKOWSKI_SIGNS) @ self.up.T
 
-    def covariant_metric(self) -> list:
+    def covariant_metric(self) -> np.ndarray:
         """Reconstruction ``g_{mn} = down[m][a] down[n][b] eta_{ab}`` (all grades).
 
         Carries the quadratic gradient term, so it matches the full
         deformed metric exactly, not just at first order.
         """
-        return [
-            [
-                sum(
-                    MINKOWSKI_SIGNS[al] * self.down[mu][al] * self.down[nu][al]
-                    for al in range(4)
-                )
-                for nu in range(4)
-            ]
-            for mu in range(4)
-        ]
+        return (self.down * MINKOWSKI_SIGNS) @ self.down.T
 
 
 def tetrads(x: Sequence, theta: ThetaField) -> TetradPair:
     grad = theta.grad(x)
-    up = tuple(
-        tuple((1 if mu == al else 0) - x[mu] * grad[al] for al in range(4))
+    up = _obj([
+        [(1 if mu == al else 0) - x[mu] * grad[al] for al in range(4)]
         for mu in range(4)
-    )
-    down = tuple(
-        tuple((1 if mu == al else 0) + x[al] * grad[mu] for al in range(4))
+    ])
+    down = _obj([
+        [(1 if mu == al else 0) + x[al] * grad[mu] for al in range(4)]
         for mu in range(4)
-    )
+    ])
     return TetradPair(up, down)
 
 
 def gamma_tilde(x: Sequence, theta: ThetaField, rep: GammaRep) -> tuple:
     """Deformed gammas ``gt^mu = up[mu][alpha] gamma^alpha``."""
-    frame = tetrads(x, theta).up
-    out = []
-    for mu in range(4):
-        acc = None
-        for al in range(4):
-            term = _scale(frame[mu][al], rep.matrices[al])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
-
-
-def _scale(s, m: np.ndarray) -> np.ndarray:
-    return _obj([[s * m[i, j] for j in range(m.shape[0])] for i in range(m.shape[0])])
+    return tuple(
+        sum(s * g for s, g in zip(row, rep.matrices))
+        for row in tetrads(x, theta).up
+    )
 
 
 def symbol_matrix(p_cov: Sequence, v_cov: Sequence, m, rep: GammaRep, x_term=0):
@@ -249,14 +207,14 @@ def symbol_matrix(p_cov: Sequence, v_cov: Sequence, m, rep: GammaRep, x_term=0):
     p2 = sum(MINKOWSKI_SIGNS[a] * p_cov[a] * p_cov[a] for a in range(4))
     vp = sum(MINKOWSKI_SIGNS[a] * v_cov[a] * p_cov[a] for a in range(4))
     scalar = -p2 + m * m + iu * vp + x_term
-    out = _scale(scalar, rep.identity())
-    half = _units(rep.exact)[1] * COMMUTATOR_TERM_SIGN
+    out = scalar * rep.identity()
+    half = iu * COMMUTATOR_TERM_SIGN
     for a in range(4):
         for b in range(4):
             coef = v_cov[a] * p_cov[b]
             if coef == 0 or a == b:
                 continue
-            out = out + _scale(half * coef / 2, commutator(rep.matrices[a], rep.matrices[b]))
+            out = out + half * coef / 2 * commutator(rep.matrices[a], rep.matrices[b])
     return out
 
 
@@ -348,7 +306,7 @@ def apply_exotic_kg(
     if rep is None:
         rep = GammaRep.dirac()
     gam = rep.as_complex()
-    c01 = gam[0] @ gam[1] - gam[1] @ gam[0]
+    c01 = commutator(gam[0], gam[1])
     overlay = 0.5 * (theta_t * phi_x - theta_x * phi_t)
     spinor = np.asarray(spinor, dtype=complex)
     return out[..., None] * spinor + overlay[..., None] * (c01 @ spinor)

@@ -35,9 +35,9 @@ def lower_index(v: Sequence) -> tuple:
     return (v[0], -v[1], -v[2], -v[3])
 
 
-def raise_index(v: Sequence) -> tuple:
-    """Raise a covariant 4-vector; inverse of :func:`lower_index` (same signs)."""
-    return (v[0], -v[1], -v[2], -v[3])
+# eta = diag(1, -1, -1, -1) is its own inverse, so raising a covariant
+# 4-vector flips the same signs as lowering and is the same function
+raise_index = lower_index
 
 
 def minkowski_dot(u: Sequence, v: Sequence):

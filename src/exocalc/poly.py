@@ -338,15 +338,13 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def random_multipoly(rng, nvars: int, degree: int, trunc: int = 3, n_terms: int = 4) -> MultiPoly:
+def random_multipoly(rng, nvars: int, degree: int, trunc: int = 3) -> MultiPoly:
     """Small random polynomial with single-digit rational coefficients."""
-    poly = MultiPoly.zero(nvars, trunc)
-    for _ in range(n_terms):
+    coeffs = {}
+    for _ in range(4):
         mono = [0] * nvars
         for _ in range(rng.randint(0, degree)):
             mono[rng.randrange(nvars)] += 1
-        if sum(mono) > degree:
-            continue
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        poly = poly + MultiPoly(nvars, trunc, {(0, tuple(mono)): coeff})
-    return poly
+        key = (0, tuple(mono))
+        coeffs[key] = coeffs.get(key, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return MultiPoly(nvars, trunc, coeffs)

@@ -477,6 +477,10 @@ def test_fmt_stability():
         ("packet.width=1e-160", 0),  # the envelope's exponent overflows to -inf
         # the implicit solver's band overflows: a non-finite field, not a config error
         ("grid.bc=dirichlet include_x_term=true theta_dot=1e300", 4),
+        # overflowing parameters or amplitude: the probe reports them, numpy stays quiet
+        ("m=1e300", 4),
+        ("theta_prime=1e300", 4),
+        ("packet.amplitude=1e300", 4),
     ],
 )
 def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, capsys):

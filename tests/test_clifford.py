@@ -75,6 +75,19 @@ def test_conjugated_requires_unitary():
         GammaRep.conjugated(bad, GammaRep.dirac(exact=True))
 
 
+def test_float_equality_and_unitarity_check_reject_nan():
+    ident = identity_matrix()
+    with_nan = identity_matrix()
+    with_nan[0, 0] = complex("nan")
+    assert not matrices_equal(ident, with_nan, exact=False)
+    assert not matrices_equal(with_nan, ident, exact=False)
+    nan_diagonal = identity_matrix()
+    for i in range(4):
+        nan_diagonal[i, i] = complex("nan")
+    with pytest.raises(ValueError, match="not unitary"):
+        GammaRep.conjugated(nan_diagonal, GammaRep.dirac())
+
+
 def test_tetrads_flat_and_contractions():
     pair = tetrads((1, 2, 3, 4), FLAT)
     for mu in range(4):
