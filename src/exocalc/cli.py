@@ -8,38 +8,19 @@ fixed header; identical config + seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import copy
 import itertools
 import json
 import math
+import numbers
 import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import cartan as cartan_mod
-from . import metric as metric_mod
-from .core import ThetaField
-from .dispersion import (
-    BoxRegion,
-    ComplexMomentum,
-    DegenerateParameterError,
-    constrained_spectrum,
-    delta_sigma,
-    spectrum_reference_approx,
-)
-from .forms import (
-    d_squared_check,
-    dilated_connection,
-    exotic_d,
-    field_strength,
-    homotopy_lemma_check,
-    leibniz_check,
-    random_form,
-    random_linear_theta,
-)
-from .pde import InstabilityError, SimGrid, WavePacket, fit_decay_rate, simulate_time_domain
+# each command imports its own layer when it runs, so ``metric``, ``lightcone``
+# and ``forms-check`` never load numpy
+from .core import DegenerateParameterError, InstabilityError, ThetaField
 
 SCHEMA_LINE = "# schema=1"
 # the float format of every CSV cell but ``delta_diag`` (``fmt6``); ``fmt`` and the
@@ -56,7 +37,7 @@ class ConfigError(ValueError):
 
 def fmt(x) -> str:
     """Canonical float formatting shared by implementation and fixture paths."""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # numpy registers its integer types here
         return str(int(x))
     return FLOAT_SPEC % float(x)
 
@@ -262,6 +243,8 @@ METRIC_HEADER = (
 
 
 def metric_rows(cfg: dict):
+    from . import metric as metric_mod
+
     theta = ThetaField.linear(tuple(cfg["theta_grad"]))
     probe = tuple(cfg["probe"])
     rows = []
@@ -282,6 +265,8 @@ LIGHTCONE_HEADER = "t,x,theta_dot,theta_prime,c,u_plus,u_minus,residual_plus,res
 
 
 def lightcone_rows(cfg: dict):
+    from . import metric as metric_mod
+
     td, tp, c = cfg["theta_dot"], cfg["theta_prime"], cfg["c"]
     if not c > 0:
         raise ConfigError(f"light speed c must be positive, got {c!r}")
@@ -290,6 +275,8 @@ def lightcone_rows(cfg: dict):
         u_plus, u_minus = metric_mod.lightcone_velocity(t, x, td, tp, c)
         res_p = metric_mod.interval_2d(1.0, u_plus, t, x, td, tp, c)
         res_m = metric_mod.interval_2d(1.0, u_minus, t, x, td, tp, c)
+        if not all(map(math.isfinite, (u_plus, u_minus, res_p, res_m))):
+            raise DegenerateParameterError(f"light cone at t={t!r}, x={x!r} overflows")
         rows.append(
             [fmt(t), fmt(x), fmt(td), fmt(tp), fmt(c), fmt(u_plus), fmt(u_minus), fmt(res_p), fmt(res_m)]
         )
@@ -302,31 +289,32 @@ SPECTRUM_HEADER = (
 )
 
 
-def _box_from_config(spec: dict) -> BoxRegion:
-    try:
-        return BoxRegion(spec["t0"], spec["t1"], tuple(map(tuple, spec["spatial"])))
-    except ValueError as exc:
-        raise ConfigError(f"bad box spec: {spec!r}") from exc
-
-
 def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
     """Rows of the aligned-spectrum sweep.
 
     ``spectrum_fn`` and ``delta_fn`` default to the implementation; the
     fixture generator passes the oracle routes instead.
     """
-    spectrum_fn = spectrum_fn or constrained_spectrum
-    delta_fn = delta_fn or delta_sigma
-    box = _box_from_config(cfg["box"])
+    from . import dispersion
+
+    spectrum_fn = spectrum_fn or dispersion.constrained_spectrum
+    delta_fn = delta_fn or dispersion.delta_sigma
+    spec = cfg["box"]
+    try:
+        box = dispersion.BoxRegion(spec["t0"], spec["t1"], tuple(map(tuple, spec["spatial"])))
+    except ValueError as exc:
+        raise ConfigError(f"bad box spec: {spec!r}") from exc
     axes = [sweep_values(cfg[axis]) for axis in SWEEP_AXES]
 
     def one(td, gn, m):
         v = (td, gn, 0.0, 0.0)
         e_plus, e_minus = spectrum_fn(v, m)
-        ref = spectrum_reference_approx(td, gn, m)
-        p = ComplexMomentum.constrained(v, e_plus)
+        ref = dispersion.spectrum_reference_approx(td, gn, m)
+        p = dispersion.ComplexMomentum.constrained(v, e_plus)
         v_norm = math.hypot(td, gn)
         diag = v_norm * abs(delta_fn(p, box))
+        if not all(map(cmath.isfinite, (e_plus, e_minus, ref[0], diag))):
+            raise DegenerateParameterError(f"spectrum at {(td, gn, m)!r} overflows")
         return [
             fmt(td),
             fmt(gn),
@@ -364,27 +352,28 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
     engine; the fixture generator passes the dense oracle route).  Only
     ``d_cubed`` and the field strength have no :mod:`exocalc.forms` check.
     """
+    from . import forms
     from .poly import random_multipoly
 
     # passed explicitly: the checks' default binds exotic_d at definition time
-    d_fn = d_fn or exotic_d
+    d_fn = d_fn or forms.exotic_d
     rng = random.Random(seed)
     dim = rng.randint(2, max(2, n_max))
     deg = rng.randint(0, min(deg_max, dim - 1))
-    theta = random_linear_theta(rng, dim)
+    theta = forms.random_linear_theta(rng, dim)
 
-    w = random_form(rng, dim, deg, max_poly_degree=deg_max)
-    other = random_form(rng, dim, rng.randint(0, min(deg_max, dim - 1)), max_poly_degree=deg_max)
+    w = forms.random_form(rng, dim, deg, max_poly_degree=deg_max)
+    other = forms.random_form(rng, dim, rng.randint(0, min(deg_max, dim - 1)), max_poly_degree=deg_max)
 
-    leib = leibniz_check(w, other, theta, d_fn=d_fn)
-    d_squared, dd = d_squared_check(w, theta, d_fn=d_fn)
+    leib = forms.leibniz_check(w, other, theta, d_fn=d_fn)
+    d_squared, dd = forms.d_squared_check(w, theta, d_fn=d_fn)
     ddd = d_fn(dd, theta)
 
-    ext = random_form(rng, dim + 1, rng.randint(1, dim), max_poly_degree=deg_max, lambda_active=True)
-    hom = homotopy_lemma_check(ext, theta, d_fn=d_fn)
+    ext = forms.random_form(rng, dim + 1, rng.randint(1, dim), max_poly_degree=deg_max, lambda_active=True)
+    hom = forms.homotopy_lemma_check(ext, theta, d_fn=d_fn)
 
     a_comps = [random_multipoly(rng, dim, min(deg_max, 2)) for _ in range(dim)]
-    fs = field_strength(a_comps, theta) - d_fn(dilated_connection(a_comps, theta), theta)
+    fs = forms.field_strength(a_comps, theta) - d_fn(forms.dilated_connection(a_comps, theta), theta)
 
     residuals = {
         "leibniz": leib,
@@ -428,6 +417,10 @@ CARTAN_CHUNK = 1024
 
 
 def cartan_rows(cfg: dict, seed: int):
+    import numpy as np
+
+    from . import cartan as cartan_mod
+
     n = cfg["samples"]
     if n < 0:
         raise ConfigError(f"samples must be >= 0, got {n}")
@@ -442,8 +435,8 @@ def cartan_rows(cfg: dict, seed: int):
     return CARTAN_HEADER, rows
 
 
-def _fit_window(spec, times: np.ndarray) -> tuple:
-    """The first and last snapshot ``times`` the fit window selects.
+def _fit_window(spec, times) -> tuple:
+    """The first and last of the snapshot ``times`` (an array) the fit window selects.
 
     ``spec`` is ``[t_start, t_end]`` or ``None`` for every time after 0; it
     must select at least 3 snapshots.
@@ -469,6 +462,8 @@ def _snapshot_blocks(times, xs, snapshots):
     ``t`` once per snapshot, and a snapshot's real and imaginary parts in
     one ``%`` operation on a row template repeated along ``x``.
     """
+    import numpy as np
+
     value_cell = "," + FLOAT_SPEC
     row_tails = ["," + FLOAT_SPEC % x + value_cell * 2 + "\n" for x in xs.tolist()]
     parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
@@ -478,6 +473,10 @@ def _snapshot_blocks(times, xs, snapshots):
 
 
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
+    import numpy as np
+
+    from .pde import SimGrid, WavePacket, fit_decay_rate, simulate_time_domain
+
     try:
         grid = SimGrid(**cfg["grid"])
         grid.check_cfl()
@@ -492,11 +491,12 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     simulate_time_domain(
         grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], cfg["include_x_term"], packet,
     )
-    try:
-        rate = fit_decay_rate(grid, window)
-    except ValueError as exc:
-        # the window was checked above, so only a vanishing field fails the fit
-        raise DegenerateParameterError(str(exc)) from exc
+    norms = grid.l2_norms()
+    if not norms.all():  # a vanishing field, or one whose squares underflow
+        raise DegenerateParameterError("a stored snapshot has zero L2 norm")
+    # the window was checked above and every norm is positive, so the fit succeeds
+    rate = fit_decay_rate(grid, window)
+    log_amp = np.log(norms)
 
     snap_path = write_csv(
         out_dir / "simulate_snapshots.csv",
@@ -504,7 +504,6 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
         _snapshot_blocks(grid.times, grid.xs(), grid.snapshots),
     )
 
-    log_amp = np.log(grid.l2_norms())
     summary_rows = [
         [fmt(t), fmt(a), fmt(rate)] for t, a in zip(grid.times, log_amp)
     ]
@@ -559,35 +558,26 @@ def run(args) -> list:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # checked before compute, so a bad path wastes no run
         raise ConfigError(f"cannot use output directory {out_dir}: {exc}") from exc
-    if args.command == "metric":
-        header, rows = metric_rows(cfg)
-        return [write_csv(out_dir / "metric.csv", header, rows)]
-    if args.command == "lightcone":
-        header, rows = lightcone_rows(cfg)
-        return [write_csv(out_dir / "lightcone.csv", header, rows)]
-    if args.command == "spectrum":
-        header, rows = spectrum_rows(cfg)
-        written = [write_csv(out_dir / "spectrum.csv", header, rows)]
-        if args.svg and rows:
-            written.append(
-                write_svg_line(
-                    out_dir / "spectrum.svg",
-                    [float(r[0]) for r in rows],
-                    [float(r[4]) for r in rows],
-                    "Im E+ vs theta_dot",
-                    "theta_dot",
-                    "Im E+",
-                )
-            )
-        return written
     if args.command == "simulate":
         return simulate_outputs(cfg, out_dir, args.svg)
-    if args.command == "forms-check":
-        header, rows = forms_check_rows(cfg, args.seed)
-        return [write_csv(out_dir / "forms_check.csv", header, rows)]
-    if args.command == "cartan":
-        header, rows = cartan_rows(cfg, args.seed)
-        return [write_csv(out_dir / "cartan.csv", header, rows)]
+    # ``<name>_rows`` builds ``<name>.csv`` (a dash read as ``_``); it is looked up by
+    # name when called, so a wrapper rebound over the module attribute is what runs
+    name = args.command.replace("-", "_")
+    seeded = (args.seed,) if name in ("forms_check", "cartan") else ()
+    header, rows = globals()[f"{name}_rows"](cfg, *seeded)
+    written = [write_csv(out_dir / f"{name}.csv", header, rows)]
+    if args.svg and name == "spectrum" and rows:
+        written.append(
+            write_svg_line(
+                out_dir / "spectrum.svg",
+                [float(r[0]) for r in rows],
+                [float(r[4]) for r in rows],
+                "Im E+ vs theta_dot",
+                "theta_dot",
+                "Im E+",
+            )
+        )
+    return written
 
 
 def main(argv=None) -> int:

@@ -30,6 +30,26 @@ class EvaluationDomainError(ValueError):
     """A pointwise theta evaluation failed on its domain."""
 
 
+# raised by dispersion and pde; defined here so the CLI maps them to exit codes
+# 3 and 4 without importing numpy
+class DegenerateParameterError(ValueError):
+    """The parameters admit no finite result, e.g. the gradient-aligned constraint
+    cannot be formed or finite inputs overflow in float arithmetic."""
+
+
+class InstabilityError(RuntimeError):
+    """The discrete field amplitude blew past the abort threshold."""
+
+    def __init__(self, step: int, time: float, amplitude: float):
+        super().__init__(
+            f"instability detected at step {step} (t = {time:.6g}): "
+            f"max |phi| = {amplitude:.3e}"
+        )
+        self.step = step
+        self.time = time
+        self.amplitude = amplitude
+
+
 def lower_index(v: Sequence) -> tuple:
     """Lower a contravariant 4-vector: ``(v0, v1, v2, v3) -> (v0, -v1, -v2, -v3)``."""
     return (v[0], -v[1], -v[2], -v[3])

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .clifford import GammaRep, symbol_matrix
-from .core import MINKOWSKI_SIGNS
+from .core import MINKOWSKI_SIGNS, DegenerateParameterError
 
-
-class DegenerateParameterError(ValueError):
-    """The gradient-aligned constraint cannot be formed for these parameters."""
+if TYPE_CHECKING:
+    from .clifford import GammaRep
 
 
 @dataclass(frozen=True)
@@ -234,6 +232,8 @@ def dispersion_matrix(p, v_cov: Sequence, m, rep: GammaRep | None = None) -> np.
     ``p`` may be a :class:`ComplexMomentum` or a covariant 4-sequence.
     Runs exactly when fed exact scalars and an exact representation.
     """
+    from .clifford import GammaRep, symbol_matrix
+
     if rep is None:
         rep = GammaRep.dirac()
     p_cov = p.covariant() if isinstance(p, ComplexMomentum) else tuple(p)

@@ -23,20 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import InstabilityError
 from .dispersion import plane_wave_rates
-
-
-class InstabilityError(RuntimeError):
-    """The discrete field amplitude blew past the abort threshold."""
-
-    def __init__(self, step: int, time: float, amplitude: float):
-        super().__init__(
-            f"instability detected at step {step} (t = {time:.6g}): "
-            f"max |phi| = {amplitude:.3e}"
-        )
-        self.step = step
-        self.time = time
-        self.amplitude = amplitude
 
 
 AMPLITUDE_ABORT = 1e12

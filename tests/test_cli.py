@@ -376,31 +376,57 @@ def test_module_entry_point_smoke(tmp_path):
     assert (tmp_path / "cartan.csv").exists()
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, exocalc.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+SRC = Path(__file__).resolve().parents[1] / "src"
+# every library layer; ``import exocalc.cli`` loads none of them
+LAYERS = {f"exocalc.{p.stem}" for p in (SRC / "exocalc").glob("*.py")} - {
+    "exocalc.__init__", "exocalc.__main__", "exocalc.core", "exocalc.cli",
+}
 
 
-def test_simulate_without_the_x_term_does_not_load_scipy(tmp_path):
-    # only the implicit x-term step needs scipy's tridiagonal solver
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        (None, LAYERS | {"numpy", "scipy"}),
+        ("metric", {"numpy"}),
+        ("lightcone", {"numpy"}),
+        ("forms-check", {"numpy"}),
+        # only the implicit x-term step needs scipy, and only dispersion_matrix the gamma layer
+        ("spectrum", {"exocalc.clifford", "scipy"}),
+        ("simulate", {"exocalc.clifford", "scipy"}),
+        ("cartan", {f"exocalc.{m}" for m in ("pde", "dispersion", "forms", "poly", "metric")}),
+    ],
+    ids=["import-cli", "metric", "lightcone", "forms-check", "spectrum", "simulate", "cartan"],
+)
+def test_each_command_loads_only_its_own_layer(command, absent, tmp_path):
+    """A fresh interpreter runs ``command`` at its defaults (``None``: only imports
+    the CLI) and loads none of the modules in ``absent``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import runpy, sys\n"
-        f"sys.argv = ['exocalc', 'simulate', '--out', {str(tmp_path)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('exocalc', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, 'scipy' in sys.modules, file=sys.stderr)\n"
-    )
+    env["PYTHONPATH"] = str(SRC)
+    code = "import json, runpy, sys\n"
+    if command is None:
+        code += "import exocalc.cli\n"
+    else:
+        code += (
+            f"sys.argv = ['exocalc', {command!r}, '--out', {str(tmp_path)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('exocalc', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+        )
+    code += "print(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "0 False"
-    assert (tmp_path / "simulate_summary.csv").exists()
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert not absent & loaded
+
+
+def test_exit_code_errors_are_defined_once_in_core():
+    import exocalc.core
+    import exocalc.dispersion
+    import exocalc.pde
+
+    assert exocalc.pde.InstabilityError is exocalc.core.InstabilityError
+    assert exocalc.dispersion.DegenerateParameterError is exocalc.core.DegenerateParameterError
 
 
 def test_forms_check_hundred_seed_budget(tmp_path):
@@ -471,6 +497,8 @@ def test_fmt_stability():
         ("theta_dot=NaN", 2),
         ("packet=5", 2),
         ("packet.amplitude=0", 3),
+        # the norm underflows to zero after the fit window: no -inf log amplitude written
+        ("packet.amplitude=1e-155 theta_dot=-1.0 fit_window=[0,20] grid.snapshot_stride=8", 3),
         ("packet.width=0", 2),
         ("packet.width=-12", 2),  # not squared into a valid width
         ("packet.width=1e-300", 3),  # its square underflows to zero
@@ -507,7 +535,7 @@ def test_unusable_out_dir_fails_before_simulating(tmp_path, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the leapfrog ran before the output directory was checked")
 
-    monkeypatch.setattr("exocalc.cli.simulate_time_domain", must_not_run)
+    monkeypatch.setattr("exocalc.pde.simulate_time_domain", must_not_run)
     (tmp_path / "file").write_text("")
     assert run_cli(["simulate", "--out", tmp_path / "file", *FAST_ARGS["simulate"]]) == 2
 
@@ -534,6 +562,10 @@ BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, -
     ("spectrum", "theta_dot=[1e-100] grad_norm=[1e140]", "spectrum.csv", 3),
     ("lightcone", "c=1e-200", "lightcone.csv", 3),  # c * c underflows to 0
     ("spectrum", "box.t1=1e308 m=[2.0]", "spectrum.csv", 3),  # the kernel phase overflows
+    ("spectrum", "m=1e300", "spectrum.csv", 3),  # m * m overflows: nan roots
+    ("spectrum", "m=[1e200]", "spectrum.csv", 3),
+    ("lightcone", "c=1e300", "lightcone.csv", 3),  # -inf velocities, nan residuals
+    ("lightcone", "theta_dot=1e300", "lightcone.csv", 3),
     ("metric", "", "metric.csv", 2, "file"),  # --out names an existing file
     ("metric", "", "metric.csv", 2, "file/sub"),  # --out lies under a file
 ]
@@ -651,10 +683,26 @@ def _config_case(draw):
     return command, key, draw(_json_values(64 if small else None))
 
 
+def _nonfinite_cells(out: Path) -> list:
+    """The cells of the CSVs in ``out`` that read as ``nan`` or ``inf``; in
+    ``forms_check.csv`` a ``residual_grade`` of ``inf`` means an exact zero."""
+    bad = []
+    for path in out.glob("*.csv"):
+        _, header, *rows = path.read_text().splitlines()
+        for row in rows:
+            for column, cell in zip(header.split(","), row.split(",")):
+                if column not in ("identity", "residual_grade") and not math.isfinite(float(cell)):
+                    bad.append((path.name, column, cell))
+    return bad
+
+
 @settings(deadline=None, max_examples=60)
 @given(case=_config_case())
+@example(case=("lightcone", "c", 1e300))
+@example(case=("spectrum", "m", [1e300]))
 def test_any_config_value_keeps_the_exit_code_contract(case):
-    """A drawn value, by flag or in a document, exits 0, 2, 3 or 4 and raises nothing."""
+    """A drawn value, by flag or in a document, exits 0, 2, 3 or 4 and raises
+    nothing; a run that exits 0 writes only finite cells."""
     command, key, value = case
     doc = value
     for part in reversed(key.split(".")):
@@ -663,7 +711,9 @@ def test_any_config_value_keeps_the_exit_code_contract(case):
         cfg_path = Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         fast, codes = FAST_ARGS[command], (0, 2, 3, 4)
-        assert run_cli([command, "--out", tmp, *fast, "--set", f"{key}={json.dumps(value)}"]) in codes
         # the document's value must not be overridden by the same key's fast flag
-        fast = [a for s in fast[1::2] if s.partition("=")[0] != key for a in ("--set", s)]
-        assert run_cli([command, "--out", tmp, "--config", cfg_path, *fast]) in codes
+        doc_fast = [a for s in fast[1::2] if s.partition("=")[0] != key for a in ("--set", s)]
+        for args in ([*fast, "--set", f"{key}={json.dumps(value)}"], ["--config", cfg_path, *doc_fast]):
+            code = run_cli([command, "--out", tmp, *args])
+            assert code in codes
+            assert code != 0 or _nonfinite_cells(Path(tmp)) == []
