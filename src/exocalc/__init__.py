@@ -9,7 +9,6 @@ damped modes.
 
 from .core import (
     EpsSeries,
-    EvaluationDomainError,
     MINKOWSKI_SIGNS,
     QI,
     RationalComplex,
@@ -22,7 +21,6 @@ from .core import (
 
 __all__ = [
     "EpsSeries",
-    "EvaluationDomainError",
     "MINKOWSKI_SIGNS",
     "QI",
     "RationalComplex",

@@ -21,13 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 MINKOWSKI_SIGNS = (1, -1, -1, -1)
-
-
-class EvaluationDomainError(ValueError):
-    """A pointwise theta evaluation failed on its domain."""
 
 
 # raised by dispersion and pde; defined here so the CLI maps them to exit codes
@@ -290,80 +286,35 @@ def eps_grade(value):
 
 @dataclass(frozen=True)
 class ThetaField:
-    """The topological scalar ``theta(x)`` with its gradient.
+    """The linear topological scalar ``theta(x) = offset + sum_mu grad_mu x^mu``.
 
-    The linear variant ``theta(x) = offset + sum_mu grad_mu x^mu`` (plain
-    componentwise sum, no metric) is the working regime everywhere: its
-    hessian vanishes identically, so gradient components act as constants.
-    The general variant evaluates user callables pointwise.
-
-    ``grad`` holds covariant components ``d_mu theta``.  The gradient is
+    ``grad_components`` holds the covariant components ``d_mu theta``
+    (plain componentwise sum, no metric). The hessian vanishes identically,
+    so the gradient is the same at every point. The gradient is
     4-dimensional for the spacetime modules; the exterior-calculus layer
     accepts any dimension ``n``.
+
+    Every formula here is pointwise and reads ``theta`` only through
+    ``d_mu theta`` at the point in question, so a nonlinear ``theta`` enters
+    as ``ThetaField.linear(grad_theta(x))`` with its gradient at ``x``.
     """
 
-    kind: str  # "linear" | "general"
-    grad_components: tuple | None = None
+    grad_components: tuple
     offset: object = 0
-    value_fn: Callable | None = None
-    grad_fn: Callable | None = None
-    hessian_fn: Callable | None = None
 
     @classmethod
     def linear(cls, grad: Sequence, offset=0) -> "ThetaField":
-        return cls(kind="linear", grad_components=tuple(grad), offset=offset)
-
-    @classmethod
-    def general(
-        cls,
-        value: Callable,
-        gradient: Callable,
-        hessian: Callable | None = None,
-    ) -> "ThetaField":
-        return cls(kind="general", value_fn=value, grad_fn=gradient, hessian_fn=hessian)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.kind == "linear"
-
-    @property
-    def dim(self) -> int:
-        if self.grad_components is None:
-            raise ValueError("general theta field has no fixed dimension")
-        return len(self.grad_components)
+        return cls(tuple(grad), offset)
 
     def value(self, x: Sequence):
-        if self.is_linear:
-            return self.offset + contract(self.grad_components, x)
-        try:
-            return self.value_fn(x)
-        except Exception as exc:  # pragma: no cover - message path
-            raise EvaluationDomainError(f"theta value undefined at {x!r}") from exc
+        return self.offset + contract(self.grad_components, x)
 
     def grad(self, x: Sequence | None = None) -> tuple:
-        """Covariant gradient ``d_mu theta`` at ``x`` (constant for linear fields)."""
-        if self.is_linear:
-            return self.grad_components
-        try:
-            return tuple(self.grad_fn(x))
-        except Exception as exc:
-            raise EvaluationDomainError(f"theta gradient undefined at {x!r}") from exc
-
-    def hessian(self, x: Sequence | None = None):
-        if self.is_linear:
-            n = self.dim
-            return tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        if self.hessian_fn is None:
-            raise EvaluationDomainError("general theta field lacks a hessian callable")
-        try:
-            return self.hessian_fn(x)
-        except Exception as exc:
-            raise EvaluationDomainError(f"theta hessian undefined at {x!r}") from exc
+        """Covariant gradient ``d_mu theta``, the same at every ``x``."""
+        return self.grad_components
 
     def eps_scaled(self, trunc: int = 2) -> "ThetaField":
         """Replace ``theta`` by ``eps * theta`` (grade-1 gradient components)."""
-        if not self.is_linear:
-            raise ValueError("eps grading requires a linear theta field")
         return ThetaField.linear(
             tuple(EpsSeries.eps(g, trunc=trunc) for g in self.grad_components),
             offset=EpsSeries.eps(self.offset, trunc=trunc),
@@ -371,9 +322,6 @@ class ThetaField:
 
     def scaled(self, factor) -> "ThetaField":
         """Numerically rescale the gradient (used by convergence sweeps)."""
-        if not self.is_linear:
-            raise ValueError("scaling requires a linear theta field")
         return ThetaField.linear(
             tuple(g * factor for g in self.grad_components), offset=self.offset * factor
         )
-

@@ -185,8 +185,6 @@ def _filled(out: ExoticForm, items) -> ExoticForm:
 
 def _grad_for(form: ExoticForm, theta: ThetaField) -> tuple:
     """Gradient as exact rationals, extended by a leading zero for lambda."""
-    if not theta.is_linear:
-        raise ValueError("the exterior-calculus layer requires a linear theta field")
     grad = tuple(Fraction(g) for g in theta.grad())
     base_dim = form.dim - 1 if form.lambda_active else form.dim
     if len(grad) != base_dim:

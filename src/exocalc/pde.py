@@ -56,6 +56,10 @@ class SimGrid:
     def __post_init__(self):
         if self.bc not in BOUNDARY_TAGS:
             raise ValueError(f"unknown boundary tag {self.bc!r}")
+        if not self.x_max > self.x_min:
+            raise ValueError(
+                f"grid interval [{self.x_min}, {self.x_max}] is empty: x_max must exceed x_min"
+            )
         if self.n_x < 8 or self.n_t < 2:
             raise ValueError("grid too small")
         if self.snapshot_stride < 1:
@@ -67,9 +71,7 @@ class SimGrid:
         return span / self.n_x if self.bc == "periodic" else span / (self.n_x - 1)
 
     def xs(self) -> np.ndarray:
-        if self.bc == "periodic":
-            return self.x_min + self.dx * np.arange(self.n_x)
-        return np.linspace(self.x_min, self.x_max, self.n_x)
+        return np.linspace(self.x_min, self.x_max, self.n_x, endpoint=self.bc != "periodic")
 
     def l2_norms(self) -> np.ndarray:
         """``||phi(t, .)||_2`` of every stored snapshot."""
@@ -110,19 +112,20 @@ class WavePacket:
         return env * np.exp(1j * self.wavenumber * xs)
 
 
-def _fill_ghosts(buf: np.ndarray, bc: str):
-    """Set the ghost cells around the interior ``buf[1:-1]`` for ``bc``."""
+def _apply_bc(buf: np.ndarray, bc: str):
+    """Impose ``bc`` on the ghost-padded level ``buf`` with interior ``buf[1:-1]``."""
     if bc == "periodic":
         buf[0], buf[-1] = buf[-2], buf[1]
     elif bc == "neumann":  # mirror
         buf[0], buf[-1] = buf[2], buf[-3]
-    # dirichlet ghosts are zero from allocation and never written
+    else:  # dirichlet pins both end points; its ghosts are zero from allocation
+        buf[1] = buf[-2] = 0
 
 
 def _padded(phi: np.ndarray, bc: str) -> np.ndarray:
     buf = np.zeros(len(phi) + 2, dtype=complex)
     buf[1:-1] = phi
-    _fill_ghosts(buf, bc)
+    _apply_bc(buf, bc)
     return buf
 
 
@@ -138,15 +141,15 @@ def _stencil(p, two_phi, dx2, two_dx, lap=None, adv=None):
     return lap, adv
 
 
-def _staggered_energy(phi0, phi1, dt, dx, m, bc) -> float:
-    """Discrete energy exactly conserved by the undamped leapfrog update."""
+def _staggered_energy(p0, p1, dt, dx, m, bc) -> float:
+    """Discrete energy exactly conserved by the undamped leapfrog update, from
+    two consecutive ghost-padded levels; a periodic grid's last forward
+    difference wraps through the right-hand ghost cell."""
+    phi0, phi1 = p0[1:-1], p1[1:-1]
+    n = len(phi0) if bc == "periodic" else len(phi0) - 1
     vel = (phi1 - phi0) / dt
-    if bc == "periodic":
-        d0 = (np.roll(phi0, -1) - phi0) / dx
-        d1 = (np.roll(phi1, -1) - phi1) / dx
-    else:
-        d0 = np.diff(phi0) / dx
-        d1 = np.diff(phi1) / dx
+    d0 = (p0[2 : n + 2] - p0[1 : n + 1]) / dx
+    d1 = (p1[2 : n + 2] - p1[1 : n + 1]) / dx
     kinetic = 0.5 * np.sum(np.abs(vel) ** 2)
     gradient = 0.5 * np.sum((np.conj(d1) * d0).real)
     mass = 0.5 * m * m * np.sum((np.conj(phi1) * phi0).real)
@@ -204,9 +207,9 @@ def simulate_time_domain(
                 stacklevel=2,
             )
 
-    phi0 = initial.sample(xs).astype(complex)
-    if bc == "dirichlet":
-        phi0[0] = phi0[-1] = 0.0
+    # the time levels rotate through three ghost-padded buffers
+    prev = _padded(initial.sample(xs), bc)
+    phi0 = prev[1:-1]
     if bc == "periodic":
         kappa = 2 * np.pi * np.fft.fftfreq(nx, d=dx)
         omega = plane_wave_rates(-kappa, m, theta_t, theta_x)
@@ -215,40 +218,33 @@ def simulate_time_domain(
         omega0 = complex(plane_wave_rates(-initial.wavenumber, m, theta_t, theta_x))
         phi_t0 = 1j * omega0 * phi0
 
-    # the time levels rotate through three ghost-padded buffers
-    prev = _padded(phi0, bc)
     lap0, adv0 = _stencil(prev, 2 * phi0, dx * dx, 2 * dx)
     phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
-    phi1 = phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0
-    if bc == "dirichlet":
-        phi1[0] = phi1[-1] = 0.0
+    cur = _padded(phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0, bc)
 
     stored_t, stored, energies = [], [], []
 
-    def store(step, snap, pair):
+    def store(step, level, p0, p1):
         if step % grid.snapshot_stride == 0:
             stored_t.append(step * dt)
-            stored.append(snap.copy())
-            energies.append(_staggered_energy(pair[0], pair[1], dt, dx, m, bc))
+            stored.append(level[1:-1].copy())
+            energies.append(_staggered_energy(p0, p1, dt, dx, m, bc))
 
     # the staggered energy lives on consecutive-step pairs
-    store(0, phi0, (phi0, phi1))
-    store(1, phi1, (phi0, phi1))
+    store(0, prev, prev, cur)
+    store(1, cur, prev, cur)
 
     if include_x_term:
         stepper = _x_term_stepper(xs, dx, dt, m, theta_t, theta_x)
     else:
         stepper = _leapfrog_stepper(nx, dx, dt, m, theta_t, theta_x)
-    cur, nxt = _padded(phi1, bc), np.zeros(nx + 2, dtype=complex)
+    nxt = np.zeros(nx + 2, dtype=complex)
     for n in range(1, nt):
         stepper(n, prev, cur, nxt)
-        new = nxt[1:-1]
-        if bc == "dirichlet":
-            new[0] = new[-1] = 0.0
-        _check_amplitude(new, n + 1, dt)
-        _fill_ghosts(nxt, bc)
+        _apply_bc(nxt, bc)
+        _check_amplitude(nxt[1:-1], n + 1, dt)
         prev, cur, nxt = cur, nxt, prev
-        store(n + 1, new, (prev[1:-1], new))
+        store(n + 1, cur, prev, cur)
 
     grid.times = np.array(stored_t)
     grid.snapshots = np.array(stored)

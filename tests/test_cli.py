@@ -489,6 +489,7 @@ def test_fmt_stability():
         ("grid.n_x=abc", 2),
         ("grid.n_x=[1]", 2),
         ("grid.bc=foo", 2),
+        ("grid.x_max=-5", 2),  # an empty interval, not a time step violation
         ("fit_window=[0,1]", 2),  # selects only t = 0
         ("fit_window=abc", 2),
         ("grid.n_x=256.7", 2),  # not truncated to 256

@@ -8,7 +8,6 @@ import pytest
 
 from exocalc.core import (
     EpsSeries,
-    EvaluationDomainError,
     QI,
     RationalComplex,
     ThetaField,
@@ -113,28 +112,6 @@ def test_theta_linear_examples():
     assert tilted.value((t, x, 0, 0)) == alpha * t + beta * x
 
     assert ThetaField.linear((1, 2, 3, 4)).value((1, 1, 1, 1)) == 10
-
-
-def test_theta_linear_hessian_zero():
-    theta = ThetaField.linear((1, 2, 3, 4))
-    hess = theta.hessian((0, 0, 0, 0))
-    assert all(all(h == 0 for h in row) for row in hess)
-
-
-def test_theta_general_variant():
-    theta = ThetaField.general(
-        value=lambda x: x[0] ** 2,
-        gradient=lambda x: (2 * x[0], 0, 0, 0),
-    )
-    assert theta.value((3, 0, 0, 0)) == 9
-    assert theta.grad((3, 0, 0, 0)) == (6, 0, 0, 0)
-
-    broken = ThetaField.general(
-        value=lambda x: 1 / x[0],
-        gradient=lambda x: 1 / x[0],
-    )
-    with pytest.raises(EvaluationDomainError):
-        broken.grad((0, 0, 0, 0))
 
 
 def test_theta_eps_scaling():

@@ -465,8 +465,6 @@ def test_basis_and_space_guards():
         pullback_at(plain, 1)
     with pytest.raises(ValueError):
         exotic_d(plain, ThetaField.linear((1, 2, 3)))  # gradient length mismatch
-    with pytest.raises(ValueError):
-        exotic_d(plain, ThetaField.general(lambda x: 0, lambda x: (0, 0)))
 
 
 def test_degree_and_dimension_guards():

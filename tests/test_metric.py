@@ -257,25 +257,6 @@ def test_inner_product_dual():
     assert inner_product_dual(phi, v, x, theta) == expect
 
 
-def test_general_theta_matches_linear_at_a_point():
-    # pointwise general variant: theta = x0^2/2 has gradient (x0, 0, 0, 0)
-    general = ThetaField.general(
-        value=lambda x: x[0] * x[0] / 2,
-        gradient=lambda x: (x[0], 0, 0, 0),
-        hessian=lambda x: ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
-    )
-    x = (Fraction(3, 2), Fraction(1), Fraction(-2), Fraction(1, 3))
-    frozen = ThetaField.linear(general.grad(x))
-    g_gen = metric_full(x, general)
-    g_lin = metric_full(x, frozen)
-    for a in range(4):
-        for b in range(4):
-            assert g_gen[a, b] == g_lin[a, b]
-    assert general.hessian(x)[0][0] == 1
-    v, w = (1, 2, 3, 4), (Fraction(1, 2), 0, 1, -1)
-    assert bilinear_eval(v, w, x, general) == bilinear_eval(v, w, x, frozen)
-
-
 def test_metric_rows_accessor():
     beta = Fraction(1, 4)
     g = metric_full((1, 0, 0, 0), ThetaField.linear((0, beta, 0, 0)))

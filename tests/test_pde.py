@@ -63,10 +63,15 @@ def test_ode_x_characteristic_roots_satisfy_ode():
 
 
 def test_ode_boundary_values_respected():
-    sol = solve_ode_x(1.7, 1.0, 0.05, 0.2, domain=(0.0, 2.0), bc=(0.3 + 0.1j, -0.4))
-    assert sol.phi[0] == pytest.approx(0.3 + 0.1j, abs=1e-10)
-    assert sol.phi[-1] == pytest.approx(-0.4, abs=1e-8)
-    assert sol.stencil_residual() < 1e-3  # second-order stencil floor
+    args, kw = (1.7, 1.0, 0.05, 0.2), {"domain": (0.0, 2.0), "bc": (0.3 + 0.1j, -0.4)}
+    for sol in (
+        solve_ode_x(*args, **kw),
+        solve_ode_y(*args, **kw),
+        solve_ode_y(*args, **kw, linearized=True),
+    ):
+        assert sol.phi[0] == pytest.approx(0.3 + 0.1j, abs=1e-10)
+        assert sol.phi[-1] == pytest.approx(-0.4, abs=1e-8)
+        assert sol.stencil_residual() < 1e-3  # second-order stencil floor
 
 
 def test_ode_x_singular_boundary_fit_rejected():
@@ -155,6 +160,12 @@ def test_snapshot_times_predict_stored_times(stride):
     assert len(grid.snapshots) == len(grid.energies) == 17 // stride + 1
     if stride == 1:
         assert grid.times[1] == 0.1  # step 1 is stored like every other step
+
+
+@pytest.mark.parametrize("x_min, x_max", [(10.0, 0.0), (5.0, 5.0)])
+def test_empty_grid_interval_rejected(x_min, x_max):
+    with pytest.raises(ValueError, match=r"grid interval \[.*\] is empty"):
+        SimGrid(x_min, x_max, 64, 0.1, 17, bc="periodic")
 
 
 @pytest.mark.parametrize("stride", [0, -1])
