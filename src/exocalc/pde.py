@@ -39,7 +39,10 @@ class SimGrid:
 
     Construct with the grid geometry; :func:`simulate_time_domain` fills
     ``times``, ``snapshots`` and ``energies`` (stored every
-    ``snapshot_stride`` steps).
+    ``snapshot_stride`` steps). Construction raises ``ValueError`` unless
+    ``bc`` is a known boundary tag, ``x_max > x_min``, ``n_x >= 8``,
+    ``n_t >= 2``, ``snapshot_stride >= 1``, ``dt > 0`` and the CFL bound
+    ``dt <= CFL_FACTOR * dx`` hold, so every grid is a valid one.
     """
 
     x_min: float
@@ -64,6 +67,13 @@ class SimGrid:
             raise ValueError("grid too small")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot stride {self.snapshot_stride} must be >= 1")
+        if not self.dt > 0:
+            raise ValueError(f"time step {self.dt} must be positive")
+        if self.dt > CFL_FACTOR * self.dx:
+            raise ValueError(
+                f"time step {self.dt} violates dt <= {CFL_FACTOR} * dx = "
+                f"{CFL_FACTOR * self.dx:.6g}"
+            )
 
     @property
     def dx(self) -> float:
@@ -81,15 +91,6 @@ class SimGrid:
         """The ``times`` :func:`simulate_time_domain` stores: every step
         with ``step % snapshot_stride == 0``, step 0 included."""
         return np.arange(0, self.n_t + 1, self.snapshot_stride) * self.dt
-
-    def check_cfl(self):
-        if not self.dt > 0:
-            raise ValueError(f"time step {self.dt} must be positive")
-        if self.dt > CFL_FACTOR * self.dx:
-            raise ValueError(
-                f"time step {self.dt} violates dt <= {CFL_FACTOR} * dx = "
-                f"{CFL_FACTOR * self.dx:.6g}"
-            )
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,6 @@ def simulate_time_domain(
     once per call, and the implicit system is solved by LAPACK ``?gtsv``.
     The results are bit-identical to the plain array expressions.
     """
-    grid.check_cfl()
     if initial is None:
         initial = WavePacket(
             center=0.5 * (grid.x_min + grid.x_max),
@@ -222,11 +222,10 @@ def simulate_time_domain(
     phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
     cur = _padded(phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0, bc)
 
-    stored_t, stored, energies = [], [], []
+    stored, energies = [], []
 
     def store(step, level, p0, p1):
         if step % grid.snapshot_stride == 0:
-            stored_t.append(step * dt)
             stored.append(level[1:-1].copy())
             energies.append(_staggered_energy(p0, p1, dt, dx, m, bc))
 
@@ -246,7 +245,7 @@ def simulate_time_domain(
         prev, cur, nxt = cur, nxt, prev
         store(n + 1, cur, prev, cur)
 
-    grid.times = np.array(stored_t)
+    grid.times = grid.snapshot_times()
     grid.snapshots = np.array(stored)
     grid.energies = np.array(energies)
     return grid
@@ -376,27 +375,27 @@ def fit_decay_rate(grid: SimGrid, window: tuple) -> float:
     norms = grid.l2_norms()[mask]
     if np.any(norms <= 0):
         raise ValueError("non-positive amplitude inside the fit window")
-    slope = np.polyfit(grid.times[mask], np.log(norms), 1)[0]
+    # snapshot times whose squares underflow leave the fit no scale: raise, not warn
+    with np.errstate(divide="raise", invalid="raise"):
+        slope = np.polyfit(grid.times[mask], np.log(norms), 1)[0]
     return float(slope)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OdeSolution:
-    """Sampled solution of one frequency-domain boundary-value problem."""
+    """Sampled solution of one frequency-domain boundary-value problem.
+
+    ``at(points)`` evaluates the shooting solution anywhere in the domain,
+    and ``residual`` is its max centered-stencil residual at the interior
+    samples ``x[1:-1]``.
+    """
 
     x: np.ndarray
     phi: np.ndarray
-    phi_closed: np.ndarray | None
-    char_roots: tuple | None
-    _residual_fn: Callable
-    _numeric_eval: Callable
-
-    def at(self, points) -> np.ndarray:
-        return self._numeric_eval(np.asarray(points, dtype=float))
-
-    def stencil_residual(self) -> float:
-        """Max centered-stencil residual of the sampled ODE at interior points."""
-        return self._residual_fn(self.x, self.phi)
+    at: Callable
+    residual: float
+    phi_closed: np.ndarray | None = None
+    char_roots: tuple | None = None
 
 
 # samples per solution, and the shooting integrator's tolerances
@@ -405,10 +404,12 @@ ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 
 
-def _shoot_linear(rhs_coeff: Callable, domain, bc):
-    """Linear shooting by superposition of two basis initial-value solutions.
+def _solve_linear(b, q: Callable, domain, bc, closed=None, char_roots=None) -> OdeSolution:
+    """``phi'' = b phi' + q(x) phi`` with ``phi = bc`` at both ends of ``domain``.
 
-    ``rhs_coeff(x)`` returns ``(b(x), q(x))`` for ``phi'' = b phi' + q phi``.
+    Linear shooting by superposition of two complex basis initial-value
+    solutions. ``closed(xs)``, when given, samples an exact solution at
+    the same points.
     """
     from scipy.integrate import solve_ivp  # scipy loads only on the paths that call it
 
@@ -416,17 +417,11 @@ def _shoot_linear(rhs_coeff: Callable, domain, bc):
     if not x1 > x0:
         raise ValueError("empty domain")
 
-    def rhs(x, y):
-        b, q = rhs_coeff(x)
-        re_p, im_p, re_d, im_d = y
-        acc = complex(b) * complex(re_d, im_d) + complex(q) * complex(re_p, im_p)
-        return [re_d, im_d, acc.real, acc.imag]
-
-    def integrate(y0):
+    def basis(y0):
         sol = solve_ivp(
-            rhs,
+            lambda x, y: [y[1], b * y[1] + q(x) * y[0]],
             (x0, x1),
-            y0,
+            np.array(y0, dtype=complex),
             method="RK45",
             dense_output=True,
             rtol=ODE_RTOL,
@@ -434,53 +429,48 @@ def _shoot_linear(rhs_coeff: Callable, domain, bc):
         )
         if not sol.success:
             raise RuntimeError(f"integration failed: {sol.message}")
-        return sol
+        return lambda pts: sol.sol(pts)[0]
 
-    sol_u = integrate([1.0, 0.0, 0.0, 0.0])
-    sol_w = integrate([0.0, 0.0, 1.0, 0.0])
-
-    def value(sol, pts):
-        y = sol.sol(pts)
-        return y[0] + 1j * y[1]
-
+    u, w = basis([1, 0]), basis([0, 1])
     a_val, b_val = complex(bc[0]), complex(bc[1])
-    probe = np.linspace(x0, x1, 33)
-    w_scale = float(np.max(np.abs(value(sol_w, probe))))
-    w_end = complex(value(sol_w, np.array([x1]))[0])
-    u_end = complex(value(sol_u, np.array([x1]))[0])
+    w_scale = float(np.max(np.abs(w(np.linspace(x0, x1, 33)))))
+    w_end = complex(w(x1))
     # a far-end zero of the basis solution (conjugate point) makes the fit
     # amplify boundary data beyond the integration accuracy
     if abs(w_end) < 1e-8 * max(w_scale, 1e-300):
         raise ValueError("boundary fit singular: basis solution vanishes at the far end")
-    c2 = (b_val - a_val * u_end) / w_end
+    c2 = (b_val - a_val * complex(u(x1))) / w_end
 
-    def evaluate(pts):
-        return a_val * value(sol_u, pts) + c2 * value(sol_w, pts)
+    def at(pts):
+        pts = np.asarray(pts, dtype=float)
+        return a_val * u(pts) + c2 * w(pts)
 
-    return evaluate
+    xs = np.linspace(x0, x1, ODE_SAMPLES)
+    phi = at(xs)
+    h = xs[1] - xs[0]
+    second = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / (h * h)
+    first = (phi[2:] - phi[:-2]) / (2 * h)
+    residual = float(np.max(np.abs(second - b * first - q(xs[1:-1]) * phi[1:-1])))
+    return OdeSolution(xs, phi, at, residual, None if closed is None else closed(xs), char_roots)
 
 
-def _closed_form_two_exp(r_plus, r_minus, domain, bc):
-    """Fit ``c1 e^{r+ x} + c2 e^{r- x}`` (or the degenerate branch) to boundary data.
+def _closed_form_two_exp(r_plus, r_minus, bc, xs):
+    """``c1 e^{r+ x} + c2 e^{r- x}`` (or the degenerate branch) fitted to the
+    boundary data at both ends of ``xs``, sampled at ``xs``.
 
     The two-exponential fit loses about ``-log10(|r+ - r-| * span)`` digits
     as the roots merge; below that scale the ``(c1 + c2 x) e^{r x}`` branch
     is the accurate representation, so the switch happens at
     ``|r+ - r-| * span <= 1e-6`` where both branches are good.
     """
-    x0, x1 = float(domain[0]), float(domain[1])
+    x0, x1 = float(xs[0]), float(xs[-1])
     a_val, b_val = complex(bc[0]), complex(bc[1])
     span = x1 - x0
     if abs(r_plus - r_minus) * span <= 1e-6:
         r = 0.5 * (r_plus + r_minus)
         c1 = a_val * cmath.exp(-r * x0)
         c2 = (b_val * cmath.exp(-r * x1) - c1) / span
-
-        def evaluate(pts):
-            pts = np.asarray(pts, dtype=float)
-            return (c1 + c2 * (pts - x0)) * np.exp(r * pts)
-
-        return evaluate
+        return (c1 + c2 * (xs - x0)) * np.exp(r * xs)
     mat = np.array(
         [
             [cmath.exp(r_plus * x0), cmath.exp(r_minus * x0)],
@@ -489,12 +479,7 @@ def _closed_form_two_exp(r_plus, r_minus, domain, bc):
         dtype=complex,
     )
     c1, c2 = np.linalg.solve(mat, np.array([a_val, b_val], dtype=complex))
-
-    def evaluate(pts):
-        pts = np.asarray(pts, dtype=float)
-        return c1 * np.exp(r_plus * pts) + c2 * np.exp(r_minus * pts)
-
-    return evaluate
+    return c1 * np.exp(r_plus * xs) + c2 * np.exp(r_minus * xs)
 
 
 def solve_ode_x(
@@ -514,29 +499,10 @@ def solve_ode_x(
     ``x e^{r x}`` branch).
     """
     q = m * m - omega * omega + omega * alpha
-
-    numeric = _shoot_linear(lambda x: (beta, q), domain, bc)
     disc = cmath.sqrt(beta * beta + 4 * q)
-    r_plus = (beta + disc) / 2
-    r_minus = (beta - disc) / 2
-    closed = _closed_form_two_exp(r_plus, r_minus, domain, bc)
-
-    xs = np.linspace(domain[0], domain[1], ODE_SAMPLES)
-
-    def residual_fn(x, phi, beta=beta, q=q):
-        h = x[1] - x[0]
-        second = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / (h * h)
-        first = (phi[2:] - phi[:-2]) / (2 * h)
-        res = -second + beta * first + q * phi[1:-1]
-        return float(np.max(np.abs(res)))
-
-    return OdeSolution(
-        x=xs,
-        phi=numeric(xs),
-        phi_closed=closed(xs),
-        char_roots=(r_plus, r_minus),
-        _residual_fn=residual_fn,
-        _numeric_eval=numeric,
+    roots = ((beta + disc) / 2, (beta - disc) / 2)
+    return _solve_linear(
+        beta, lambda x: q, domain, bc, lambda xs: _closed_form_two_exp(*roots, bc, xs), roots
     )
 
 
@@ -549,14 +515,14 @@ def change_of_variable(x, beta: float):
     """
     if beta == 0:
         return x
-    return np.expm1(beta * np.asarray(x, dtype=float)) / beta if np.ndim(x) else math.expm1(beta * x) / beta
+    return np.expm1(beta * np.asarray(x, dtype=float)) / beta
 
 
 def inverse_change_of_variable(y, beta: float):
     """Inverse map ``x(y) = log(1 + beta y)/beta``."""
     if beta == 0:
         return y
-    return np.log1p(beta * np.asarray(y, dtype=float)) / beta if np.ndim(y) else math.log1p(beta * y) / beta
+    return np.log1p(beta * np.asarray(y, dtype=float)) / beta
 
 
 def solve_ode_y(
@@ -577,30 +543,11 @@ def solve_ode_y(
     deviates from the exact mode at second order in ``beta x``.
     """
     big_q = omega * omega - omega * alpha - m * m
-    y0 = change_of_variable(domain[0], beta)
-    y1 = change_of_variable(domain[1], beta)
 
-    def coeff(y):
+    def q(y):
         x_of_y = inverse_change_of_variable(y, beta)
-        shape = (1 - 2 * beta * x_of_y) if linearized else math.exp(-2 * beta * x_of_y)
-        return (0.0, -big_q * shape)
+        shape = (1 - 2 * beta * x_of_y) if linearized else np.exp(-2 * beta * x_of_y)
+        return -big_q * shape
 
-    numeric = _shoot_linear(coeff, (y0, y1), bc)
-    ys = np.linspace(y0, y1, ODE_SAMPLES)
-
-    def residual_fn(y, phi, beta=beta, big_q=big_q, linearized=linearized):
-        h = y[1] - y[0]
-        second = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / (h * h)
-        x_mid = inverse_change_of_variable(y[1:-1], beta)
-        shape = (1 - 2 * beta * x_mid) if linearized else np.exp(-2 * beta * x_mid)
-        res = second + big_q * shape * phi[1:-1]
-        return float(np.max(np.abs(res)))
-
-    return OdeSolution(
-        x=ys,
-        phi=numeric(ys),
-        phi_closed=None,
-        char_roots=None,
-        _residual_fn=residual_fn,
-        _numeric_eval=numeric,
-    )
+    mapped = (change_of_variable(domain[0], beta), change_of_variable(domain[1], beta))
+    return _solve_linear(0.0, q, mapped, bc)

@@ -504,6 +504,7 @@ def test_fmt_stability():
         ("packet.width=-12", 2),  # not squared into a valid width
         ("packet.width=1e-300", 3),  # its square underflows to zero
         ("packet.width=1e-160", 0),  # the envelope's exponent overflows to -inf
+        ("grid.dt=1e-300", 3),  # the squared snapshot times underflow: no rate to fit
         # the implicit solver's band overflows: a non-finite field, not a config error
         ("grid.bc=dirichlet include_x_term=true theta_dot=1e300", 4),
         # overflowing parameters or amplitude: the probe reports them, numpy stays quiet

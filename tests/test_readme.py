@@ -1,7 +1,11 @@
 """The README code blocks must actually run and say true things."""
 
 import re
+import shlex
+import warnings
 from pathlib import Path
+
+from exocalc.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -20,6 +24,26 @@ def test_readme_python_blocks_execute():
     # the quick tour's fitted rate matches its stated value
     assert abs(abs(namespace["rate"]) - 0.01) / 0.01 < 0.02
     assert namespace["u_plus"] == 0.99
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Every runnable ``exocalc`` line of the sh blocks exits 0 without a warning,
+    next to the README's JSON example saved as ``cfg.json``."""
+    text = README.read_text()
+    (config,) = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
+    (tmp_path / "cfg.json").write_text(config)
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL)
+        for line in block.splitlines()
+        if line.startswith("exocalc ") and "<" not in line
+    ]
+    assert len(lines) >= 5
+    monkeypatch.chdir(tmp_path)  # ``--out results`` and ``cfg.json`` resolve here
+    for line in lines:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_readme_layout_lists_every_module():
