@@ -8,7 +8,6 @@ fixed header; identical config + seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
-import cmath
 import copy
 import itertools
 import json
@@ -275,8 +274,6 @@ def lightcone_rows(cfg: dict):
         u_plus, u_minus = metric_mod.lightcone_velocity(t, x, td, tp, c)
         res_p = metric_mod.interval_2d(1.0, u_plus, t, x, td, tp, c)
         res_m = metric_mod.interval_2d(1.0, u_minus, t, x, td, tp, c)
-        if not all(map(math.isfinite, (u_plus, u_minus, res_p, res_m))):
-            raise DegenerateParameterError(f"light cone at t={t!r}, x={x!r} overflows")
         rows.append(
             [fmt(t), fmt(x), fmt(td), fmt(tp), fmt(c), fmt(u_plus), fmt(u_minus), fmt(res_p), fmt(res_m)]
         )
@@ -313,8 +310,6 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
         p = dispersion.ComplexMomentum.constrained(v, e_plus)
         v_norm = math.hypot(td, gn)
         diag = v_norm * abs(delta_fn(p, box))
-        if not all(map(cmath.isfinite, (e_plus, e_minus, ref[0], diag))):
-            raise DegenerateParameterError(f"spectrum at {(td, gn, m)!r} overflows")
         return [
             fmt(td),
             fmt(gn),
@@ -564,6 +559,9 @@ def run(args) -> list:
     name = args.command.replace("-", "_")
     seeded = (args.seed,) if name in ("forms_check", "cartan") else ()
     header, rows = globals()[f"{name}_rows"](cfg, *seeded)
+    # only a ``nan`` or ``inf`` cell holds an ``n``; forms-check's ``inf`` grade is an exact zero
+    if name != "forms_check" and any("n" in (r if isinstance(r, str) else ",".join(r)) for r in rows):
+        raise DegenerateParameterError(f"{name}.csv would hold a value that is not finite")
     written = [write_csv(out_dir / f"{name}.csv", header, rows)]
     if args.svg and name == "spectrum" and rows:
         written.append(

@@ -12,11 +12,11 @@ import cmath
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
 from .core import MINKOWSKI_SIGNS, DegenerateParameterError
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # numpy loads only on the paths that call it, so ``spectrum`` runs without it
+    import numpy as np
+
     from .clifford import GammaRep
 
 
@@ -202,7 +202,7 @@ def fourier_parts_check(
     for al in range(4):
         lhs = first[al] * product_except(base, {al})
         boundary = face_term(phi.factors[al].value, al) * product_except(base, {al})
-        rhs = -1j * complex(p_cov[al]) * np.prod(base) + boundary
+        rhs = -1j * complex(p_cov[al]) * product_except(base, ()) + boundary
         worst = max(worst, abs(lhs - rhs))
     for mu in range(4):
         for al in range(4):
@@ -218,7 +218,7 @@ def fourier_parts_check(
                 )
             bd_al = face_term(phi.factors[al].value, al) * product_except(base, {al})
             rhs = (
-                -complex(p_cov[mu]) * complex(p_cov[al]) * np.prod(base)
+                -complex(p_cov[mu]) * complex(p_cov[al]) * product_except(base, ())
                 + bd_mu
                 - 1j * complex(p_cov[mu]) * bd_al
             )
@@ -284,6 +284,8 @@ def plane_wave_rates(k, m: float, theta_dot: float, theta_prime: float):
     scalar or an array ``k``; for ``th_x = 0`` the imaginary part is
     exactly ``-th_t / 2`` (amplitude factor ``exp(th_t t / 2)``).
     """
+    import numpy as np
+
     k = np.asarray(k, dtype=float)
     disc = np.sqrt(
         (-theta_dot * theta_dot + 4 * (k**2 + m * m - 1j * theta_prime * k)).astype(complex)

@@ -213,6 +213,35 @@ def test_rate_fit_convergence_second_order():
     assert 3.0 < errs[0] / errs[1] < 5.5
 
 
+def test_mode_frequency_matches_the_scheme_and_converges_at_second_order():
+    """One periodic Fourier mode of the explicit leapfrog follows the scheme's
+    two-term recurrence: its complex frequencies, fitted from the evolution,
+    are the recurrence's roots, and they converge on the continuum relation
+    at order 2 as ``dx`` and ``dt`` halve together."""
+    m, theta_t, theta_x, span, mode, t_end = 1.0, 0.02, 0.01, 200.0, 5, 10.0
+    kappa = 2 * math.pi * mode / span  # FFT index ``mode`` is exp(i kappa x), so k = -kappa
+    w = complex(plane_wave_rates(-kappa, m, theta_t, theta_x))
+    continuum = np.array([w, -1j * theta_t - w])  # the relation's roots sum to -i th_t
+    errors = []
+    for n_x, dt in ((512, 0.2), (1024, 0.1), (2048, 0.05), (4096, 0.025)):
+        grid = SimGrid(0.0, span, n_x, dt, round(t_end / dt), bc="periodic", snapshot_stride=1)
+        simulate_time_domain(grid, m, theta_t, theta_x, initial=WavePacket(span / 2, 12.0, kappa))
+        c = np.fft.fft(grid.snapshots, axis=1)[:, mode]
+        # least-squares Prony fit of c[n + 2] = p c[n + 1] + q c[n]
+        (p, q), *_ = np.linalg.lstsq(np.column_stack([c[1:-1], c[:-2]]), c[2:], rcond=None)
+        # the leapfrog's factor z = exp(i w dt) solves (1 - a) z^2 - (2 - dt^2 s) z + (1 + a) = 0
+        # with a = th_t dt / 2, s = K^2 + m^2 + i th_x sin(kappa dx) / dx, K = 2 sin(kappa dx / 2) / dx
+        a, dx = theta_t * dt / 2, grid.dx
+        s = (2 * math.sin(kappa * dx / 2) / dx) ** 2 + m * m + 1j * theta_x * math.sin(kappa * dx) / dx
+        scheme = np.roots([1 - a, -(2 - dt * dt * s), 1 + a])
+        # ordered by phase, so the branch with Re w > 0 comes first
+        fitted, scheme = (sorted(z, key=np.angle, reverse=True) for z in (np.roots([1, -p, -q]), scheme))
+        assert np.abs(np.subtract(fitted, scheme)).max() < 1e-9
+        errors.append(np.abs(np.log(fitted) / (1j * dt) - continuum).max())
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(np.abs(orders - 2.0) < 0.05), orders
+
+
 def test_dirichlet_boundaries_pinned():
     grid = SimGrid(0.0, 100.0, 512, 0.1, 200, bc="dirichlet", snapshot_stride=50)
     simulate_time_domain(grid, 1.0, 0.01, 0.0, initial=WavePacket(50.0, 5.0, 1.0))

@@ -61,6 +61,7 @@ REQUIRED_KEYS = (
     "frequency-domain-ode",
     "exponential-variable-change",
     "linearized-potential-form",
+    "time-domain-complex-frequency",
     "k-form-spaces",
     "deformed-two-form-expansion",
     "deformed-k-form-induction",
@@ -366,6 +367,15 @@ TRACE = (
         "first-order expansion of the mapped coefficient",
         ("pde.solve_ode_y",),
         ("test_pde.py::test_ode_y_linearized_second_order_deviation",),
+    ),
+    TraceEntry(
+        "time-domain-complex-frequency",
+        "leapfrog mode frequencies: the scheme's roots, converging on the continuum relation",
+        ("pde.simulate_time_domain", "dispersion.plane_wave_rates"),
+        (
+            "test_pde.py::test_mode_frequency_matches_the_scheme_and_converges_at_second_order",
+            "test_pde.py::test_damping_rate_matches_mode_analysis",
+        ),
     ),
     TraceEntry(
         "k-form-spaces",
