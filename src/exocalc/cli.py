@@ -328,10 +328,9 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
 
 FORMS_HEADER = "identity,seed,dimension,degree,residual_grade,pass"
 
-FORMS_IDENTITIES = ("leibniz", "d_squared", "d_cubed", "homotopy", "field_strength")
-
-# residual-grade contract per identity: exact zero, or the stated minimal grade
-_FORMS_PASS_GRADE = {
+# the five identities in row order, each with its residual-grade contract:
+# exact zero, or the stated minimal grade
+FORMS_IDENTITIES = {
     "leibniz": math.inf,
     "d_squared": 2,
     "d_cubed": 2,
@@ -378,9 +377,9 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
         "field_strength": fs,
     }
     rows = []
-    for name in FORMS_IDENTITIES:
+    for name, pass_grade in FORMS_IDENTITIES.items():
         grade = residuals[name].eps_grade()
-        ok = grade >= _FORMS_PASS_GRADE[name]
+        ok = grade >= pass_grade
         rows.append([name, str(seed), str(dim), str(deg), fmt_grade(grade), "1" if ok else "0"])
     return rows
 

@@ -22,6 +22,8 @@ from .core import (
     QI,
     RationalComplex,
     ThetaField,
+    contract,
+    minkowski_dot,
 )
 
 #: sign of the ``2 v^a x^m p_m p_a`` symbol term under the plane-wave family
@@ -59,9 +61,9 @@ def _units(exact: bool):
     return one, iu, zero
 
 
-def identity_matrix(exact: bool = False) -> np.ndarray:
-    one, _, zero = _units(exact)
-    return _obj([[one if i == j else zero for j in range(4)] for i in range(4)])
+def identity_matrix() -> np.ndarray:
+    """``int`` identity; ``int`` combines exactly with every entry type in use."""
+    return _obj([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
 
 def _spatial_gammas(exact: bool) -> tuple:
@@ -89,12 +91,12 @@ class GammaRep:
     name: str = "dirac"
 
     def __post_init__(self):
-        ident = identity_matrix(self.exact)
+        ident = identity_matrix()
         for mu in range(4):
             for nu in range(4):
                 want = 2 * MINKOWSKI_SIGNS[mu] if mu == nu else 0
                 got = anticommutator(self.matrices[mu], self.matrices[nu])
-                if not matrices_equal(got, want * ident, exact=self.exact):
+                if not matrices_equal(got, want * ident):
                     raise ValueError(
                         f"flat anticommutator violated at ({mu},{nu}) in rep {self.name!r}"
                     )
@@ -117,8 +119,7 @@ class GammaRep:
     def conjugated(cls, u: np.ndarray, base: "GammaRep") -> "GammaRep":
         """Unitarily conjugated representation ``u g u^dagger``."""
         ud = dagger(u)
-        ident = identity_matrix(base.exact)
-        if not matrices_equal(u @ ud, ident, exact=base.exact):
+        if not matrices_equal(u @ ud, identity_matrix()):
             raise ValueError("conjugation matrix is not unitary")
         mats = tuple(u @ g @ ud for g in base.matrices)
         return cls(mats, base.exact, f"{base.name}-conjugated")
@@ -127,18 +128,16 @@ class GammaRep:
         """Float versions of the matrices for numerical work."""
         return tuple(g.astype(complex) for g in self.matrices)
 
-    def identity(self) -> np.ndarray:
-        return identity_matrix(self.exact)
 
+def matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Entrywise equality, exact unless an entry on either side is a ``float`` or ``complex``.
 
-def matrices_equal(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:
-    """Entrywise equality: exact, or within 1e-12 for float matrices.
-
-    In float mode a NaN entry on either side makes the matrices unequal.
+    Then the entries must agree within 1e-12, and a NaN entry makes the
+    matrices unequal.
     """
-    if exact:
-        return bool(np.all(a == b))
-    return bool(np.all(np.abs(a.astype(complex) - b.astype(complex)) <= 1e-12))
+    if any(isinstance(e, (float, complex)) for e in (*a.flat, *b.flat)):
+        return bool(np.all(np.abs(a.astype(complex) - b.astype(complex)) <= 1e-12))
+    return bool(np.all(a == b))
 
 
 @dataclass(frozen=True)
@@ -196,18 +195,27 @@ def gamma_tilde(x: Sequence, theta: ThetaField, rep: GammaRep) -> tuple:
     )
 
 
-def symbol_matrix(p_cov: Sequence, v_cov: Sequence, m, rep: GammaRep, x_term=0):
-    """Shared builder for the momentum-side matrix relation.
+def kg_symbol(p_cov: Sequence, x: Sequence, theta: ThetaField, m, rep: GammaRep | None = None):
+    """Matrix ``M(p, x)`` acting on the plane-wave family at the point ``x``.
 
-    ``(-p^2 + m^2 + i v.p + x_term) Id + COMMUTATOR_TERM_SIGN * (i/2)
-    [gamma^a, gamma^b] v_a p_b`` with all contractions through the flat
-    metric.  ``x_term`` carries the point-dependent scalar when enabled.
+    Applying the deformed wave operator to ``exp(-i p.x) psi0`` gives
+    ``M psi0 exp(-i p.x)`` with
+
+        ``M = (-p^2 + m^2 + i v.p + X_TERM_SIGN 2 (v.p)(x.p)) Id
+        + COMMUTATOR_TERM_SIGN (i/2) [gamma^a, gamma^b] v_a p_b``,
+
+    ``v`` the gradient of ``theta`` and every contraction of two covariant
+    vectors through the flat metric.  The point term vanishes at ``x = 0``,
+    so the momentum-side matrix dispersion relation is ``M(p, 0)``.  Runs
+    exactly when fed exact scalars and an exact representation.
     """
+    if rep is None:
+        rep = GammaRep.dirac()
     _, iu, _ = _units(rep.exact)
-    p2 = sum(MINKOWSKI_SIGNS[a] * p_cov[a] * p_cov[a] for a in range(4))
-    vp = sum(MINKOWSKI_SIGNS[a] * v_cov[a] * p_cov[a] for a in range(4))
-    scalar = -p2 + m * m + iu * vp + x_term
-    out = scalar * rep.identity()
+    v_cov = theta.grad(x)
+    vp = minkowski_dot(v_cov, p_cov)
+    x_term = X_TERM_SIGN * 2 * vp * contract(p_cov, x)
+    out = (-minkowski_dot(p_cov, p_cov) + m * m + iu * vp + x_term) * identity_matrix()
     half = iu * COMMUTATOR_TERM_SIGN
     for a in range(4):
         for b in range(4):
@@ -216,31 +224,6 @@ def symbol_matrix(p_cov: Sequence, v_cov: Sequence, m, rep: GammaRep, x_term=0):
                 continue
             out = out + half * coef / 2 * commutator(rep.matrices[a], rep.matrices[b])
     return out
-
-
-def kg_symbol(
-    p_cov: Sequence,
-    x: Sequence,
-    theta: ThetaField,
-    m,
-    rep: GammaRep | None = None,
-    include_x_term: bool = True,
-):
-    """Matrix ``M(p, x)`` acting on the plane-wave family at the point ``x``.
-
-    Applying the deformed wave operator to ``exp(-i p.x) psi0`` gives
-    ``M psi0 exp(-i p.x)``; ``M`` is quadratic in ``p`` with coefficients
-    linear in the gradient and in ``x``.
-    """
-    if rep is None:
-        rep = GammaRep.dirac()
-    v_cov = theta.grad(x)
-    x_term = 0
-    if include_x_term:
-        vp = sum(MINKOWSKI_SIGNS[a] * v_cov[a] * p_cov[a] for a in range(4))
-        xp = sum(x[mu] * p_cov[mu] for mu in range(4))
-        x_term = X_TERM_SIGN * 2 * vp * xp
-    return symbol_matrix(p_cov, v_cov, m, rep, x_term=x_term)
 
 
 def apply_exotic_kg(

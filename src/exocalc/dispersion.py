@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .core import MINKOWSKI_SIGNS, DegenerateParameterError
-
-if TYPE_CHECKING:  # numpy loads only on the paths that call it, so ``spectrum`` runs without it
-    import numpy as np
-
-    from .clifford import GammaRep
 
 
 @dataclass(frozen=True)
@@ -224,20 +219,6 @@ def fourier_parts_check(
             )
             worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def dispersion_matrix(p, v_cov: Sequence, m, rep: GammaRep | None = None) -> np.ndarray:
-    """Matrix relation ``(-p^2 + m^2 + i v.p) Id + (commutator term)``.
-
-    ``p`` may be a :class:`ComplexMomentum` or a covariant 4-sequence.
-    Runs exactly when fed exact scalars and an exact representation.
-    """
-    from .clifford import GammaRep, symbol_matrix
-
-    if rep is None:
-        rep = GammaRep.dirac()
-    p_cov = p.covariant() if isinstance(p, ComplexMomentum) else tuple(p)
-    return symbol_matrix(p_cov, tuple(v_cov), m, rep, x_term=0)
 
 
 def constrained_spectrum(v_cov: Sequence, m: float) -> tuple:

@@ -18,11 +18,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .clifford import GammaRep
 from .core import MINKOWSKI_SIGNS, ThetaField
-from .dispersion import BoxRegion, ComplexMomentum
+from .dispersion import BoxRegion, ComplexMomentum, _quad_complex
 from .forms import ExoticForm, PLAIN, _grad_for, _spatial_range
 from .poly import MultiPoly
 
@@ -34,14 +33,7 @@ def delta_quadrature(p: ComplexMomentum, box: BoxRegion) -> complex:
     """Box kernel evaluated by per-axis adaptive quadrature."""
     value = 1.0 + 0.0j
     for c, (lo, hi) in zip(p.covariant(), box.intervals()):
-        c = complex(c)
-        re = quad(
-            lambda z, c=c: cmath.exp(1j * c * z).real, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10
-        )[0]
-        im = quad(
-            lambda z, c=c: cmath.exp(1j * c * z).imag, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10
-        )[0]
-        value *= complex(re, im)
+        value *= _quad_complex(lambda z, c=complex(c): cmath.exp(1j * c * z), lo, hi)
     return value
 
 

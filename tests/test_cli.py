@@ -390,7 +390,7 @@ LAYERS = {f"exocalc.{p.stem}" for p in (SRC / "exocalc").glob("*.py")} - {
         ("metric", {"numpy"}),
         ("lightcone", {"numpy"}),
         ("forms-check", {"numpy"}),
-        # only the implicit x-term step needs scipy, only dispersion_matrix the gamma layer
+        # only the implicit x-term step needs scipy, no command the gamma layer,
         # and only plane_wave_rates (the simulator's) numpy
         ("spectrum", {"exocalc.clifford", "scipy", "numpy"}),
         ("simulate", {"exocalc.clifford", "scipy"}),

@@ -17,7 +17,6 @@ from exocalc.clifford import (
     identity_matrix,
     kg_symbol,
     matrices_equal,
-    symbol_matrix,
     tetrads,
 )
 from exocalc.core import MINKOWSKI_SIGNS, QI, RationalComplex, ThetaField, eps_grade
@@ -51,20 +50,20 @@ REPS = [
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
 def test_flat_clifford_relation_exact(rep):
-    ident = rep.identity()
+    ident = identity_matrix()
     for mu in range(4):
         for nu in range(4):
             want = (2 * MINKOWSKI_SIGNS[mu] if mu == nu else 0) * ident
             got = anticommutator(rep.matrices[mu], rep.matrices[nu])
-            assert matrices_equal(got, want, exact=True)
+            assert matrices_equal(got, want)
 
 
 def test_dirac_hermiticity():
     rep = GammaRep.dirac(exact=True)
-    assert matrices_equal(dagger(rep.matrices[0]), rep.matrices[0], exact=True)
+    assert matrices_equal(dagger(rep.matrices[0]), rep.matrices[0])
     for k in (1, 2, 3):
         neg = np.negative(rep.matrices[k])
-        assert matrices_equal(dagger(rep.matrices[k]), neg, exact=True)
+        assert matrices_equal(dagger(rep.matrices[k]), neg)
 
 
 def test_conjugated_requires_unitary():
@@ -79,13 +78,24 @@ def test_float_equality_and_unitarity_check_reject_nan():
     ident = identity_matrix()
     with_nan = identity_matrix()
     with_nan[0, 0] = complex("nan")
-    assert not matrices_equal(ident, with_nan, exact=False)
-    assert not matrices_equal(with_nan, ident, exact=False)
+    assert not matrices_equal(ident, with_nan)
+    assert not matrices_equal(with_nan, ident)
     nan_diagonal = identity_matrix()
     for i in range(4):
         nan_diagonal[i, i] = complex("nan")
     with pytest.raises(ValueError, match="not unitary"):
         GammaRep.conjugated(nan_diagonal, GammaRep.dirac())
+
+
+def test_matrices_equal_reads_exactness_from_the_entries():
+    exact = GammaRep.dirac(exact=True).matrices[2]
+    nudged = exact.copy()
+    nudged[0, 3] = nudged[0, 3] + Fraction(1, 10**15)
+    assert not matrices_equal(exact, nudged)
+    assert not matrices_equal(nudged, exact)
+    floats = GammaRep.dirac().matrices[2]
+    assert matrices_equal(floats, floats + 1e-13)
+    assert matrices_equal(floats + 1e-13, exact)
 
 
 def test_tetrads_flat_and_contractions():
@@ -139,7 +149,7 @@ def test_tetrad_covariant_metric_is_exactly_the_full_metric():
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
 def test_gamma_tilde_flat_limit(rep):
     for mu, g in enumerate(gamma_tilde((1, 2, 3, 4), FLAT, rep)):
-        assert matrices_equal(g, rep.matrices[mu], exact=True)
+        assert matrices_equal(g, rep.matrices[mu])
 
 
 def test_gamma_tilde_hand_contraction():
@@ -163,7 +173,7 @@ def test_deformed_anticommutator_grade_two(rep):
         theta = rand_theta4(rng, eps=True)
         gt = gamma_tilde(x, theta, rep)
         target = metric_inverse_first_order(x, theta)
-        ident = rep.identity()
+        ident = identity_matrix()
         for mu in range(4):
             for nu in range(4):
                 res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu, nu] * ident
@@ -194,7 +204,7 @@ def test_lowered_anticommutator_matches_first_order_metric():
             lowered.append(acc)
         first = metric_first_order(x, theta)
         full = metric_full(x, theta)
-        ident = rep.identity()
+        ident = identity_matrix()
         for mu in range(4):
             for nu in range(4):
                 res1 = anticommutator(lowered[mu], lowered[nu]) - 2 * first[mu, nu] * ident
@@ -221,7 +231,7 @@ def test_anticommutator_residual_numeric_slope():
         worst = 0.0
         for mu in range(4):
             for nu in range(4):
-                res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu, nu] * rep.identity()
+                res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu, nu] * identity_matrix()
                 worst = max(
                     worst,
                     max(abs(complex(res[i, j])) for i in range(4) for j in range(4)),
@@ -237,8 +247,8 @@ def test_kg_symbol_trivial_and_structure():
     m = Fraction(2)
     sym = kg_symbol(p, (0, 0, 0, 0), ThetaField.linear((0, 0, 0, 0)), m, rep)
     p2 = sum(MINKOWSKI_SIGNS[a] * p[a] * p[a] for a in range(4))
-    ident = rep.identity()
-    assert matrices_equal(sym, (-p2 + m * m) * ident, exact=True)
+    ident = identity_matrix()
+    assert matrices_equal(sym, (-p2 + m * m) * ident)
 
 
 def test_kg_symbol_quadratic_in_momentum():
@@ -402,8 +412,8 @@ def test_apply_rejects_small_grids():
         )
 
 
-def test_symbol_matrix_exact_identity_coefficient():
+def test_kg_symbol_exact_identity_coefficient():
     rep = GammaRep.dirac(exact=True)
-    ident = identity_matrix(True)
-    assert matrices_equal(symbol_matrix((0, 0, 0, 0), (0, 0, 0, 0), Fraction(3), rep), 9 * ident, exact=True)
-    assert matrices_equal(commutator(ident, ident), 0 * ident, exact=True)
+    ident = identity_matrix()
+    assert matrices_equal(kg_symbol((0, 0, 0, 0), (0, 0, 0, 0), FLAT, Fraction(3), rep), 9 * ident)
+    assert matrices_equal(commutator(ident, ident), 0 * ident)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exocalc.clifford import GammaRep, kg_symbol
+from exocalc.clifford import X_TERM_SIGN, GammaRep, identity_matrix, kg_symbol
 from exocalc.core import RationalComplex, ThetaField
 from exocalc.dispersion import (
     BoxRegion,
@@ -16,7 +16,6 @@ from exocalc.dispersion import (
     SeparableTestFunction,
     constrained_spectrum,
     delta_sigma,
-    dispersion_matrix,
     fourier_parts_check,
     plane_wave_rates,
     spectrum_reference_approx,
@@ -94,7 +93,7 @@ def test_dispersion_matrix_on_shell_trivial():
     rep = GammaRep.dirac(exact=True)
     m = Fraction(3, 2)
     p = ComplexMomentum(m, (0, 0, 0))
-    mat = dispersion_matrix(p, (0, 0, 0, 0), m, rep)
+    mat = kg_symbol(p.covariant(), (0, 0, 0, 0), ThetaField.linear((0, 0, 0, 0)), m, rep)
     assert all(not mat[i, j] for i in range(4) for j in range(4))
 
 
@@ -107,7 +106,7 @@ def test_dispersion_matrix_constraint_offdiagonal_zero():
             continue
         energy = RationalComplex(rand_frac(rng), rand_frac(rng))
         p = ComplexMomentum.constrained(v, energy)
-        mat = dispersion_matrix(p, v, Fraction(1), rep)
+        mat = kg_symbol(p.covariant(), (0, 0, 0, 0), ThetaField.linear(v), Fraction(1), rep)
         for i in range(4):
             for j in range(4):
                 if i != j:
@@ -115,16 +114,20 @@ def test_dispersion_matrix_constraint_offdiagonal_zero():
 
 
 def test_dispersion_matrix_equals_symbol_without_x_term():
+    # the symbol at x differs from the matrix relation M(p, 0) by the point term alone
     rng = random.Random(62)
     rep = GammaRep.dirac(exact=True)
     for _ in range(20):
         v = tuple(rand_frac(rng) for _ in range(4))
         p_cov = tuple(rand_frac(rng) for _ in range(4))
+        x = tuple(rand_frac(rng) for _ in range(4))
         theta = ThetaField.linear(v)
         m = Fraction(2, 3)
-        a = dispersion_matrix(ComplexMomentum.from_covariant(p_cov), v, m, rep)
-        b = kg_symbol(p_cov, (0, 0, 0, 0), theta, m, rep, include_x_term=False)
-        assert all(a[i, j] == b[i, j] for i in range(4) for j in range(4))
+        vp = v[0] * p_cov[0] - sum(v[k] * p_cov[k] for k in (1, 2, 3))
+        xp = sum(x[k] * p_cov[k] for k in range(4))
+        diff = kg_symbol(p_cov, x, theta, m, rep) - kg_symbol(p_cov, (0, 0, 0, 0), theta, m, rep)
+        want = X_TERM_SIGN * 2 * vp * xp * identity_matrix()
+        assert all(diff[i, j] == want[i, j] for i in range(4) for j in range(4))
 
 
 def test_constrained_spectrum_time_gradient():
@@ -206,15 +209,6 @@ def test_mode_rates_conjugate_to_aligned_spectrum_at_zero_wavenumber():
         e_plus, _ = constrained_spectrum((td, 0, 0, 0), m)
         omega = plane_wave_rates(0.0, m, td, 0.0)
         assert abs(omega - e_plus.conjugate()) < 1e-14
-
-
-def test_dispersion_matrix_accepts_plain_covariant_tuple():
-    rep = GammaRep.dirac(exact=True)
-    v = (Fraction(1, 3), Fraction(1, 5), 0, Fraction(-1, 2))
-    p_cov = (Fraction(2), Fraction(-1, 3), Fraction(1, 7), Fraction(1))
-    a = dispersion_matrix(p_cov, v, Fraction(1), rep)
-    b = dispersion_matrix(ComplexMomentum.from_covariant(p_cov), v, Fraction(1), rep)
-    assert all(a[i, j] == b[i, j] for i in range(4) for j in range(4))
 
 
 def test_constrained_momentum_rejects_zero_v0():

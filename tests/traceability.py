@@ -311,7 +311,7 @@ TRACE = (
         (
             "dispersion.delta_sigma",
             "dispersion.fourier_parts_check",
-            "dispersion.dispersion_matrix",
+            "clifford.kg_symbol",
         ),
         ("test_dispersion.py::test_dispersion_matrix_equals_symbol_without_x_term",),
     ),
@@ -328,7 +328,7 @@ TRACE = (
     TraceEntry(
         "matrix-dispersion-relation",
         "momentum-side matrix relation with the commutator term",
-        ("dispersion.dispersion_matrix",),
+        ("clifford.kg_symbol",),
         (
             "test_dispersion.py::test_dispersion_matrix_on_shell_trivial",
             "test_dispersion.py::test_dispersion_matrix_constraint_offdiagonal_zero",
