@@ -12,7 +12,6 @@ from .core import (
     MINKOWSKI_SIGNS,
     QI,
     RationalComplex,
-    ThetaField,
     eps_grade,
     lower_index,
     minkowski_dot,
@@ -24,7 +23,6 @@ __all__ = [
     "MINKOWSKI_SIGNS",
     "QI",
     "RationalComplex",
-    "ThetaField",
     "eps_grade",
     "lower_index",
     "minkowski_dot",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 # each command imports its own layer when it runs, so ``metric``, ``lightcone``
 # and ``forms-check`` never load numpy
-from .core import DegenerateParameterError, InstabilityError, ThetaField
+from .core import DegenerateParameterError, InstabilityError
 
 SCHEMA_LINE = "# schema=1"
 # the float format of every CSV cell but ``delta_diag`` (``fmt6``); ``fmt`` and the
@@ -244,17 +244,17 @@ METRIC_HEADER = (
 def metric_rows(cfg: dict):
     from . import metric as metric_mod
 
-    theta = ThetaField.linear(tuple(cfg["theta_grad"]))
+    grad = tuple(cfg["theta_grad"])
     probe = tuple(cfg["probe"])
     rows = []
     for idx, point in enumerate(cfg["points"]):
         x = tuple(point)
-        g = metric_mod.metric_full(x, theta)
-        witness = metric_mod.degeneracy_witness(probe, x, theta)
+        g = metric_mod.metric_full(x, grad)
+        witness = metric_mod.degeneracy_witness(probe, x, grad)
         w_norm = math.sqrt(sum(float(w) ** 2 for w in witness))
-        ratio = metric_mod.validity_ratio(x, theta)
+        ratio = metric_mod.validity_ratio(x, grad)
         row = [str(idx)] + [fmt(c) for c in x]
-        row += [fmt(g[a, b]) for a in range(4) for b in range(a, 4)]
+        row += [fmt(g[a][b]) for a in range(4) for b in range(a, 4)]
         row += [fmt(w_norm), fmt(ratio)]
         rows.append(row)
     return METRIC_HEADER, rows
@@ -307,7 +307,7 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
         v = (td, gn, 0.0, 0.0)
         e_plus, e_minus = spectrum_fn(v, m)
         ref = dispersion.spectrum_reference_approx(td, gn, m)
-        p = dispersion.ComplexMomentum.constrained(v, e_plus)
+        p = dispersion.constrained_momentum(v, e_plus)
         v_norm = math.hypot(td, gn)
         diag = v_norm * abs(delta_fn(p, box))
         return [
@@ -354,20 +354,20 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
     rng = random.Random(seed)
     dim = rng.randint(2, max(2, n_max))
     deg = rng.randint(0, min(deg_max, dim - 1))
-    theta = forms.random_linear_theta(rng, dim)
+    grad = forms.random_linear_theta(rng, dim)
 
     w = forms.random_form(rng, dim, deg, max_poly_degree=deg_max)
     other = forms.random_form(rng, dim, rng.randint(0, min(deg_max, dim - 1)), max_poly_degree=deg_max)
 
-    leib = forms.leibniz_check(w, other, theta, d_fn=d_fn)
-    d_squared, dd = forms.d_squared_check(w, theta, d_fn=d_fn)
-    ddd = d_fn(dd, theta)
+    leib = forms.leibniz_check(w, other, grad, d_fn=d_fn)
+    d_squared, dd = forms.d_squared_check(w, grad, d_fn=d_fn)
+    ddd = d_fn(dd, grad)
 
     ext = forms.random_form(rng, dim + 1, rng.randint(1, dim), max_poly_degree=deg_max, lambda_active=True)
-    hom = forms.homotopy_lemma_check(ext, theta, d_fn=d_fn)
+    hom = forms.homotopy_lemma_check(ext, grad, d_fn=d_fn)
 
     a_comps = [random_multipoly(rng, dim, min(deg_max, 2)) for _ in range(dim)]
-    fs = forms.field_strength(a_comps, theta) - d_fn(forms.dilated_connection(a_comps, theta), theta)
+    fs = forms.field_strength(a_comps, grad) - d_fn(forms.dilated_connection(a_comps, grad), grad)
 
     residuals = {
         "leibniz": leib,
@@ -584,9 +584,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateParameterError, ArithmeticError) as exc:
-        # a finite input can still overflow, or underflow to a zero divisor, once squared
+    except DegenerateParameterError as exc:
         print(f"degenerate parameters: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # a finite input can still overflow, or underflow to a zero divisor, once squared
+        print(f"degenerate parameters: {args.command}: float overflow or underflow ({exc})",
+              file=sys.stderr)
         return 3
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from .core import (
     MINKOWSKI_SIGNS,
     QI,
     RationalComplex,
-    ThetaField,
     contract,
     minkowski_dot,
 )
@@ -174,8 +173,8 @@ class TetradPair:
         return (self.down * MINKOWSKI_SIGNS) @ self.down.T
 
 
-def tetrads(x: Sequence, theta: ThetaField) -> TetradPair:
-    grad = theta.grad(x)
+def tetrads(x: Sequence, grad: Sequence) -> TetradPair:
+    """Frame maps at ``x`` from ``grad``, the covariant theta gradient at ``x``."""
     up = _obj([
         [(1 if mu == al else 0) - x[mu] * grad[al] for al in range(4)]
         for mu in range(4)
@@ -187,15 +186,15 @@ def tetrads(x: Sequence, theta: ThetaField) -> TetradPair:
     return TetradPair(up, down)
 
 
-def gamma_tilde(x: Sequence, theta: ThetaField, rep: GammaRep) -> tuple:
+def gamma_tilde(x: Sequence, grad: Sequence, rep: GammaRep) -> tuple:
     """Deformed gammas ``gt^mu = up[mu][alpha] gamma^alpha``."""
     return tuple(
         sum(s * g for s, g in zip(row, rep.matrices))
-        for row in tetrads(x, theta).up
+        for row in tetrads(x, grad).up
     )
 
 
-def kg_symbol(p_cov: Sequence, x: Sequence, theta: ThetaField, m, rep: GammaRep | None = None):
+def kg_symbol(p_cov: Sequence, x: Sequence, v_cov: Sequence, m, rep: GammaRep | None = None):
     """Matrix ``M(p, x)`` acting on the plane-wave family at the point ``x``.
 
     Applying the deformed wave operator to ``exp(-i p.x) psi0`` gives
@@ -204,15 +203,15 @@ def kg_symbol(p_cov: Sequence, x: Sequence, theta: ThetaField, m, rep: GammaRep 
         ``M = (-p^2 + m^2 + i v.p + X_TERM_SIGN 2 (v.p)(x.p)) Id
         + COMMUTATOR_TERM_SIGN (i/2) [gamma^a, gamma^b] v_a p_b``,
 
-    ``v`` the gradient of ``theta`` and every contraction of two covariant
-    vectors through the flat metric.  The point term vanishes at ``x = 0``,
-    so the momentum-side matrix dispersion relation is ``M(p, 0)``.  Runs
-    exactly when fed exact scalars and an exact representation.
+    ``v = v_cov`` the covariant theta gradient at ``x`` and every
+    contraction of two covariant vectors through the flat metric.  The
+    point term vanishes at ``x = 0``, so the momentum-side matrix
+    dispersion relation is ``M(p, 0)``.  Runs exactly when fed exact
+    scalars and an exact representation.
     """
     if rep is None:
         rep = GammaRep.dirac()
     _, iu, _ = _units(rep.exact)
-    v_cov = theta.grad(x)
     vp = minkowski_dot(v_cov, p_cov)
     x_term = X_TERM_SIGN * 2 * vp * contract(p_cov, x)
     out = (-minkowski_dot(p_cov, p_cov) + m * m + iu * vp + x_term) * identity_matrix()

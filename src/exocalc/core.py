@@ -1,11 +1,12 @@
-"""Foundational scalar, series, vector and theta-field types.
+"""Foundational scalar, series and vector types.
 
 Everything downstream shares the conventions fixed here:
 
 * metric signature ``(+, -, -, -)``; indices are raised and lowered with
   the flat Minkowski metric only,
-* the topological scalar ``theta`` enters formulas through its gradient
-  ``d_mu theta`` (covariant components),
+* the topological scalar ``theta`` enters formulas only as the plain tuple
+  of its covariant gradient components ``d_mu theta`` at the point in
+  question, so a nonlinear ``theta`` passes its gradient at that point,
 * "first order in the theta gradient" statements are made exact by
   substituting ``theta -> eps * theta`` and computing in a truncated
   formal power series in the grading parameter ``eps`` (:class:`EpsSeries`).
@@ -19,7 +20,6 @@ tolerance while simulations use ordinary doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -282,46 +282,3 @@ def eps_grade(value):
     if isinstance(value, EpsSeries):
         return value.grade()
     return math.inf if value == 0 else 0
-
-
-@dataclass(frozen=True)
-class ThetaField:
-    """The linear topological scalar ``theta(x) = offset + sum_mu grad_mu x^mu``.
-
-    ``grad_components`` holds the covariant components ``d_mu theta``
-    (plain componentwise sum, no metric). The hessian vanishes identically,
-    so the gradient is the same at every point. The gradient is
-    4-dimensional for the spacetime modules; the exterior-calculus layer
-    accepts any dimension ``n``.
-
-    Every formula here is pointwise and reads ``theta`` only through
-    ``d_mu theta`` at the point in question, so a nonlinear ``theta`` enters
-    as ``ThetaField.linear(grad_theta(x))`` with its gradient at ``x``.
-    """
-
-    grad_components: tuple
-    offset: object = 0
-
-    @classmethod
-    def linear(cls, grad: Sequence, offset=0) -> "ThetaField":
-        return cls(tuple(grad), offset)
-
-    def value(self, x: Sequence):
-        return self.offset + contract(self.grad_components, x)
-
-    def grad(self, x: Sequence | None = None) -> tuple:
-        """Covariant gradient ``d_mu theta``, the same at every ``x``."""
-        return self.grad_components
-
-    def eps_scaled(self, trunc: int = 2) -> "ThetaField":
-        """Replace ``theta`` by ``eps * theta`` (grade-1 gradient components)."""
-        return ThetaField.linear(
-            tuple(EpsSeries.eps(g, trunc=trunc) for g in self.grad_components),
-            offset=EpsSeries.eps(self.offset, trunc=trunc),
-        )
-
-    def scaled(self, factor) -> "ThetaField":
-        """Numerically rescale the gradient (used by convergence sweeps)."""
-        return ThetaField.linear(
-            tuple(g * factor for g in self.grad_components), offset=self.offset * factor
-        )

@@ -46,28 +46,11 @@ class BoxRegion:
         return [(self.t0, self.t1), *self.spatial]
 
 
-@dataclass(frozen=True)
-class ComplexMomentum:
-    """Momentum with complex time component and complex spatial vector."""
-
-    p0: complex
-    p_space: tuple
-
-    def covariant(self) -> tuple:
-        """Covariant components, also the per-coordinate kernel phases:
-        ``p.x = p0 t - p_space . x``."""
-        return (self.p0, -self.p_space[0], -self.p_space[1], -self.p_space[2])
-
-    @classmethod
-    def from_covariant(cls, p_cov: Sequence) -> "ComplexMomentum":
-        return cls(p_cov[0], (-p_cov[1], -p_cov[2], -p_cov[3]))
-
-    @classmethod
-    def constrained(cls, v_cov: Sequence, energy) -> "ComplexMomentum":
-        """Gradient-aligned momentum ``p_a = (v_a / v_0) E`` (covariant)."""
-        if v_cov[0] == 0:
-            raise DegenerateParameterError("alignment requires v_0 != 0")
-        return cls.from_covariant(tuple((va * energy) / v_cov[0] for va in v_cov))
+def constrained_momentum(v_cov: Sequence, energy) -> tuple:
+    """Gradient-aligned covariant momentum ``p_a = (v_a / v_0) E``."""
+    if v_cov[0] == 0:
+        raise DegenerateParameterError("alignment requires v_0 != 0")
+    return tuple((va * energy) / v_cov[0] for va in v_cov)
 
 
 _SERIES_CUTOFF = 1e-6
@@ -87,13 +70,14 @@ def _segment_integral(c, a: float, b: float) -> complex:
         raise OverflowError(f"box kernel phase overflows on [{a}, {b}]") from exc
 
 
-def delta_sigma(p: ComplexMomentum, box: BoxRegion) -> complex:
+def delta_sigma(p_cov: Sequence, box: BoxRegion) -> complex:
     """Box kernel ``Delta(p) = int exp(i p.x) d4x`` as a product of segment factors.
 
-    At ``p = 0`` the value is exactly the 4-volume.
+    The covariant components ``p_cov`` are the per-coordinate phases.  At
+    ``p = 0`` the value is exactly the 4-volume.
     """
     value = 1.0 + 0.0j
-    for c, (lo, hi) in zip(p.covariant(), box.intervals()):
+    for c, (lo, hi) in zip(p_cov, box.intervals()):
         value *= _segment_integral(c, lo, hi)
     return value
 
@@ -161,7 +145,7 @@ def _quad_complex(fn, a: float, b: float) -> complex:
 
 
 def fourier_parts_check(
-    phi: SeparableTestFunction, p: ComplexMomentum, box: BoxRegion
+    phi: SeparableTestFunction, p_cov: Sequence, box: BoxRegion
 ) -> float:
     """Max residual of the by-parts transform identities on the box.
 
@@ -169,7 +153,6 @@ def fourier_parts_check(
     derivative equals ``-i p_a`` times the transform plus the face term,
     and the corresponding second-derivative identity for every index pair.
     """
-    p_cov = p.covariant()
     ivs = box.intervals()
 
     def seg(fn, axis):

@@ -4,10 +4,11 @@ Forms live over coordinates ``0 .. dim-1`` with exact polynomial
 coefficients (:class:`~exocalc.poly.MultiPoly`) stored on strictly
 increasing index tuples; assignments through permuted tuples pick up the
 permutation sign.  A form may be expressed in the plain basis ``dx^i`` or
-in the deformed basis ``dtx^i = dx^i + x^i dtheta``; the deformation is
-generated by a *linear* theta field, whose gradient terms always enter at
-``eps`` grade >= 1 so that first-order statements are grade projections,
-never truncations inside the operators.
+in the deformed basis ``dtx^i = dx^i + x^i dtheta``.  Theta is linear, so
+every operator takes ``grad``, its constant covariant gradient, as a plain
+tuple with one component per base coordinate.  Gradient terms always
+enter at ``eps`` grade >= 1 so that first-order statements are grade
+projections, never truncations inside the operators.
 
 Coefficients are immutable and shared between forms: wherever an
 operation leaves a coefficient's value unchanged, the result stores the
@@ -17,7 +18,7 @@ canonical by construction fill the coefficient dict directly.
 
 When ``lambda_active`` is set, coordinate 0 is the auxiliary homotopy
 parameter: it is never deformed, never scanned by the dilatation term,
-and the theta gradient is extended by a leading zero.
+and ``grad`` is extended by a leading zero.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .core import ThetaField
 from .poly import MultiPoly, random_multipoly
 
 PLAIN = "plain"
@@ -183,9 +183,9 @@ def _filled(out: ExoticForm, items) -> ExoticForm:
     return out
 
 
-def _grad_for(form: ExoticForm, theta: ThetaField) -> tuple:
+def _grad_for(form: ExoticForm, grad: Sequence) -> tuple:
     """Gradient as exact rationals, extended by a leading zero for lambda."""
-    grad = tuple(Fraction(g) for g in theta.grad())
+    grad = tuple(Fraction(g) for g in grad)
     base_dim = form.dim - 1 if form.lambda_active else form.dim
     if len(grad) != base_dim:
         raise ValueError(
@@ -225,7 +225,7 @@ def exterior_d(form: ExoticForm) -> ExoticForm:
     return out
 
 
-def exotic_d(form: ExoticForm, theta: ThetaField) -> ExoticForm:
+def exotic_d(form: ExoticForm, grad: Sequence) -> ExoticForm:
     """Deformed exterior derivative on plain-basis coefficients.
 
     Coefficient rule per direction ``n``:
@@ -235,7 +235,7 @@ def exotic_d(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     """
     if form.basis != PLAIN:
         raise ValueError("deformed derivative expects plain-basis coefficients")
-    g = _grad_for(form, theta)
+    g = _grad_for(form, grad)
     out = form._like(degree=form.degree + 1)
     if out.degree > out.dim:
         return out
@@ -256,7 +256,7 @@ def exotic_d(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     return out
 
 
-def deformed_to_plain(form: ExoticForm, theta: ThetaField) -> ExoticForm:
+def deformed_to_plain(form: ExoticForm, grad: Sequence) -> ExoticForm:
     """Expand deformed-basis components into the plain basis, all grades.
 
     Each slot contributes ``dx^i + eps x^i sum_j g_j dx^j`` (the lambda
@@ -265,7 +265,7 @@ def deformed_to_plain(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     """
     if form.basis != DEFORMED:
         raise ValueError("expected deformed-basis input")
-    g = _grad_for(form, theta)
+    g = _grad_for(form, grad)
     out = ExoticForm(form.dim, form.degree, PLAIN, form.lambda_active, form.trunc)
     for idx, poly in form.coeffs.items():
         options = []
@@ -294,13 +294,13 @@ def deformed_to_plain(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     return out
 
 
-def d_squared_obstruction(form: ExoticForm, theta: ThetaField) -> ExoticForm:
+def d_squared_obstruction(form: ExoticForm, grad: Sequence) -> ExoticForm:
     """The nonvanishing square of the deformed derivative, built directly.
 
     ``eps g_n d_m c dx^m ^ dx^n ^ dx^I`` summed over the components of
     ``form``; this is what ``d(d(form))`` collapses to for linear theta.
     """
-    g = _grad_for(form, theta)
+    g = _grad_for(form, grad)
     rhs = form._like(degree=form.degree + 2)
     if rhs.degree > rhs.dim:
         return rhs
@@ -318,7 +318,7 @@ def d_squared_obstruction(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     return rhs
 
 
-def d_squared_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d):
+def d_squared_check(form: ExoticForm, grad: Sequence, d_fn=exotic_d):
     """Residual of the squared deformed derivative against its obstruction form.
 
     Returns ``(residual, dd)`` with ``dd = d(d(form))`` and ``residual = dd``
@@ -328,15 +328,15 @@ def d_squared_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d):
     every identity check here, ``d_fn`` is the deformed derivative under
     test (the dense oracle route passes its own).
     """
-    dd = d_fn(d_fn(form, theta), theta)
-    return dd - d_squared_obstruction(form, theta), dd
+    dd = d_fn(d_fn(form, grad), grad)
+    return dd - d_squared_obstruction(form, grad), dd
 
 
-def leibniz_check(a: ExoticForm, b: ExoticForm, theta: ThetaField, d_fn=exotic_d) -> ExoticForm:
+def leibniz_check(a: ExoticForm, b: ExoticForm, grad: Sequence, d_fn=exotic_d) -> ExoticForm:
     """``d(a ^ b) - d(a) ^ b - (-1)^deg(a) a ^ d(b)``; exactly zero."""
-    lhs = d_fn(wedge(a, b), theta)
-    rhs = wedge(d_fn(a, theta), b)
-    signed = wedge(a, d_fn(b, theta))
+    lhs = d_fn(wedge(a, b), grad)
+    rhs = wedge(d_fn(a, grad), b)
+    signed = wedge(a, d_fn(b, grad))
     if a.degree % 2:
         signed = -signed
     return lhs - rhs - signed
@@ -374,15 +374,15 @@ def pullback_at(form: ExoticForm, value) -> ExoticForm:
     ))
 
 
-def homotopy_lemma_check(form: ExoticForm, theta: ThetaField, d_fn=exotic_d) -> ExoticForm:
+def homotopy_lemma_check(form: ExoticForm, grad: Sequence, d_fn=exotic_d) -> ExoticForm:
     """Residual of ``H d w + d H w = w|_1 - w|_0`` for a form over ``R x base``."""
-    h_d = homotopy_H(d_fn(form, theta))
-    d_h = d_fn(homotopy_H(form), theta)
+    h_d = homotopy_H(d_fn(form, grad))
+    d_h = d_fn(homotopy_H(form), grad)
     boundary = pullback_at(form, 1) - pullback_at(form, 0)
     return h_d + d_h - boundary
 
 
-def field_strength(a_components: Sequence[MultiPoly], theta: ThetaField) -> ExoticForm:
+def field_strength(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticForm:
     """Curvature 2-form of a deformed connection built from covariant components.
 
     ``(1/2)(d_m A_n - d_n A_m) dx^m ^ dx^n`` plus the gradient terms
@@ -394,7 +394,7 @@ def field_strength(a_components: Sequence[MultiPoly], theta: ThetaField) -> Exot
     n = len(a_components)
     trunc = a_components[0].trunc
     out = ExoticForm(n, 2, PLAIN, False, trunc)
-    g = _grad_for(out, theta)
+    g = _grad_for(out, grad)
     xs = [MultiPoly.variable(i, n, trunc) for i in range(n)]
     for mu in range(n):
         for nu in range(n):
@@ -414,12 +414,12 @@ def field_strength(a_components: Sequence[MultiPoly], theta: ThetaField) -> Exot
     return out
 
 
-def dilated_connection(a_components: Sequence[MultiPoly], theta: ThetaField) -> ExoticForm:
+def dilated_connection(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticForm:
     """The 1-form ``(A_m + eps g_m sum_a x^a A_a) dx^m`` over the plain basis."""
     n = len(a_components)
     trunc = a_components[0].trunc
     out = ExoticForm(n, 1, PLAIN, False, trunc)
-    g = _grad_for(out, theta)
+    g = _grad_for(out, grad)
     xa = MultiPoly.zero(n, trunc)
     for al in range(n):
         xa = xa + MultiPoly.variable(al, n, trunc) * a_components[al]
@@ -448,8 +448,6 @@ def random_form(
     return out
 
 
-def random_linear_theta(rng, dim: int) -> ThetaField:
-    """Random linear theta field with single-digit rational gradient."""
-    return ThetaField.linear(
-        tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim))
-    )
+def random_linear_theta(rng, dim: int) -> tuple:
+    """Gradient of a random linear theta: single-digit rationals, one per coordinate."""
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim))

@@ -20,8 +20,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .clifford import GammaRep
-from .core import MINKOWSKI_SIGNS, ThetaField
-from .dispersion import BoxRegion, ComplexMomentum, _quad_complex
+from .core import MINKOWSKI_SIGNS
+from .dispersion import BoxRegion, _quad_complex
 from .forms import ExoticForm, PLAIN, _grad_for, _spatial_range
 from .poly import MultiPoly
 
@@ -29,10 +29,10 @@ from .poly import MultiPoly
 # -- box kernel by quadrature -------------------------------------------
 
 
-def delta_quadrature(p: ComplexMomentum, box: BoxRegion) -> complex:
+def delta_quadrature(p_cov, box: BoxRegion) -> complex:
     """Box kernel evaluated by per-axis adaptive quadrature."""
     value = 1.0 + 0.0j
-    for c, (lo, hi) in zip(p.covariant(), box.intervals()):
+    for c, (lo, hi) in zip(p_cov, box.intervals()):
         value *= _quad_complex(lambda z, c=complex(c): cmath.exp(1j * c * z), lo, hi)
     return value
 
@@ -92,11 +92,11 @@ def _alternate(arr: np.ndarray, k: int, dim: int, trunc: int) -> dict:
     return out
 
 
-def dense_exotic_d(form: ExoticForm, theta: ThetaField) -> ExoticForm:
+def dense_exotic_d(form: ExoticForm, grad) -> ExoticForm:
     """Deformed exterior derivative through the dense coefficient route."""
     if form.basis != PLAIN:
         raise ValueError("dense route expects plain-basis input")
-    g = _grad_for(form, theta)
+    g = _grad_for(form, grad)
     dim, k, trunc = form.dim, form.degree, form.trunc
     dense = form_to_dense(form)
     out = ExoticForm(dim, k + 1, PLAIN, form.lambda_active, trunc)
@@ -127,13 +127,13 @@ def dense_exotic_d(form: ExoticForm, theta: ThetaField) -> ExoticForm:
     return out
 
 
-def dense_deformed_to_plain(form: ExoticForm, theta: ThetaField) -> ExoticForm:
+def dense_deformed_to_plain(form: ExoticForm, grad) -> ExoticForm:
     """First-order deformed-to-plain coefficient rule on dense arrays.
 
     ``X[T] = A[T] + k eps g_{t1} sum_a x^a A[(a,) + T[1:]]``, then
     antisymmetrize; valid (and compared) at grades 0 and 1 only.
     """
-    g = _grad_for(form, theta)
+    g = _grad_for(form, grad)
     dim, k, trunc = form.dim, form.degree, form.trunc
     dense = form_to_dense(form)
     xs = [MultiPoly.variable(i, dim, trunc) for i in range(dim)]

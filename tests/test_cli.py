@@ -1,5 +1,6 @@
 """CLI surface: determinism, schemas, exit codes, golden files."""
 
+import hashlib
 import json
 import math
 import os
@@ -70,6 +71,16 @@ def test_every_subcommand_is_deterministic(command, tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert read_all(outs[0] / name) == read_all(outs[1] / name)
+
+
+@pytest.mark.parametrize("command", ["metric", "lightcone"])
+def test_default_csv_bytes_match_the_benchmark_digests(command, tmp_path):
+    """At its defaults ``command`` writes the bytes whose sha256 the benchmark pins;
+    its cells are pure-Python floats, so the digest does not depend on the host."""
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    digest = json.loads(expected.read_text())["digests"][f"{command}.csv"]
+    assert run_cli([command, "--out", tmp_path]) == 0
+    assert hashlib.sha256((tmp_path / f"{command}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_schema_line_and_headers(tmp_path):
@@ -386,10 +397,11 @@ LAYERS = {f"exocalc.{p.stem}" for p in (SRC / "exocalc").glob("*.py")} - {
 @pytest.mark.parametrize(
     "command, absent",
     [
-        (None, LAYERS | {"numpy", "scipy"}),
-        ("metric", {"numpy"}),
-        ("lightcone", {"numpy"}),
-        ("forms-check", {"numpy"}),
+        # ``dataclasses`` imports ``inspect``; no pure-Python command needs either
+        (None, LAYERS | {"numpy", "scipy", "dataclasses", "inspect"}),
+        ("metric", {"numpy", "dataclasses", "inspect"}),
+        ("lightcone", {"numpy", "dataclasses", "inspect"}),
+        ("forms-check", {"numpy", "dataclasses", "inspect"}),
         # only the implicit x-term step needs scipy, no command the gamma layer,
         # and only plane_wave_rates (the simulator's) numpy
         ("spectrum", {"exocalc.clifford", "scipy", "numpy"}),
@@ -564,6 +576,8 @@ BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, -
     ("spectrum", "theta_dot=[1e308] grad_norm=[1e308]", "spectrum.csv", 3),
     ("spectrum", "theta_dot=[1e-100] grad_norm=[1e140]", "spectrum.csv", 3),
     ("lightcone", "c=1e-200", "lightcone.csv", 3),  # c * c underflows to 0
+    ("lightcone", "c=1e-320", "lightcone.csv", 3),
+    ("spectrum", 'grad_norm={"start":0,"stop":1e308,"count":3}', "spectrum.csv", 3),
     ("spectrum", "box.t1=1e308 m=[2.0]", "spectrum.csv", 3),  # the kernel phase overflows
     ("spectrum", "m=1e300", "spectrum.csv", 3),  # m * m overflows: nan roots
     ("spectrum", "m=[1e200]", "spectrum.csv", 3),
@@ -585,8 +599,11 @@ def test_out_of_range_inputs_exit_2_without_traceback(
     (tmp_path / "file").write_text("")
     sets = [a for s in overrides.split() for a in ("--set", s)]
     assert run_cli([command, "--out", tmp_path / out, *FAST_ARGS[command], *sets]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
     assert not (tmp_path / csv_name).exists()
+    if code == 3:  # the message names the command, for an arithmetic fault or a non-finite cell
+        assert f"{command}: float overflow or underflow" in err or f"{csv_name} would hold" in err
 
 
 any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

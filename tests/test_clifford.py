@@ -19,12 +19,12 @@ from exocalc.clifford import (
     matrices_equal,
     tetrads,
 )
-from exocalc.core import MINKOWSKI_SIGNS, QI, RationalComplex, ThetaField, eps_grade
+from exocalc.core import MINKOWSKI_SIGNS, QI, EpsSeries, RationalComplex, eps_grade
 from exocalc.metric import metric_inverse_first_order
 from exocalc.oracles import dirac_apply_fd
 from helpers import rand_frac, rand_theta4, rand_vec4
 
-FLAT = ThetaField.linear((0, 0, 0, 0))
+FLAT = (0, 0, 0, 0)
 
 
 def conjugating_unitary():
@@ -109,8 +109,8 @@ def test_tetrads_flat_and_contractions():
     rng = random.Random(30)
     for _ in range(20):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        pair = tetrads(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        pair = tetrads(x, grad)
         frame = pair.contract_frame()
         coord = pair.contract_coord()
         for a in range(4):
@@ -124,12 +124,12 @@ def test_tetrad_metric_reconstruction():
     rng = random.Random(31)
     for _ in range(20):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        rebuilt = tetrads(x, theta).inverse_metric()
-        target = metric_inverse_first_order(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        rebuilt = tetrads(x, grad).inverse_metric()
+        target = metric_inverse_first_order(x, grad)
         for mu in range(4):
             for nu in range(4):
-                assert eps_grade(rebuilt[mu][nu] - target[mu, nu]) >= 2
+                assert eps_grade(rebuilt[mu][nu] - target[mu][nu]) >= 2
 
 
 def test_tetrad_covariant_metric_is_exactly_the_full_metric():
@@ -138,12 +138,12 @@ def test_tetrad_covariant_metric_is_exactly_the_full_metric():
     rng = random.Random(38)
     for _ in range(20):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        rebuilt = tetrads(x, theta).covariant_metric()
-        full = metric_full(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        rebuilt = tetrads(x, grad).covariant_metric()
+        full = metric_full(x, grad)
         for mu in range(4):
             for nu in range(4):
-                assert rebuilt[mu][nu] == full[mu, nu]
+                assert rebuilt[mu][nu] == full[mu][nu]
 
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
@@ -154,9 +154,9 @@ def test_gamma_tilde_flat_limit(rep):
 
 def test_gamma_tilde_hand_contraction():
     beta = Fraction(2, 9)
-    theta = ThetaField.linear((0, beta, 0, 0)).eps_scaled()
+    grad = tuple(EpsSeries.eps(g) for g in (0, beta, 0, 0))
     rep = GammaRep.dirac(exact=True)
-    gt = gamma_tilde((1, 0, 0, 0), theta, rep)
+    gt = gamma_tilde((1, 0, 0, 0), grad, rep)
     # frame map sends the time gamma to gamma^0 - eps*beta*gamma^1
     for i in range(4):
         for j in range(4):
@@ -170,13 +170,13 @@ def test_deformed_anticommutator_grade_two(rep):
     rng = random.Random(32)
     for _ in range(6):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        gt = gamma_tilde(x, theta, rep)
-        target = metric_inverse_first_order(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        gt = gamma_tilde(x, grad, rep)
+        target = metric_inverse_first_order(x, grad)
         ident = identity_matrix()
         for mu in range(4):
             for nu in range(4):
-                res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu, nu] * ident
+                res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu][nu] * ident
                 grade = min(eps_grade(res[i, j]) for i in range(4) for j in range(4))
                 assert grade >= 2
 
@@ -189,8 +189,8 @@ def test_lowered_anticommutator_matches_first_order_metric():
     rng = random.Random(33)
     for _ in range(5):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        pair = tetrads(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        pair = tetrads(x, grad)
         lowered = []
         for kappa in range(4):
             acc = None
@@ -202,16 +202,16 @@ def test_lowered_anticommutator_matches_first_order_metric():
                         term[i, j] = term_scalar * rep.matrices[al][i, j]
                 acc = term if acc is None else acc + term
             lowered.append(acc)
-        first = metric_first_order(x, theta)
-        full = metric_full(x, theta)
+        first = metric_first_order(x, grad)
+        full = metric_full(x, grad)
         ident = identity_matrix()
         for mu in range(4):
             for nu in range(4):
-                res1 = anticommutator(lowered[mu], lowered[nu]) - 2 * first[mu, nu] * ident
+                res1 = anticommutator(lowered[mu], lowered[nu]) - 2 * first[mu][nu] * ident
                 grade = min(eps_grade(res1[i, j]) for i in range(4) for j in range(4))
                 assert grade >= 2
                 # and exactly the full quadratic metric at every grade
-                res2 = anticommutator(lowered[mu], lowered[nu]) - 2 * full[mu, nu] * ident
+                res2 = anticommutator(lowered[mu], lowered[nu]) - 2 * full[mu][nu] * ident
                 assert all(
                     eps_grade(res2[i, j]) == math.inf for i in range(4) for j in range(4)
                 )
@@ -221,17 +221,17 @@ def test_anticommutator_residual_numeric_slope():
     rng = random.Random(34)
     rep = GammaRep.dirac()
     x = (0.7, -0.4, 1.1, 0.3)
-    base = ThetaField.linear((0.31, -0.22, 0.17, 0.08))
+    base = (0.31, -0.22, 0.17, 0.08)
     eps_values = np.logspace(-4, -1, 7)
     norms = []
     for eps in eps_values:
-        theta = base.scaled(eps)
-        gt = gamma_tilde(x, theta, rep)
-        target = metric_inverse_first_order(x, theta)
+        grad = tuple(g * eps for g in base)
+        gt = gamma_tilde(x, grad, rep)
+        target = metric_inverse_first_order(x, grad)
         worst = 0.0
         for mu in range(4):
             for nu in range(4):
-                res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu, nu] * identity_matrix()
+                res = anticommutator(gt[mu], gt[nu]) - 2 * target[mu][nu] * identity_matrix()
                 worst = max(
                     worst,
                     max(abs(complex(res[i, j])) for i in range(4) for j in range(4)),
@@ -245,7 +245,7 @@ def test_kg_symbol_trivial_and_structure():
     rep = GammaRep.dirac(exact=True)
     p = (Fraction(3, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1))
     m = Fraction(2)
-    sym = kg_symbol(p, (0, 0, 0, 0), ThetaField.linear((0, 0, 0, 0)), m, rep)
+    sym = kg_symbol(p, (0, 0, 0, 0), (0, 0, 0, 0), m, rep)
     p2 = sum(MINKOWSKI_SIGNS[a] * p[a] * p[a] for a in range(4))
     ident = identity_matrix()
     assert matrices_equal(sym, (-p2 + m * m) * ident)
@@ -255,13 +255,13 @@ def test_kg_symbol_quadratic_in_momentum():
     # third differences along any momentum ray vanish identically
     rng = random.Random(35)
     rep = GammaRep.dirac(exact=True)
-    theta = rand_theta4(rng)
+    grad = rand_theta4(rng)
     x = rand_vec4(rng)
     m = Fraction(1)
     p = rand_vec4(rng)
 
     def sym(scale):
-        return kg_symbol(tuple(scale * c for c in p), x, theta, m, rep)
+        return kg_symbol(tuple(scale * c for c in p), x, grad, m, rep)
 
     s0, s1, s2, s3 = sym(0), sym(1), sym(2), sym(3)
     third = s3 - 3 * s2 + 3 * s1 - s0
@@ -278,7 +278,7 @@ def test_kg_symbol_affine_in_gradient_and_point():
     x = rand_vec4(rng)
 
     def at(grad, point):
-        return kg_symbol(p, point, ThetaField.linear(grad), m, rep)
+        return kg_symbol(p, point, grad, m, rep)
 
     # affine in the gradient: M(ga + gb) + M(0) == M(ga) + M(gb)
     g_sum = tuple(a + b for a, b in zip(g_a, g_b))
@@ -303,8 +303,7 @@ def test_kg_symbol_constraint_kills_commutator():
             continue
         energy = rand_frac(rng)
         p = tuple(v[a] * energy / v[0] for a in range(4))
-        theta = ThetaField.linear(v)
-        sym = kg_symbol(p, (0, 0, 0, 0), theta, Fraction(1), rep)
+        sym = kg_symbol(p, (0, 0, 0, 0), v, Fraction(1), rep)
         for i in range(4):
             for j in range(4):
                 if i != j:
@@ -323,7 +322,7 @@ def test_apply_matches_symbol_scalar():
     td, tp, m = 0.03, 0.02, 1.0
     p0, p1 = 1.7, -0.9
     phi = _plane_wave(p0, p1, times, xs)
-    theta = ThetaField.linear((td, tp, 0.0, 0.0))
+    grad = (td, tp, 0.0, 0.0)
     rep = GammaRep.dirac()
 
     out = apply_exotic_kg(phi, times, xs, td, tp, m, include_x_term=True)
@@ -331,7 +330,7 @@ def test_apply_matches_symbol_scalar():
     expect = np.empty_like(out)
     for i in range(out.shape[0]):
         for j in range(out.shape[1]):
-            sym = kg_symbol((p0, p1, 0, 0), (tt[i, j], xx[i, j], 0, 0), theta, m, rep)
+            sym = kg_symbol((p0, p1, 0, 0), (tt[i, j], xx[i, j], 0, 0), grad, m, rep)
             expect[i, j] = sum(complex(sym[d, d]) for d in range(4)) / 4 * phi[i + 2, j + 2]
     h2 = max(times[1] - times[0], xs[1] - xs[0]) ** 2
     assert np.max(np.abs(out - expect)) < 5 * h2
@@ -354,7 +353,7 @@ def test_apply_spinor_overlay_matches_full_symbol():
     td, tp, m = 0.03, 0.02, 1.0
     p0, p1 = 1.4, 0.6
     phi = _plane_wave(p0, p1, times, xs)
-    theta = ThetaField.linear((td, tp, 0.0, 0.0))
+    grad = (td, tp, 0.0, 0.0)
     rep = GammaRep.dirac()
     psi0 = np.array([0.3 + 0.1j, -0.2, 0.5j, 1.0])
 
@@ -365,7 +364,7 @@ def test_apply_spinor_overlay_matches_full_symbol():
     expect = np.empty_like(out)
     for i in range(out.shape[0]):
         for j in range(out.shape[1]):
-            sym = kg_symbol((p0, p1, 0, 0), (tt[i, j], xx[i, j], 0, 0), theta, m, rep)
+            sym = kg_symbol((p0, p1, 0, 0), (tt[i, j], xx[i, j], 0, 0), grad, m, rep)
             mat = np.array([[complex(sym[a, b]) for b in range(4)] for a in range(4)])
             expect[i, j] = mat @ psi0 * phi[i + 2, j + 2]
     assert np.max(np.abs(out - expect)) < 1e-4

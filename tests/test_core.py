@@ -1,4 +1,4 @@
-"""Scalar, series, vector, and theta-field foundations."""
+"""Scalar, series and vector foundations."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from exocalc.core import (
     EpsSeries,
     QI,
     RationalComplex,
-    ThetaField,
     eps_grade,
     lower_index,
     minkowski_dot,
@@ -99,25 +98,3 @@ def test_minkowski_dot_examples():
         u = tuple(rand_frac(rng) for _ in range(4))
         v = tuple(rand_frac(rng) for _ in range(4))
         assert minkowski_dot(u, v) == minkowski_dot(v, u)
-
-
-def test_theta_linear_examples():
-    flat = ThetaField.linear((0, 0, 0, 0))
-    assert flat.value((3, 1, 4, 1)) == 0
-    assert flat.grad() == (0, 0, 0, 0)
-
-    alpha, beta = Fraction(3, 7), Fraction(-2, 5)
-    tilted = ThetaField.linear((alpha, beta, 0, 0))
-    t, x = Fraction(2), Fraction(3)
-    assert tilted.value((t, x, 0, 0)) == alpha * t + beta * x
-
-    assert ThetaField.linear((1, 2, 3, 4)).value((1, 1, 1, 1)) == 10
-
-
-def test_theta_eps_scaling():
-    theta = ThetaField.linear((Fraction(1, 2), 0, 0, 0))
-    graded = theta.eps_scaled()
-    g = graded.grad()[0]
-    assert isinstance(g, EpsSeries)
-    assert g.grade() == 1
-    assert g.coeff(1) == Fraction(1, 2)

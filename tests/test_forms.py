@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from exocalc.core import ThetaField
 from exocalc.forms import (
     DEFORMED,
     ExoticForm,
@@ -31,7 +30,7 @@ from exocalc.poly import MultiPoly, random_multipoly
 
 
 def zero_theta(dim):
-    return ThetaField.linear((0,) * dim)
+    return (0,) * dim
 
 
 def test_canonical_antisymmetric_storage():
@@ -131,10 +130,10 @@ def test_deformed_to_plain_trivial():
 
 def test_deformed_to_plain_one_form_extra_component():
     # a pure last-axis covector picks up a first-axis component x_last * theta'
-    theta = ThetaField.linear((Fraction(1, 2), 0, 0))
+    grad = (Fraction(1, 2), 0, 0)
     w = ExoticForm(3, 1, basis=DEFORMED)
     w.insert((2,), MultiPoly.constant(1, 3))
-    out = deformed_to_plain(w, theta)
+    out = deformed_to_plain(w, grad)
     assert out.component((2,)) == MultiPoly.constant(1, 3)
     expect = MultiPoly.variable(2, 3) * Fraction(1, 2)
     assert out.component((0,)) == expect.scale_eps(1)
@@ -143,10 +142,10 @@ def test_deformed_to_plain_one_form_extra_component():
 def test_deformed_to_plain_two_form_rule():
     rng = random.Random(41)
     for _ in range(10):
-        theta = random_linear_theta(rng, 4)
+        grad = random_linear_theta(rng, 4)
         w = random_form(rng, 4, 2, basis=DEFORMED)
-        engine = deformed_to_plain(w, theta).eps_truncated(1)
-        oracle = dense_deformed_to_plain(w, theta).eps_truncated(1)
+        engine = deformed_to_plain(w, grad).eps_truncated(1)
+        oracle = dense_deformed_to_plain(w, grad).eps_truncated(1)
         assert (engine - oracle).is_zero()
 
 
@@ -183,10 +182,10 @@ def test_exotic_d_flat_is_exterior_d():
 
 
 def test_exotic_d_zero_form_example():
-    theta = ThetaField.linear((0, 0, Fraction(1, 3)))
+    grad = (0, 0, Fraction(1, 3))
     f = ExoticForm(3, 0)
     f.insert((), MultiPoly.variable(0, 3))
-    df = exotic_d(f, theta)
+    df = exotic_d(f, grad)
     assert df.component((0,)) == MultiPoly.constant(1, 3)
     dilat = (Fraction(1, 3) * MultiPoly.variable(0, 3)).scale_eps(1)
     assert df.component((2,)) == dilat
@@ -195,10 +194,10 @@ def test_exotic_d_zero_form_example():
 
 def test_exotic_d_constant_is_zero():
     rng = random.Random(44)
-    theta = random_linear_theta(rng, 4)
+    grad = random_linear_theta(rng, 4)
     f = ExoticForm(4, 0)
     f.insert((), MultiPoly.constant(Fraction(5, 3), 4))
-    assert exotic_d(f, theta).is_zero()
+    assert exotic_d(f, grad).is_zero()
 
 
 def test_d_squared_flat_zero():
@@ -213,14 +212,14 @@ def test_d_squared_hand_example():
     # 0-form x0 over two coordinates with gradient (0, b):
     # the square is exactly eps*b dx0^dx1
     b = Fraction(2, 5)
-    theta = ThetaField.linear((0, b))
+    grad = (0, b)
     f = ExoticForm(2, 0)
     f.insert((), MultiPoly.variable(0, 2))
-    residual, _ = d_squared_check(f, theta)
-    rhs = d_squared_obstruction(f, theta)
+    residual, _ = d_squared_check(f, grad)
+    rhs = d_squared_obstruction(f, grad)
     assert residual.is_zero()
     assert rhs.component((0, 1)) == MultiPoly.constant(b, 2).scale_eps(1)
-    dd = exotic_d(exotic_d(f, theta), theta)
+    dd = exotic_d(exotic_d(f, grad), grad)
     assert (dd - rhs).is_zero()
 
 
@@ -228,9 +227,9 @@ def test_d_squared_residual_zero_every_grade():
     rng = random.Random(46)
     for _ in range(15):
         dim = rng.choice([2, 3, 4])
-        theta = random_linear_theta(rng, dim)
+        grad = random_linear_theta(rng, dim)
         w = random_form(rng, dim, rng.randint(0, dim - 1))
-        residual, _ = d_squared_check(w, theta)
+        residual, _ = d_squared_check(w, grad)
         assert residual.is_zero()
         assert residual.eps_grade() == math.inf
 
@@ -239,36 +238,36 @@ def test_d_cubed_vanishes_for_linear_theta():
     rng = random.Random(47)
     for _ in range(15):
         dim = rng.choice([2, 3, 4])
-        theta = random_linear_theta(rng, dim)
+        grad = random_linear_theta(rng, dim)
         w = random_form(rng, dim, rng.randint(0, dim - 1))
-        ddd = exotic_d(exotic_d(exotic_d(w, theta), theta), theta)
+        ddd = exotic_d(exotic_d(exotic_d(w, grad), grad), grad)
         assert ddd.eps_grade() >= 2  # exactly zero, in fact
         assert ddd.is_zero()
 
 
 def test_leibniz_constant_forms():
-    theta = ThetaField.linear((Fraction(1, 2), Fraction(-1, 3), 0))
+    grad = (Fraction(1, 2), Fraction(-1, 3), 0)
     a = ExoticForm(3, 1)
     a.insert((0,), MultiPoly.constant(2, 3))
     b = ExoticForm(3, 1)
     b.insert((2,), MultiPoly.constant(Fraction(-3, 4), 3))
     from exocalc.forms import leibniz_check
 
-    assert leibniz_check(a, b, theta).is_zero()
+    assert leibniz_check(a, b, grad).is_zero()
 
 
 def test_leibniz_exact():
     rng = random.Random(48)
     for _ in range(20):
         dim = rng.choice([2, 3, 4])
-        theta = random_linear_theta(rng, dim)
+        grad = random_linear_theta(rng, dim)
         k = rng.randint(0, dim - 1)
         l = rng.randint(0, dim - 1)
         a = random_form(rng, dim, k)
         b = random_form(rng, dim, l)
-        lhs = exotic_d(wedge(a, b), theta)
-        rhs = wedge(exotic_d(a, theta), b)
-        tail = wedge(a, exotic_d(b, theta))
+        lhs = exotic_d(wedge(a, b), grad)
+        rhs = wedge(exotic_d(a, grad), b)
+        tail = wedge(a, exotic_d(b, grad))
         if k % 2:
             tail = -tail
         assert (lhs - rhs - tail).is_zero()
@@ -318,8 +317,8 @@ def test_homotopy_lemma_classical_example():
     f = MultiPoly.variable(1, 3) * MultiPoly.variable(2, 3)
     w = ExoticForm(3, 2, lambda_active=True)
     w.insert((1, 2), MultiPoly.variable(0, 3) * f)
-    theta = zero_theta(2)
-    residual = homotopy_lemma_check(w, theta)
+    grad = zero_theta(2)
+    residual = homotopy_lemma_check(w, grad)
     assert residual.is_zero()
     boundary = pullback_at(w, 1) - pullback_at(w, 0)
     assert boundary.component((0, 1)) == f.drop_leading_var()
@@ -327,13 +326,13 @@ def test_homotopy_lemma_classical_example():
 
 def test_homotopy_lemma_dlambda_only():
     rng = random.Random(50)
-    theta = random_linear_theta(rng, 3)
+    grad = random_linear_theta(rng, 3)
     w = ExoticForm(4, 2, lambda_active=True)
     w.insert((0, 2), random_multipoly(rng, 4, 2))
     assert pullback_at(w, 1).is_zero()
     assert pullback_at(w, 0).is_zero()
-    h_d = homotopy_H(exotic_d(w, theta))
-    d_h = exotic_d(homotopy_H(w), theta)
+    h_d = homotopy_H(exotic_d(w, grad))
+    d_h = exotic_d(homotopy_H(w), grad)
     assert (h_d + d_h).is_zero()
 
 
@@ -341,9 +340,9 @@ def test_homotopy_lemma_deformed_case():
     rng = random.Random(51)
     for _ in range(10):
         nb = rng.choice([2, 3])
-        theta = random_linear_theta(rng, nb)
+        grad = random_linear_theta(rng, nb)
         w = random_form(rng, nb + 1, rng.randint(1, nb), lambda_active=True)
-        residual = homotopy_lemma_check(w, theta)
+        residual = homotopy_lemma_check(w, grad)
         assert residual.is_zero()
         assert residual.eps_grade() == math.inf
 
@@ -362,12 +361,11 @@ def test_field_strength_flat_limit():
 def test_field_strength_constant_connection_breaks_gauge():
     # constant connection: ordinary curvature vanishes, gradient term survives
     n = 3
-    theta = ThetaField.linear((Fraction(1, 2), 0, Fraction(-1, 3)))
+    grad = (Fraction(1, 2), 0, Fraction(-1, 3))
     a_comps = [MultiPoly.constant(c, n) for c in (Fraction(2), Fraction(0), Fraction(1))]
-    fs = field_strength(a_comps, theta)
+    fs = field_strength(a_comps, grad)
     assert not fs.is_zero()
     assert fs.eps_grade() == 1
-    grad = (Fraction(1, 2), Fraction(0), Fraction(-1, 3))
     for mu in range(n):
         for nu in range(mu + 1, n):
             expect = MultiPoly.constant(
@@ -382,19 +380,19 @@ def test_field_strength_constant_connection_breaks_gauge():
 def test_connection_builders_reject_a_gradient_of_the_wrong_length(grad):
     a_comps = [MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)]
     with pytest.raises(ValueError):
-        field_strength(a_comps, ThetaField.linear(grad))
+        field_strength(a_comps, grad)
     with pytest.raises(ValueError):
-        dilated_connection(a_comps, ThetaField.linear(grad))
+        dilated_connection(a_comps, grad)
 
 
 def test_field_strength_cross_check_against_derivative():
     rng = random.Random(53)
     for _ in range(10):
         n = 4
-        theta = random_linear_theta(rng, n)
+        grad = random_linear_theta(rng, n)
         a_comps = [random_multipoly(rng, n, 2) for _ in range(n)]
-        fs = field_strength(a_comps, theta)
-        via_d = exotic_d(dilated_connection(a_comps, theta), theta)
+        fs = field_strength(a_comps, grad)
+        via_d = exotic_d(dilated_connection(a_comps, grad), grad)
         assert (fs - via_d.eps_truncated(1)).is_zero()
         assert (fs - via_d).eps_grade() >= 2
 
@@ -402,12 +400,12 @@ def test_field_strength_cross_check_against_derivative():
 def test_gauge_shift_changes_field_strength_predictably():
     rng = random.Random(54)
     n = 3
-    theta = random_linear_theta(rng, n)
+    grad = random_linear_theta(rng, n)
     a_comps = [random_multipoly(rng, n, 2) for _ in range(n)]
     chi = random_multipoly(rng, n, 2)
     shifted = [a + chi.diff(mu) for mu, a in enumerate(a_comps)]
-    delta = field_strength(shifted, theta) - field_strength(a_comps, theta)
-    pure_gauge = field_strength([chi.diff(mu) for mu in range(n)], theta)
+    delta = field_strength(shifted, grad) - field_strength(a_comps, grad)
+    pure_gauge = field_strength([chi.diff(mu) for mu in range(n)], grad)
     assert (delta - pure_gauge).is_zero()
     # flat part of a pure-gauge connection is closed; only gradient terms remain
     assert pure_gauge.eps_grade() >= 1 or pure_gauge.is_zero()
@@ -417,24 +415,24 @@ def test_sparse_engine_matches_dense_route():
     rng = random.Random(55)
     for _ in range(8):
         dim = rng.choice([2, 3, 4])
-        theta = random_linear_theta(rng, dim)
+        grad = random_linear_theta(rng, dim)
         w = random_form(rng, dim, rng.randint(0, dim - 1))
-        assert (exotic_d(w, theta) - dense_exotic_d(w, theta)).is_zero()
+        assert (exotic_d(w, grad) - dense_exotic_d(w, grad)).is_zero()
 
 
 def test_obstruction_matches_square_on_extended_forms():
     rng = random.Random(56)
-    theta = random_linear_theta(rng, 3)
+    grad = random_linear_theta(rng, 3)
     w = random_form(rng, 4, 2, lambda_active=True)
-    dd = exotic_d(exotic_d(w, theta), theta)
-    assert (dd - d_squared_obstruction(w, theta)).is_zero()
+    dd = exotic_d(exotic_d(w, grad), grad)
+    assert (dd - d_squared_obstruction(w, grad)).is_zero()
 
 
 def test_grade_projection_of_zero_form_derivative():
-    theta = ThetaField.linear((0, 0, Fraction(1, 3)))
+    grad = (0, 0, Fraction(1, 3))
     f = ExoticForm(3, 0)
     f.insert((), MultiPoly.variable(0, 3))
-    df = exotic_d(f, theta)
+    df = exotic_d(f, grad)
     flat_part = df.eps_component(0)
     assert flat_part.component((0,)) == MultiPoly.constant(1, 3)
     assert flat_part.component((2,)).is_zero()
@@ -443,13 +441,13 @@ def test_grade_projection_of_zero_form_derivative():
 
 
 def test_basis_and_space_guards():
-    theta = ThetaField.linear((0, 0))
+    grad = (0, 0)
     deformed = ExoticForm(2, 1, basis=DEFORMED)
     deformed.insert((0,), MultiPoly.constant(1, 2))
     with pytest.raises(ValueError):
-        exotic_d(deformed, theta)
+        exotic_d(deformed, grad)
     with pytest.raises(ValueError):
-        deformed_to_plain(ExoticForm(2, 1), theta)  # plain input to the expander
+        deformed_to_plain(ExoticForm(2, 1), grad)  # plain input to the expander
 
     plain = ExoticForm(2, 1)
     plain.insert((0,), MultiPoly.constant(1, 2))
@@ -464,7 +462,7 @@ def test_basis_and_space_guards():
     with pytest.raises(ValueError):
         pullback_at(plain, 1)
     with pytest.raises(ValueError):
-        exotic_d(plain, ThetaField.linear((1, 2, 3)))  # gradient length mismatch
+        exotic_d(plain, (1, 2, 3))  # gradient length mismatch
 
 
 def test_degree_and_dimension_guards():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exocalc.core import EpsSeries, ThetaField, eps_grade, minkowski_dot
+from exocalc.core import EpsSeries, eps_grade, minkowski_dot
 from exocalc.metric import (
     bilinear_eval,
     degeneracy_witness,
@@ -23,7 +23,7 @@ from exocalc.metric import (
 )
 from helpers import rand_frac, rand_theta4, rand_vec4
 
-FLAT = ThetaField.linear((0, 0, 0, 0))
+FLAT = (0, 0, 0, 0)
 DIAG = (1, -1, -1, -1)
 
 
@@ -31,61 +31,61 @@ def test_metric_full_flat_limit():
     g = metric_full((2, 3, 5, 7), FLAT)
     for a in range(4):
         for b in range(4):
-            assert g[a, b] == (DIAG[a] if a == b else 0)
+            assert g[a][b] == (DIAG[a] if a == b else 0)
 
 
 def test_metric_full_hand_values():
     beta = Fraction(2, 7)
-    theta = ThetaField.linear((0, beta, 0, 0))
-    g = metric_full((1, 0, 0, 0), theta)
-    assert g[0, 1] == beta
-    assert g[1, 1] == -1 + beta * beta
+    grad = (0, beta, 0, 0)
+    g = metric_full((1, 0, 0, 0), grad)
+    assert g[0][1] == beta
+    assert g[1][1] == -1 + beta * beta
 
-    g2 = metric_full((0, 1, 0, 0), theta)
-    assert g2[1, 1] == -((1 + beta) ** 2)
+    g2 = metric_full((0, 1, 0, 0), grad)
+    assert g2[1][1] == -((1 + beta) ** 2)
 
 
 def test_metric_first_order_hand_values():
     beta = Fraction(1, 3)
-    theta = ThetaField.linear((0, beta, 0, 0))
-    g = metric_first_order((1, 0, 0, 0), theta)
-    assert g[0, 1] == beta
+    grad = (0, beta, 0, 0)
+    g = metric_first_order((1, 0, 0, 0), grad)
+    assert g[0][1] == beta
     for a in range(4):
-        assert g[a, a] == DIAG[a]
+        assert g[a][a] == DIAG[a]
 
 
 def test_full_minus_first_order_is_grade_two():
     rng = random.Random(10)
     for _ in range(30):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        gf = metric_full(x, theta)
-        g1 = metric_first_order(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        gf = metric_full(x, grad)
+        g1 = metric_first_order(x, grad)
         for a in range(4):
             for b in range(4):
-                assert eps_grade(gf[a, b] - g1[a, b]) >= 2
+                assert eps_grade(gf[a][b] - g1[a][b]) >= 2
 
 
 def test_inverse_first_order_values_and_contraction():
     beta = Fraction(3, 5)
-    theta = ThetaField.linear((0, beta, 0, 0))
-    gi = metric_inverse_first_order((1, 0, 0, 0), theta)
-    assert gi[0, 1] == beta  # -x^0 d^1 theta with the raised gradient sign
+    grad = (0, beta, 0, 0)
+    gi = metric_inverse_first_order((1, 0, 0, 0), grad)
+    assert gi[0][1] == beta  # -x^0 d^1 theta with the raised gradient sign
 
     gi_flat = metric_inverse_first_order((1, 2, 3, 4), FLAT)
     for a in range(4):
         for b in range(4):
-            assert gi_flat[a, b] == (DIAG[a] if a == b else 0)
+            assert gi_flat[a][b] == (DIAG[a] if a == b else 0)
 
     rng = random.Random(11)
     for _ in range(30):
         x = rand_vec4(rng)
-        theta = rand_theta4(rng, eps=True)
-        lo = metric_first_order(x, theta)
-        hi = metric_inverse_first_order(x, theta)
+        grad = rand_theta4(rng, eps=True)
+        lo = metric_first_order(x, grad)
+        hi = metric_inverse_first_order(x, grad)
         for a in range(4):
             for b in range(4):
-                contracted = sum(hi[a, c] * lo[c, b] for c in range(4))
+                contracted = sum(hi[a][c] * lo[c][b] for c in range(4))
                 assert eps_grade(contracted - (1 if a == b else 0)) >= 2
 
 
@@ -93,8 +93,8 @@ def test_bilinear_flat_and_symmetry():
     rng = random.Random(12)
     for _ in range(1000):
         v, w, x = rand_vec4(rng), rand_vec4(rng), rand_vec4(rng)
-        theta = rand_theta4(rng)
-        assert bilinear_eval(v, w, x, theta) == bilinear_eval(w, v, x, theta)
+        grad = rand_theta4(rng)
+        assert bilinear_eval(v, w, x, grad) == bilinear_eval(w, v, x, grad)
     v, w = rand_vec4(rng), rand_vec4(rng)
     assert bilinear_eval(v, w, rand_vec4(rng), FLAT) == minkowski_dot(v, w)
 
@@ -103,22 +103,22 @@ def test_bilinear_matches_metric_contraction():
     rng = random.Random(13)
     for _ in range(50):
         v, w, x = rand_vec4(rng), rand_vec4(rng), rand_vec4(rng)
-        theta = rand_theta4(rng)
-        g = metric_full(x, theta)
-        direct = bilinear_eval(v, w, x, theta)
-        contracted = sum(g[a, b] * v[a] * w[b] for a in range(4) for b in range(4))
+        grad = rand_theta4(rng)
+        g = metric_full(x, grad)
+        direct = bilinear_eval(v, w, x, grad)
+        contracted = sum(g[a][b] * v[a] * w[b] for a in range(4) for b in range(4))
         assert direct == contracted
 
 
 def test_null_vector_orthogonal_gradient_stays_null():
     # v null with gradient.v = 0 stays null for any point
     v = (1, 1, 0, 0)
-    theta = ThetaField.linear((Fraction(1, 3), Fraction(-1, 3), Fraction(2, 5), 0))
+    grad = (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 5), 0)
     rng = random.Random(14)
     for _ in range(20):
         x = rand_vec4(rng)
-        assert bilinear_eval(v, v, x, theta) == 0
-        assert null_deviation(v, x, theta) == 0
+        assert bilinear_eval(v, v, x, grad) == 0
+        assert null_deviation(v, x, grad) == 0
 
 
 def test_null_case_lightlike_point():
@@ -126,8 +126,8 @@ def test_null_case_lightlike_point():
     v = (2, 2, 0, 0)
     rng = random.Random(15)
     for _ in range(20):
-        theta = rand_theta4(rng)
-        assert null_deviation(v, v, theta) == 0
+        grad = rand_theta4(rng)
+        assert null_deviation(v, v, grad) == 0
 
 
 def test_bilinear_is_flat_product_of_shifted_vectors():
@@ -135,21 +135,20 @@ def test_bilinear_is_flat_product_of_shifted_vectors():
     rng = random.Random(22)
     for _ in range(100):
         v, w, x = rand_vec4(rng), rand_vec4(rng), rand_vec4(rng)
-        theta = rand_theta4(rng)
-        grad = theta.grad()
+        grad = rand_theta4(rng)
         gv = sum(g * c for g, c in zip(grad, v))
         gw = sum(g * c for g, c in zip(grad, w))
         shifted_v = tuple(v[m] + x[m] * gv for m in range(4))
         shifted_w = tuple(w[m] + x[m] * gw for m in range(4))
-        assert bilinear_eval(v, w, x, theta) == minkowski_dot(shifted_v, shifted_w)
+        assert bilinear_eval(v, w, x, grad) == minkowski_dot(shifted_v, shifted_w)
 
 
 def test_null_deviation_equals_bilinear_identically():
     rng = random.Random(16)
     for _ in range(200):
         v, x = rand_vec4(rng), rand_vec4(rng)
-        theta = rand_theta4(rng)
-        assert null_deviation(v, x, theta) == bilinear_eval(v, v, x, theta)
+        grad = rand_theta4(rng)
+        assert null_deviation(v, x, grad) == bilinear_eval(v, v, x, grad)
 
 
 def test_degeneracy_witness_basics():
@@ -161,13 +160,13 @@ def test_degeneracy_witness_basics():
 def test_constructed_degeneracy():
     # gradient.v = -1 and x = v makes the witness vanish
     v = (1, 2, 0, 0)
-    theta = ThetaField.linear((Fraction(-1, 3), Fraction(-1, 3), 0, 0))
-    witness = degeneracy_witness(v, v, theta)
+    grad = (Fraction(-1, 3), Fraction(-1, 3), 0, 0)
+    witness = degeneracy_witness(v, v, grad)
     assert witness == (0, 0, 0, 0)
     rng = random.Random(17)
     for _ in range(100):
         w = rand_vec4(rng)
-        assert bilinear_eval(v, w, v, theta) == 0
+        assert bilinear_eval(v, w, v, grad) == 0
 
 
 def test_interval_2d_trivial_and_numeric():
@@ -209,8 +208,8 @@ def test_dual_coefficients():
     phi_z = Fraction(5)
     zq = Fraction(3)
     tp = Fraction(1, 7)
-    theta = ThetaField.linear((0, tp, 0, 0))
-    out = dual_coefficients((0, 0, 0, phi_z), (0, 0, 0, zq), theta)
+    grad = (0, tp, 0, 0)
+    out = dual_coefficients((0, 0, 0, phi_z), (0, 0, 0, zq), grad)
     assert out == (0, phi_z * zq * tp, 0, phi_z)
 
     # phi orthogonal to x: no dilatation
@@ -225,8 +224,8 @@ def test_dual_obstruction():
     assert not dual_obstruction(phi, x, FLAT)
 
     phix = sum(p * c for p, c in zip(phi, x))
-    theta = ThetaField.linear(tuple(-p / phix for p in phi))
-    assert dual_obstruction(phi, x, theta)
+    grad = tuple(-p / phix for p in phi)
+    assert dual_obstruction(phi, x, grad)
 
     rng = random.Random(20)
     assert not dual_obstruction(rand_vec4(rng), rand_vec4(rng), rand_theta4(rng))
@@ -244,28 +243,19 @@ def test_inner_product_dual():
     # orthogonal covector: plain pairing survives any topology
     phi = (1, 1, 0, 0)
     x = (1, -1, 2, 0)
-    theta = rand_theta4(rng)
+    grad = rand_theta4(rng)
     v = rand_vec4(rng)
-    assert inner_product_dual(phi, v, x, theta) == sum(p * c for p, c in zip(phi, v))
+    assert inner_product_dual(phi, v, x, grad) == sum(p * c for p, c in zip(phi, v))
 
     # aligned case deformed by (phi.x)(grad.v)
     phi = x = (1, 2, 3, 4)
-    grad = theta.grad()
     expect = sum(p * c for p, c in zip(phi, v)) + sum(
         p * c for p, c in zip(phi, x)
     ) * sum(g * c for g, c in zip(grad, v))
-    assert inner_product_dual(phi, v, x, theta) == expect
-
-
-def test_metric_rows_accessor():
-    beta = Fraction(1, 4)
-    g = metric_full((1, 0, 0, 0), ThetaField.linear((0, beta, 0, 0)))
-    rows = g.as_rows()
-    assert rows[0][1] == beta and rows[1][0] == beta
-    assert rows == [list(r) for r in g.components]
+    assert inner_product_dual(phi, v, x, grad) == expect
 
 
 def test_validity_ratio():
-    theta = ThetaField.linear((0.0, 0.01, 0.0, 0.0))
-    assert validity_ratio((0, 0, 0, 0), theta) == 0
-    assert math.isclose(validity_ratio((3, 4, 0, 0), theta), 5 * 0.01)
+    grad = (0.0, 0.01, 0.0, 0.0)
+    assert validity_ratio((0, 0, 0, 0), grad) == 0
+    assert math.isclose(validity_ratio((3, 4, 0, 0), grad), 5 * 0.01)
