@@ -7,26 +7,4 @@ calculus, and the modified scalar-wave dispersion with quasinormal-like
 damped modes.
 """
 
-from .core import (
-    EpsSeries,
-    MINKOWSKI_SIGNS,
-    QI,
-    RationalComplex,
-    eps_grade,
-    lower_index,
-    minkowski_dot,
-    raise_index,
-)
-
-__all__ = [
-    "EpsSeries",
-    "MINKOWSKI_SIGNS",
-    "QI",
-    "RationalComplex",
-    "eps_grade",
-    "lower_index",
-    "minkowski_dot",
-    "raise_index",
-]
-
 __version__ = "0.1.0"

@@ -17,13 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    MINKOWSKI_SIGNS,
-    QI,
-    RationalComplex,
-    contract,
-    minkowski_dot,
-)
+from .core import MINKOWSKI_SIGNS, QI, contract, minkowski_dot
 
 #: sign of the ``2 v^a x^m p_m p_a`` symbol term under the plane-wave family
 X_TERM_SIGN = 1
@@ -53,27 +47,16 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _units(exact: bool):
-    one = RationalComplex(1) if exact else 1.0 + 0.0j
-    iu = QI if exact else 1j
-    zero = RationalComplex(0) if exact else 0.0 + 0.0j
-    return one, iu, zero
-
-
 def identity_matrix() -> np.ndarray:
     """``int`` identity; ``int`` combines exactly with every entry type in use."""
     return _obj([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
 
-def _spatial_gammas(exact: bool) -> tuple:
+def _spatial_gammas() -> tuple:
     """``gamma^1 .. gamma^3``, the same in the Dirac and the Weyl representation."""
-    one, iu, zero = _units(exact)
-    g1 = [[zero, zero, zero, one], [zero, zero, one, zero],
-          [zero, -one, zero, zero], [-one, zero, zero, zero]]
-    g2 = [[zero, zero, zero, -iu], [zero, zero, iu, zero],
-          [zero, iu, zero, zero], [-iu, zero, zero, zero]]
-    g3 = [[zero, zero, one, zero], [zero, zero, zero, -one],
-          [-one, zero, zero, zero], [zero, one, zero, zero]]
+    g1 = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    g2 = [[0, 0, 0, -QI], [0, 0, QI, 0], [0, QI, 0, 0], [-QI, 0, 0, 0]]
+    g3 = [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]
     return tuple(_obj(g) for g in (g1, g2, g3))
 
 
@@ -81,12 +64,12 @@ def _spatial_gammas(exact: bool) -> tuple:
 class GammaRep:
     """Four 4x4 matrices satisfying ``{g^m, g^n} = 2 eta^{mn} Id`` exactly.
 
-    ``exact=True`` carries :class:`RationalComplex` entries so algebraic
-    residuals can be asserted with zero tolerance.
+    The entries are exact (``int`` and :data:`~exocalc.core.QI`), so
+    algebraic residuals can be asserted with zero tolerance.  Float work
+    gets floats from the scalars it passes in, or calls :meth:`as_complex`.
     """
 
     matrices: tuple
-    exact: bool
     name: str = "dirac"
 
     def __post_init__(self):
@@ -101,18 +84,14 @@ class GammaRep:
                     )
 
     @classmethod
-    def dirac(cls, exact: bool = False) -> "GammaRep":
-        one, _, zero = _units(exact)
-        g0 = [[one, zero, zero, zero], [zero, one, zero, zero],
-              [zero, zero, -one, zero], [zero, zero, zero, -one]]
-        return cls((_obj(g0), *_spatial_gammas(exact)), exact, "dirac")
+    def dirac(cls) -> "GammaRep":
+        g0 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+        return cls((_obj(g0), *_spatial_gammas()), "dirac")
 
     @classmethod
-    def weyl(cls, exact: bool = False) -> "GammaRep":
-        one, _, zero = _units(exact)
-        g0 = [[zero, zero, one, zero], [zero, zero, zero, one],
-              [one, zero, zero, zero], [zero, one, zero, zero]]
-        return cls((_obj(g0), *_spatial_gammas(exact)), exact, "weyl")
+    def weyl(cls) -> "GammaRep":
+        g0 = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+        return cls((_obj(g0), *_spatial_gammas()), "weyl")
 
     @classmethod
     def conjugated(cls, u: np.ndarray, base: "GammaRep") -> "GammaRep":
@@ -121,7 +100,7 @@ class GammaRep:
         if not matrices_equal(u @ ud, identity_matrix()):
             raise ValueError("conjugation matrix is not unitary")
         mats = tuple(u @ g @ ud for g in base.matrices)
-        return cls(mats, base.exact, f"{base.name}-conjugated")
+        return cls(mats, f"{base.name}-conjugated")
 
     def as_complex(self) -> tuple:
         """Float versions of the matrices for numerical work."""
@@ -207,15 +186,14 @@ def kg_symbol(p_cov: Sequence, x: Sequence, v_cov: Sequence, m, rep: GammaRep | 
     contraction of two covariant vectors through the flat metric.  The
     point term vanishes at ``x = 0``, so the momentum-side matrix
     dispersion relation is ``M(p, 0)``.  Runs exactly when fed exact
-    scalars and an exact representation.
+    scalars, and in floats when fed floats.
     """
     if rep is None:
         rep = GammaRep.dirac()
-    _, iu, _ = _units(rep.exact)
     vp = minkowski_dot(v_cov, p_cov)
     x_term = X_TERM_SIGN * 2 * vp * contract(p_cov, x)
-    out = (-minkowski_dot(p_cov, p_cov) + m * m + iu * vp + x_term) * identity_matrix()
-    half = iu * COMMUTATOR_TERM_SIGN
+    out = (-minkowski_dot(p_cov, p_cov) + m * m + QI * vp + x_term) * identity_matrix()
+    half = QI * COMMUTATOR_TERM_SIGN
     for a in range(4):
         for b in range(4):
             coef = v_cov[a] * p_cov[b]

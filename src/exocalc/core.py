@@ -13,8 +13,9 @@ Everything downstream shares the conventions fixed here:
 
 Scalars are deliberately generic: the same formulas run over floats,
 :class:`fractions.Fraction`, :class:`RationalComplex` and
-:class:`EpsSeries`, so algebraic identities can be checked with zero
-tolerance while simulations use ordinary doubles.
+:class:`EpsSeries`, and each mixes with the others (a float meeting a
+:class:`RationalComplex` gives a ``complex``), so algebraic identities can
+be checked with zero tolerance while simulations use ordinary doubles.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ class RationalComplex:
 
     The gamma-matrix layer needs entries in {0, +-1, +-i} multiplied by
     rationals without any floating-point loss; ``fractions.Fraction``
-    alone cannot carry the imaginary unit.
+    alone cannot carry the imaginary unit.  ``+``, ``-`` and ``*`` with a
+    ``float`` or ``complex`` on either side return ``complex(self) op other``.
     """
 
     __slots__ = ("re", "im")
@@ -211,7 +213,7 @@ class RationalComplex:
     def __add__(self, other):
         o = _as_rational_complex(other)
         if o is None:
-            return NotImplemented
+            return complex(self) + other if isinstance(other, (float, complex)) else NotImplemented
         return RationalComplex(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -222,19 +224,19 @@ class RationalComplex:
     def __sub__(self, other):
         o = _as_rational_complex(other)
         if o is None:
-            return NotImplemented
+            return complex(self) - other if isinstance(other, (float, complex)) else NotImplemented
         return RationalComplex(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = _as_rational_complex(other)
         if o is None:
-            return NotImplemented
+            return other - complex(self) if isinstance(other, (float, complex)) else NotImplemented
         return o - self
 
     def __mul__(self, other):
         o = _as_rational_complex(other)
         if o is None:
-            return NotImplemented
+            return complex(self) * other if isinstance(other, (float, complex)) else NotImplemented
         return RationalComplex(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )

@@ -24,7 +24,6 @@ and ``grad`` is extended by a leading zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .poly import MultiPoly, random_multipoly
@@ -259,38 +258,30 @@ def exotic_d(form: ExoticForm, grad: Sequence) -> ExoticForm:
 def deformed_to_plain(form: ExoticForm, grad: Sequence) -> ExoticForm:
     """Expand deformed-basis components into the plain basis, all grades.
 
-    Each slot contributes ``dx^i + eps x^i sum_j g_j dx^j`` (the lambda
-    slot, when present, stays undeformed); the full multilinear expansion
-    is antisymmetrized into canonical storage.
+    Each component is its coefficient wedged with the plain 1-forms
+    ``dtx^i = dx^i + eps x^i sum_j g_j dx^j`` of its slots; the lambda
+    slot, when present, stays undeformed.
     """
     if form.basis != DEFORMED:
         raise ValueError("expected deformed-basis input")
     g = _grad_for(form, grad)
-    out = ExoticForm(form.dim, form.degree, PLAIN, form.lambda_active, form.trunc)
+    plain = ExoticForm(form.dim, 0, PLAIN, form.lambda_active, form.trunc)
+    dtx = []
+    for i in range(form.dim):
+        one_form = plain._like(degree=1)
+        one_form.insert((i,), MultiPoly.constant(1, form.dim, form.trunc))
+        if not (form.lambda_active and i == 0):
+            xi = MultiPoly.variable(i, form.dim, form.trunc)
+            for j in range(form.dim):
+                if g[j] != 0:
+                    one_form.insert((j,), (g[j] * xi).scale_eps(1))
+        dtx.append(one_form)
+    out = plain._like(degree=form.degree)
     for idx, poly in form.coeffs.items():
-        options = []
-        for slot in idx:
-            branches = [(slot, None)]
-            if not (form.lambda_active and slot == 0):
-                branches.extend(
-                    (j, slot) for j in range(form.dim) if g[j] != 0
-                )
-            options.append(branches)
-        for combo in product(*options):
-            new_idx = tuple(choice[0] for choice in combo)
-            factor = poly
-            subs = 0
-            for j, slot in combo:
-                if slot is None:
-                    continue
-                subs += 1
-                factor = factor * (
-                    g[j] * MultiPoly.variable(slot, poly.nvars, poly.trunc)
-                )
-            if subs:
-                factor = factor.scale_eps(subs)
-            if not factor.is_zero():
-                out.insert(new_idx, factor)
+        term = _filled(plain._like(), [((), poly)])
+        for i in idx:
+            term = wedge(term, dtx[i])
+        out = out + term
     return out
 
 

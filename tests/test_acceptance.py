@@ -81,7 +81,7 @@ def test_criterion_1_trivial_topology_regression():
                     assert g[a][b] == want
 
     # deformed gammas collapse to the flat representation, exactly
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     for _ in range(10):
         x = rand_vec4(rng)
         for mu, g in enumerate(gamma_tilde(x, flat4, rep)):
@@ -131,7 +131,7 @@ def test_criterion_2_symmetry_and_null_identity():
 def test_criterion_3_first_order_structure():
     start = time.time()
     rng = random.Random(103)
-    rep_exact = GammaRep.dirac(exact=True)
+    rep_exact = GammaRep.dirac()
 
     # symbolic: all three residual families sit at grade >= 2
     for _ in range(8):
@@ -217,7 +217,7 @@ def test_criterion_4_appendix_identity_suite():
 def test_criterion_5_dispersion():
     start = time.time()
     rng = random.Random(105)
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
 
     # off-diagonal exactly zero under the alignment constraint
     from exocalc.core import RationalComplex

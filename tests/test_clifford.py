@@ -42,9 +42,9 @@ def conjugating_unitary():
 
 
 REPS = [
-    GammaRep.dirac(exact=True),
-    GammaRep.weyl(exact=True),
-    GammaRep.conjugated(conjugating_unitary(), GammaRep.dirac(exact=True)),
+    GammaRep.dirac(),
+    GammaRep.weyl(),
+    GammaRep.conjugated(conjugating_unitary(), GammaRep.dirac()),
 ]
 
 
@@ -59,7 +59,7 @@ def test_flat_clifford_relation_exact(rep):
 
 
 def test_dirac_hermiticity():
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     assert matrices_equal(dagger(rep.matrices[0]), rep.matrices[0])
     for k in (1, 2, 3):
         neg = np.negative(rep.matrices[k])
@@ -71,7 +71,7 @@ def test_conjugated_requires_unitary():
         [[RationalComplex(2), RationalComplex(0)] * 2] * 4, dtype=object
     ).reshape(4, 4)
     with pytest.raises(ValueError):
-        GammaRep.conjugated(bad, GammaRep.dirac(exact=True))
+        GammaRep.conjugated(bad, GammaRep.dirac())
 
 
 def test_float_equality_and_unitarity_check_reject_nan():
@@ -88,14 +88,29 @@ def test_float_equality_and_unitarity_check_reject_nan():
 
 
 def test_matrices_equal_reads_exactness_from_the_entries():
-    exact = GammaRep.dirac(exact=True).matrices[2]
+    exact = GammaRep.dirac().matrices[2]
     nudged = exact.copy()
     nudged[0, 3] = nudged[0, 3] + Fraction(1, 10**15)
     assert not matrices_equal(exact, nudged)
     assert not matrices_equal(nudged, exact)
-    floats = GammaRep.dirac().matrices[2]
+    floats = exact.astype(complex)
     assert matrices_equal(floats, floats + 1e-13)
     assert matrices_equal(floats + 1e-13, exact)
+
+
+@pytest.mark.parametrize("exact_rep", REPS[:2], ids=lambda r: r.name)
+def test_float_inputs_over_exact_matrices_match_the_complex_matrices(exact_rep):
+    float_rep = GammaRep(exact_rep.as_complex(), f"{exact_rep.name}-complex")
+    rng = random.Random(36)
+    for _ in range(10):
+        x = tuple(rng.uniform(-2, 2) for _ in range(4))
+        grad = tuple(rng.uniform(-0.5, 0.5) for _ in range(4))
+        p = tuple(rng.uniform(-3, 3) for _ in range(4))
+        m = rng.uniform(0, 2)
+        pairs = list(zip(gamma_tilde(x, grad, exact_rep), gamma_tilde(x, grad, float_rep)))
+        pairs.append((kg_symbol(p, x, grad, m, exact_rep), kg_symbol(p, x, grad, m, float_rep)))
+        for got, want in pairs:
+            assert np.max(np.abs(got.astype(complex) - want.astype(complex))) <= 1e-12
 
 
 def test_tetrads_flat_and_contractions():
@@ -155,7 +170,7 @@ def test_gamma_tilde_flat_limit(rep):
 def test_gamma_tilde_hand_contraction():
     beta = Fraction(2, 9)
     grad = tuple(EpsSeries.eps(g) for g in (0, beta, 0, 0))
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     gt = gamma_tilde((1, 0, 0, 0), grad, rep)
     # frame map sends the time gamma to gamma^0 - eps*beta*gamma^1
     for i in range(4):
@@ -185,7 +200,7 @@ def test_lowered_anticommutator_matches_first_order_metric():
     # lowered frame gammas close on the covariant first-order metric at grade 1
     from exocalc.metric import metric_first_order, metric_full
 
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     rng = random.Random(33)
     for _ in range(5):
         x = rand_vec4(rng)
@@ -242,7 +257,7 @@ def test_anticommutator_residual_numeric_slope():
 
 
 def test_kg_symbol_trivial_and_structure():
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     p = (Fraction(3, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1))
     m = Fraction(2)
     sym = kg_symbol(p, (0, 0, 0, 0), (0, 0, 0, 0), m, rep)
@@ -254,7 +269,7 @@ def test_kg_symbol_trivial_and_structure():
 def test_kg_symbol_quadratic_in_momentum():
     # third differences along any momentum ray vanish identically
     rng = random.Random(35)
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     grad = rand_theta4(rng)
     x = rand_vec4(rng)
     m = Fraction(1)
@@ -270,7 +285,7 @@ def test_kg_symbol_quadratic_in_momentum():
 
 def test_kg_symbol_affine_in_gradient_and_point():
     rng = random.Random(37)
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     m = Fraction(1)
     p = tuple(rand_frac(rng) for _ in range(4))
 
@@ -296,7 +311,7 @@ def test_kg_symbol_affine_in_gradient_and_point():
 
 def test_kg_symbol_constraint_kills_commutator():
     rng = random.Random(36)
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     for _ in range(10):
         v = tuple(rand_frac(rng) for _ in range(4))
         if v[0] == 0:
@@ -412,7 +427,7 @@ def test_apply_rejects_small_grids():
 
 
 def test_kg_symbol_exact_identity_coefficient():
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     ident = identity_matrix()
     assert matrices_equal(kg_symbol((0, 0, 0, 0), (0, 0, 0, 0), FLAT, Fraction(3), rep), 9 * ident)
     assert matrices_equal(commutator(ident, ident), 0 * ident)

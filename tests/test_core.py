@@ -72,6 +72,17 @@ def test_rational_complex_arithmetic():
     assert complex(RationalComplex(1, 2)) == 1 + 2j
 
 
+@pytest.mark.parametrize("x", [0.3, -2.5, 0.0, 1.5 - 0.25j, complex(0, 3)])
+def test_rational_complex_mixes_with_floats_on_either_side(x):
+    rc = RationalComplex(Fraction(1, 3), Fraction(-7, 2))
+    z = complex(rc)
+    cases = [(rc + x, z + x), (x + rc, x + z), (rc - x, z - x), (x - rc, x - z),
+             (rc * x, z * x), (x * rc, x * z)]
+    for got, want in cases:
+        assert type(got) is complex
+        assert got == want
+
+
 def test_lower_index_examples():
     assert lower_index((1, 0, 0, 0)) == (1, 0, 0, 0)
     assert lower_index((0, 1, 0, 0)) == (0, -1, 0, 0)

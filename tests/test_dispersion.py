@@ -86,7 +86,7 @@ def test_parts_identities_constant_and_plane_wave():
 
 
 def test_dispersion_matrix_on_shell_trivial():
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     m = Fraction(3, 2)
     mat = kg_symbol((m, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), m, rep)
     assert all(not mat[i, j] for i in range(4) for j in range(4))
@@ -94,7 +94,7 @@ def test_dispersion_matrix_on_shell_trivial():
 
 def test_dispersion_matrix_constraint_offdiagonal_zero():
     rng = random.Random(61)
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     for _ in range(25):
         v = tuple(rand_frac(rng) for _ in range(4))
         if v[0] == 0:
@@ -111,7 +111,7 @@ def test_dispersion_matrix_constraint_offdiagonal_zero():
 def test_dispersion_matrix_equals_symbol_without_x_term():
     # the symbol at x differs from the matrix relation M(p, 0) by the point term alone
     rng = random.Random(62)
-    rep = GammaRep.dirac(exact=True)
+    rep = GammaRep.dirac()
     for _ in range(20):
         v = tuple(rand_frac(rng) for _ in range(4))
         p_cov = tuple(rand_frac(rng) for _ in range(4))

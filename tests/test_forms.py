@@ -149,6 +149,24 @@ def test_deformed_to_plain_two_form_rule():
         assert (engine - oracle).is_zero()
 
 
+def test_deformed_to_plain_has_no_component_above_grade_one():
+    # slot i deforms by x^i G with the same 1-form G = eps sum_j g_j dx^j,
+    # so G ^ G = 0 leaves nothing at eps^2 or higher
+    rng = random.Random(44)
+    grade_one_seen = False
+    for lam in (False, True):
+        for base in range(1, 5):
+            dim = base + 1 if lam else base
+            for degree in range(dim + 1):
+                for _ in range(3):
+                    grad = random_linear_theta(rng, base)
+                    w = random_form(rng, dim, degree, basis=DEFORMED, lambda_active=lam)
+                    out = deformed_to_plain(w, grad)
+                    assert (out - out.eps_truncated(1)).is_zero(), (lam, dim, degree)
+                    grade_one_seen = grade_one_seen or not out.eps_component(1).is_zero()
+    assert grade_one_seen
+
+
 def test_wedge_products():
     rng = random.Random(42)
     n = 4

@@ -396,6 +396,7 @@ TRACE = (
         (
             "test_forms.py::test_deformed_to_plain_trivial",
             "test_forms.py::test_deformed_to_plain_two_form_rule",
+            "test_forms.py::test_deformed_to_plain_has_no_component_above_grade_one",
         ),
     ),
     TraceEntry(
