@@ -297,10 +297,11 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
     spectrum_fn = spectrum_fn or dispersion.constrained_spectrum
     delta_fn = delta_fn or dispersion.delta_sigma
     spec = cfg["box"]
-    try:
-        box = dispersion.BoxRegion(spec["t0"], spec["t1"], tuple(map(tuple, spec["spatial"])))
-    except ValueError as exc:
-        raise ConfigError(f"bad box spec: {spec!r}") from exc
+    box = ((spec["t0"], spec["t1"]), *spec["spatial"])
+    if len(box) != 4 or not all(hi > lo for lo, hi in box):
+        raise ConfigError(
+            f"box needs t1 > t0 and three spatial intervals with hi > lo, got {spec!r}"
+        )
     axes = [sweep_values(cfg[axis]) for axis in SWEEP_AXES]
 
     def one(td, gn, m):

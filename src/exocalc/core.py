@@ -52,11 +52,6 @@ def lower_index(v: Sequence) -> tuple:
     return (v[0], -v[1], -v[2], -v[3])
 
 
-# eta = diag(1, -1, -1, -1) is its own inverse, so raising a covariant
-# 4-vector flips the same signs as lowering and is the same function
-raise_index = lower_index
-
-
 def minkowski_dot(u: Sequence, v: Sequence):
     """Flat inner product ``u^0 v^0 - u^1 v^1 - u^2 v^2 - u^3 v^3`` of contravariant vectors."""
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]

@@ -4,46 +4,19 @@ On a bounded region the transform kernel integrates to the box factor
 ``Delta(p)`` instead of a delta distribution; with the momentum aligned
 to the theta gradient the matrix relation collapses to a scalar quadratic
 whose roots carry an imaginary part set by the time derivative of theta.
+
+A box is four ``(lo, hi)`` intervals, time first, and a separable test
+function ``phi(x) = prod_a f_a(x^a)`` one ``(f, f', f'')`` triple of
+callables per axis.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import math
+from typing import Sequence
 
 from .core import MINKOWSKI_SIGNS, DegenerateParameterError
-
-
-@dataclass(frozen=True)
-class BoxRegion:
-    """Finite time interval times a finite spatial box (positive 4-volume)."""
-
-    t0: float
-    t1: float
-    spatial: tuple  # three (a_i, b_i) pairs
-
-    def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise ValueError("empty time interval")
-        if len(self.spatial) != 3:
-            raise ValueError(f"a box needs three spatial intervals, got {len(self.spatial)}")
-        for a, b in self.spatial:
-            if not b > a:
-                raise ValueError("empty spatial interval")
-
-    @classmethod
-    def cube(cls, t0=0.0, t1=1.0, a=0.0, b=1.0) -> "BoxRegion":
-        return cls(t0, t1, ((a, b), (a, b), (a, b)))
-
-    def volume(self) -> float:
-        vol = self.t1 - self.t0
-        for a, b in self.spatial:
-            vol *= b - a
-        return vol
-
-    def intervals(self) -> list:
-        return [(self.t0, self.t1), *self.spatial]
 
 
 def constrained_momentum(v_cov: Sequence, energy) -> tuple:
@@ -70,70 +43,53 @@ def _segment_integral(c, a: float, b: float) -> complex:
         raise OverflowError(f"box kernel phase overflows on [{a}, {b}]") from exc
 
 
-def delta_sigma(p_cov: Sequence, box: BoxRegion) -> complex:
+def delta_sigma(p_cov: Sequence, box: Sequence) -> complex:
     """Box kernel ``Delta(p) = int exp(i p.x) d4x`` as a product of segment factors.
 
-    The covariant components ``p_cov`` are the per-coordinate phases.  At
-    ``p = 0`` the value is exactly the 4-volume.
+    The covariant components ``p_cov`` are the per-coordinate phases of the
+    four box intervals.  At ``p = 0`` the value is exactly the 4-volume.
     """
     value = 1.0 + 0.0j
-    for c, (lo, hi) in zip(p_cov, box.intervals()):
+    for c, (lo, hi) in zip(p_cov, box, strict=True):
         value *= _segment_integral(c, lo, hi)
     return value
 
 
-@dataclass(frozen=True)
-class FactorFunction:
-    """One separable factor with first and second derivative callables."""
+def gaussian_factors(centers: Sequence[float], widths: Sequence[float]) -> tuple:
+    """Per-axis ``(f, f', f'')`` of the Gaussians ``exp(-(z - c)^2 / (2 w^2))``."""
 
-    value: Callable[[float], complex]
-    deriv: Callable[[float], complex]
-    second: Callable[[float], complex]
-
-
-@dataclass(frozen=True)
-class SeparableTestFunction:
-    """Product test function ``phi(x) = prod_a f_a(x^a)`` for identity checks."""
-
-    factors: tuple
-
-    @classmethod
-    def gaussian(cls, centers: Sequence[float], widths: Sequence[float]):
-        def make(c, w):
-            return FactorFunction(
-                value=lambda z, c=c, w=w: cmath.exp(-((z - c) ** 2) / (2 * w * w)),
-                deriv=lambda z, c=c, w=w: -(z - c)
-                / (w * w)
-                * cmath.exp(-((z - c) ** 2) / (2 * w * w)),
-                second=lambda z, c=c, w=w: ((z - c) ** 2 / (w * w) - 1)
-                / (w * w)
-                * cmath.exp(-((z - c) ** 2) / (2 * w * w)),
-            )
-
-        return cls(tuple(make(c, w) for c, w in zip(centers, widths)))
-
-    @classmethod
-    def constant(cls, value: complex = 1.0):
-        first = FactorFunction(
-            value=lambda z, v=value: v,
-            deriv=lambda z: 0.0j,
-            second=lambda z: 0.0j,
+    def make(c, w):
+        return (
+            lambda z: cmath.exp(-((z - c) ** 2) / (2 * w * w)),
+            lambda z: -(z - c) / (w * w) * cmath.exp(-((z - c) ** 2) / (2 * w * w)),
+            lambda z: ((z - c) ** 2 / (w * w) - 1)
+            / (w * w)
+            * cmath.exp(-((z - c) ** 2) / (2 * w * w)),
         )
-        rest = FactorFunction(
-            value=lambda z: 1.0 + 0.0j, deriv=lambda z: 0.0j, second=lambda z: 0.0j
+
+    return tuple(make(c, w) for c, w in zip(centers, widths))
+
+
+def constant_factors(value: complex = 1.0) -> tuple:
+    """Per-axis ``(f, f', f'')`` of the constant ``phi = value``."""
+
+    def zero(z):
+        return 0.0j
+
+    return ((lambda z: value, zero, zero),) + ((lambda z: 1.0 + 0.0j, zero, zero),) * 3
+
+
+def plane_wave_factors(freqs: Sequence[float]) -> tuple:
+    """Per-axis ``(f, f', f'')`` of the plane wave ``exp(i q_a x^a)``."""
+
+    def make(q):
+        return (
+            lambda z: cmath.exp(1j * q * z),
+            lambda z: 1j * q * cmath.exp(1j * q * z),
+            lambda z: -q * q * cmath.exp(1j * q * z),
         )
-        return cls((first, rest, rest, rest))
 
-    @classmethod
-    def plane_wave(cls, freqs: Sequence[float]):
-        def make(q):
-            return FactorFunction(
-                value=lambda z, q=q: cmath.exp(1j * q * z),
-                deriv=lambda z, q=q: 1j * q * cmath.exp(1j * q * z),
-                second=lambda z, q=q: -q * q * cmath.exp(1j * q * z),
-            )
-
-        return cls(tuple(make(q) for q in freqs))
+    return tuple(make(q) for q in freqs)
 
 
 def _quad_complex(fn, a: float, b: float) -> complex:
@@ -144,62 +100,48 @@ def _quad_complex(fn, a: float, b: float) -> complex:
     return complex(re, im)
 
 
-def fourier_parts_check(
-    phi: SeparableTestFunction, p_cov: Sequence, box: BoxRegion
-) -> float:
+def fourier_parts_check(factors: Sequence, p_cov: Sequence, box: Sequence) -> float:
     """Max residual of the by-parts transform identities on the box.
 
-    Checks, by quadrature on both sides, that the transform of a first
-    derivative equals ``-i p_a`` times the transform plus the face term,
-    and the corresponding second-derivative identity for every index pair.
+    ``factors`` holds one ``(f, f', f'')`` triple per axis and ``box`` four
+    ``(lo, hi)`` intervals.  Checks, by quadrature on both sides, that the
+    transform of a first derivative equals ``-i p_a`` times the transform
+    plus the face term, and the corresponding second-derivative identity
+    for every index pair.
     """
-    ivs = box.intervals()
+    axes = [(fns, complex(c), iv) for fns, c, iv in zip(factors, p_cov, box, strict=True)]
+    p = [c for _, c, _ in axes]
 
-    def seg(fn, axis):
-        c = p_cov[axis]
-        a, b = ivs[axis]
-        return _quad_complex(lambda z: fn(z) * cmath.exp(1j * complex(c) * z), a, b)
+    def seg(order, axis):
+        fns, c, (a, b) = axes[axis]
+        return _quad_complex(lambda z: fns[order](z) * cmath.exp(1j * c * z), a, b)
 
-    base = [seg(phi.factors[i].value, i) for i in range(4)]
-    first = [seg(phi.factors[i].deriv, i) for i in range(4)]
-    second = [seg(phi.factors[i].second, i) for i in range(4)]
-
-    def face_term(fn, axis):
-        c = complex(p_cov[axis])
-        a, b = ivs[axis]
+    def face(order, axis):
+        fns, c, (a, b) = axes[axis]
+        fn = fns[order]
         return fn(b) * cmath.exp(1j * c * b) - fn(a) * cmath.exp(1j * c * a)
 
-    def product_except(values, skip):
-        out = 1.0 + 0.0j
-        for i, v in enumerate(values):
-            if i not in skip:
-                out *= v
-        return out
+    base, first, second = ([seg(order, i) for i in range(4)] for order in range(3))
+
+    def rest(*skip):
+        """Product of the base transforms of the axes not in ``skip``."""
+        return math.prod(v for i, v in enumerate(base) if i not in skip)
 
     worst = 0.0
     for al in range(4):
-        lhs = first[al] * product_except(base, {al})
-        boundary = face_term(phi.factors[al].value, al) * product_except(base, {al})
-        rhs = -1j * complex(p_cov[al]) * product_except(base, ()) + boundary
+        lhs = first[al] * rest(al)
+        rhs = -1j * p[al] * rest() + face(0, al) * rest(al)
         worst = max(worst, abs(lhs - rhs))
     for mu in range(4):
         for al in range(4):
             if mu == al:
-                lhs = second[al] * product_except(base, {al})
-                bd_mu = face_term(phi.factors[al].deriv, al) * product_except(base, {al})
+                lhs = second[al] * rest(al)
+                bd_mu = face(1, al) * rest(al)
             else:
-                lhs = first[mu] * first[al] * product_except(base, {mu, al})
-                bd_mu = (
-                    face_term(phi.factors[mu].value, mu)
-                    * first[al]
-                    * product_except(base, {mu, al})
-                )
-            bd_al = face_term(phi.factors[al].value, al) * product_except(base, {al})
-            rhs = (
-                -complex(p_cov[mu]) * complex(p_cov[al]) * product_except(base, ())
-                + bd_mu
-                - 1j * complex(p_cov[mu]) * bd_al
-            )
+                lhs = first[mu] * first[al] * rest(mu, al)
+                bd_mu = face(0, mu) * first[al] * rest(mu, al)
+            bd_al = face(0, al) * rest(al)
+            rhs = -p[mu] * p[al] * rest() + bd_mu - 1j * p[mu] * bd_al
             worst = max(worst, abs(lhs - rhs))
     return worst
 

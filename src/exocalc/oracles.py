@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import GammaRep
 from .core import MINKOWSKI_SIGNS
-from .dispersion import BoxRegion, _quad_complex
+from .dispersion import _quad_complex
 from .forms import ExoticForm, PLAIN, _grad_for, _spatial_range
 from .poly import MultiPoly
 
@@ -29,10 +29,10 @@ from .poly import MultiPoly
 # -- box kernel by quadrature -------------------------------------------
 
 
-def delta_quadrature(p_cov, box: BoxRegion) -> complex:
-    """Box kernel evaluated by per-axis adaptive quadrature."""
+def delta_quadrature(p_cov, box) -> complex:
+    """Box kernel on four ``(lo, hi)`` intervals by per-axis adaptive quadrature."""
     value = 1.0 + 0.0j
-    for c, (lo, hi) in zip(p_cov, box.intervals()):
+    for c, (lo, hi) in zip(p_cov, box, strict=True):
         value *= _quad_complex(lambda z, c=complex(c): cmath.exp(1j * c * z), lo, hi)
     return value
 

@@ -1,5 +1,6 @@
 """CLI surface: determinism, schemas, exit codes, golden files."""
 
+import ast
 import hashlib
 import json
 import math
@@ -404,7 +405,7 @@ LAYERS = {f"exocalc.{p.stem}" for p in (SRC / "exocalc").glob("*.py")} - {
         ("forms-check", {"numpy", "dataclasses", "inspect"}),
         # only the implicit x-term step needs scipy, no command the gamma layer,
         # and only plane_wave_rates (the simulator's) numpy
-        ("spectrum", {"exocalc.clifford", "scipy", "numpy"}),
+        ("spectrum", {"exocalc.clifford", "scipy", "numpy", "dataclasses", "inspect"}),
         ("simulate", {"exocalc.clifford", "scipy"}),
         ("cartan", {f"exocalc.{m}" for m in ("pde", "dispersion", "forms", "poly", "metric")}),
     ],
@@ -431,6 +432,32 @@ def test_each_command_loads_only_its_own_layer(command, absent, tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert not absent & loaded
+
+
+def unused_imports(source: str) -> list:
+    """Names that ``source`` imports and never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    assert unused_imports("import os\nimport math\nfrom a import b as c\nmath.pi\n") == [
+        (1, "os"), (3, "c"),
+    ]
+    found = {
+        path.name: unused for path in sorted((SRC / "exocalc").glob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
 
 
 def test_exit_code_errors_are_defined_once_in_core():
@@ -572,6 +599,8 @@ BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, -
     ("spectrum", "m=[true]", "spectrum.csv", 2),  # not read as m = 1
     ("spectrum", 'grad_norm={"start":0,"stop":0.1,"count":2.5}', "spectrum.csv", 2),
     ("spectrum", "box.spatial=[[0,1]]", "spectrum.csv", 2),  # three intervals needed
+    ("spectrum", "box.t1=0.0", "spectrum.csv", 2),  # t1 == t0: an empty time interval
+    ("spectrum", "box.spatial=[[0,1],[1,1],[0,1]]", "spectrum.csv", 2),  # empty spatial interval
     ("metric", "theta_grad=[0,1e308,0,0]", "metric.csv", 3),  # overflows once squared
     ("spectrum", "theta_dot=[1e308] grad_norm=[1e308]", "spectrum.csv", 3),
     ("spectrum", "theta_dot=[1e-100] grad_norm=[1e140]", "spectrum.csv", 3),

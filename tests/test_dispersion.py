@@ -10,43 +10,38 @@ import pytest
 from exocalc.clifford import X_TERM_SIGN, GammaRep, identity_matrix, kg_symbol
 from exocalc.core import RationalComplex
 from exocalc.dispersion import (
-    BoxRegion,
     DegenerateParameterError,
-    SeparableTestFunction,
+    constant_factors,
     constrained_momentum,
     constrained_spectrum,
     delta_sigma,
     fourier_parts_check,
+    gaussian_factors,
+    plane_wave_factors,
     plane_wave_rates,
     spectrum_reference_approx,
 )
 from exocalc.oracles import delta_quadrature, spectrum_companion
 from helpers import rand_frac
 
+UNIT_BOX = ((0.0, 1.0),) * 4
+GAUSS_BOX = ((0.0, 1.3), (0.0, 1.0), (-0.5, 0.7), (0.2, 1.1))
 BOXES = [
-    BoxRegion.cube(),
-    BoxRegion(0.0, 1.3, ((0.0, 1.0), (-0.5, 0.7), (0.2, 1.1))),
-    BoxRegion(-0.4, 0.9, ((-1.0, 1.0), (0.0, 0.5), (-0.3, 0.2))),
+    UNIT_BOX,
+    GAUSS_BOX,
+    ((-0.4, 0.9), (-1.0, 1.0), (0.0, 0.5), (-0.3, 0.2)),
 ]
-
-
-def test_box_region_validation():
-    with pytest.raises(ValueError):
-        BoxRegion(1.0, 0.0, ((0, 1), (0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        BoxRegion(0.0, 1.0, ((0, 1), (1, 1), (0, 1)))
-    assert BoxRegion.cube().volume() == 1.0
+GAUSS_P = (1.3 + 0.2j, -0.7 + 0.1j, 1.1, -0.4)
 
 
 def test_delta_at_zero_is_volume_exactly():
     for box in BOXES:
-        assert delta_sigma((0, 0, 0, 0), box) == box.volume()
+        assert delta_sigma((0, 0, 0, 0), box) == math.prod(hi - lo for lo, hi in box)
 
 
 def test_delta_periodic_null():
-    box = BoxRegion.cube()
     p = (2 * math.pi, 0, 0, 0)
-    assert abs(delta_sigma(p, box)) < 1e-14
+    assert abs(delta_sigma(p, UNIT_BOX)) < 1e-14
 
 
 def test_delta_matches_quadrature():
@@ -63,26 +58,36 @@ def test_delta_matches_quadrature():
 
 
 def test_delta_series_branch_continuity():
-    box = BoxRegion.cube()
     tiny = (1e-8, -1e-9, 0, 0)
-    a = delta_sigma(tiny, box)
-    b = delta_quadrature(tiny, box)
+    a = delta_sigma(tiny, UNIT_BOX)
+    b = delta_quadrature(tiny, UNIT_BOX)
     assert abs(a - b) < 1e-12
 
 
+def gauss():
+    return gaussian_factors([0.65, 0.5, 0.1, 0.65], [0.08, 0.07, 0.09, 0.06])
+
+
 def test_parts_identities_gaussian():
-    box = BoxRegion(0.0, 1.3, ((0.0, 1.0), (-0.5, 0.7), (0.2, 1.1)))
-    phi = SeparableTestFunction.gaussian([0.65, 0.5, 0.1, 0.65], [0.08, 0.07, 0.09, 0.06])
-    p = (1.3 + 0.2j, -0.7 + 0.1j, 1.1, -0.4)
-    assert fourier_parts_check(phi, p, box) < 1e-9
+    assert fourier_parts_check(gauss(), GAUSS_P, GAUSS_BOX) < 1e-9
 
 
 def test_parts_identities_constant_and_plane_wave():
-    box = BoxRegion.cube()
     p = (0.9, -1.4, 0.6, -0.3)
-    assert fourier_parts_check(SeparableTestFunction.constant(2.0), p, box) < 1e-11
-    phi = SeparableTestFunction.plane_wave([0.8, -0.5, 1.2, 0.1])
-    assert fourier_parts_check(phi, p, box) < 1e-10
+    assert fourier_parts_check(constant_factors(2.0), p, UNIT_BOX) < 1e-11
+    factors = plane_wave_factors([0.8, -0.5, 1.2, 0.1])
+    assert fourier_parts_check(factors, p, UNIT_BOX) < 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2], ids=["first", "second"])
+def test_parts_check_flags_a_wrong_derivative(order):
+    """Scaling one axis's ``f'`` or ``f''`` by 1.01 breaks an identity by far
+    more than the correct triple's residual."""
+    factors = list(gauss())
+    triple = list(factors[2])
+    triple[order] = lambda z, fn=triple[order]: 1.01 * fn(z)
+    factors[2] = tuple(triple)
+    assert fourier_parts_check(factors, GAUSS_P, GAUSS_BOX) > 1e-7
 
 
 def test_dispersion_matrix_on_shell_trivial():

@@ -303,6 +303,7 @@ TRACE = (
         (
             "test_dispersion.py::test_parts_identities_gaussian",
             "test_dispersion.py::test_parts_identities_constant_and_plane_wave",
+            "test_dispersion.py::test_parts_check_flags_a_wrong_derivative",
         ),
     ),
     TraceEntry(
