@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
 import math
@@ -450,21 +451,117 @@ def _fit_window(spec, times) -> tuple:
     return float(selected[0]), float(selected[-1])
 
 
-def _snapshot_blocks(times, xs, snapshots):
-    """The ``t,x,re_phi,im_phi`` rows as one text block per snapshot.
+# bytes of a value cell: ``,`` and a ``FLOAT_SPEC`` cell (at most 20 characters), space-padded
+CELL = 24
+# the exponents the fast path can meet: |x| in [1e-290, 1e290], guessed within one
+E_MIN, E_MAX = -292, 291
 
-    Every cell reads as ``fmt`` of its value: ``x`` is formatted once,
-    ``t`` once per snapshot, and a snapshot's real and imaginary parts in
-    one ``%`` operation on a row template repeated along ``x``.
+
+@functools.cache
+def _cell_tables():
+    """The fast path's tables, built on its first call: ``powers[i]`` is
+    ``float(f"1e{12 - E_MAX + i}")``, which CPython rounds correctly. The
+    others hold ASCII, one machine word an entry: ``lead`` is ``, d.`` and
+    ``,-d.`` for each digit ``d``, ``digits4`` the four digits of 0..9999 and
+    ``exps`` ``e±dd[d]``, padded to 8 bytes, for each exponent from ``E_MIN``."""
+    import numpy as np
+
+    def words(cells, dtype):
+        return np.frombuffer("".join(cells).encode(), dtype)
+
+    powers = np.array([float(f"1e{k}") for k in range(12 - E_MAX, 13 - E_MIN)])
+    lead = words([f",{sign}{d}." for sign in " -" for d in range(10)], np.uint32)
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    digits4 = digits.astype(np.uint8).view(np.uint32).ravel()
+    exps = words([f"e{e:+03d}".ljust(8) for e in range(E_MIN, E_MAX + 1)], np.uint64)
+    return powers, lead, digits4, exps
+
+
+def _cells(values):
+    """``(cells, fast)`` for a 1-D float64 array: where ``fast`` is true, row
+    ``i`` of the ``(len(values), CELL)`` bytes ``cells`` is ``"," + FLOAT_SPEC %
+    values[i]`` padded with spaces.
+
+    ``%.12e`` writes the 13-digit decimal nearest ``|x|``, ties to even. With
+    ``e`` the guess ``floor(log10|x|)``, moved by one where ``s`` falls outside
+    ``[1e12, 1e13)``, the fast path takes the digits ``r = rint(s)`` of
+    ``s = fl(|x| * P)`` with ``P = fl(10^(12 - e))``. Each rounding errs by a
+    factor ``1 + d``, ``|d| <= u = 2^-53``, so the exact ``S = |x| * 10^(12 - e)``
+    obeys ``|s - S| <= (2u + u^2) * S``; as ``s < 1e13`` gives
+    ``S < 1e13 / (1 - u)^2``, ``|s - S| < (2u + u^2) * 1e13 * (1 + 3u) < 2.3e-3 < 2^-8``.
+    A value is fast only if
+    - ``|x|`` lies in ``[1e-290, 1e290]``, so ``P`` and ``s`` are normal and
+      finite (zero, subnormals, ``inf`` and ``nan`` are not);
+    - ``s`` lies in ``[1e12, 1e13)`` and ``r < 1e13``;
+    - ``|s - r| < 1/2 - 2^-8``.
+
+    The last rule puts ``s`` and ``S`` strictly inside one interval
+    ``(r - 1/2, r + 1/2)``, so ``r`` is the integer nearest ``S`` and no tie
+    arises. If ``S`` is in ``[1e12, 1e13)``, ``r * 10^(e - 12)`` is the decimal
+    ``%.12e`` writes; if ``S`` is just below ``1e12``, ``r = 1e12`` is the carry
+    ``%.12e`` makes into exponent ``e``. Nothing depends on ``log10`` being
+    accurate: a wrong guess only leaves ``s`` outside the range, and a guess
+    beyond the table is clamped to its ends, where ``s`` is below ``1e11`` or
+    above ``1e14``. Every other value is left to ``FLOAT_SPEC %``.
     """
     import numpy as np
 
-    value_cell = "," + FLOAT_SPEC
-    row_tails = ["," + FLOAT_SPEC % x + value_cell * 2 + "\n" for x in xs.tolist()]
+    powers, lead, digits4, exps = _cell_tables()
+    a = np.abs(values)
+    ok = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    # a guess wrong by more than one can overflow or underflow ``s``; that value is not fast
+    with np.errstate(over="ignore", under="ignore"):
+        s = a * powers.take(E_MAX - e, mode="clip")
+        e += s >= 1e13
+        e -= s < 1e12
+        s = a * powers.take(E_MAX - e, mode="clip")
+    r = np.rint(s)
+    fast = ok & (s >= 1e12) & (r < 1e13) & (np.abs(s - r) < 0.5 - 2.0**-8)
+    # words: the lead ``,-d.``, three groups of four digits, the exponent (two words)
+    cells = np.empty((len(values), CELL // 4), np.uint32)
+    digits = np.where(fast, r, 0.0).astype(np.int64)
+    for word in (3, 2, 1):
+        rest = digits // 10_000
+        cells[:, word] = digits4[digits - 10_000 * rest]
+        digits = rest
+    cells[:, 0] = lead[digits + 10 * np.signbit(values)]
+    cells.view(np.uint64)[:, 2] = exps.take(e - E_MIN, mode="clip")
+    return cells.view(np.uint8), fast
+
+
+def _padded(cells: list):
+    """``cells``, strings of at most ``CELL`` characters, as rows of ``CELL``
+    bytes padded with spaces."""
+    import numpy as np
+
+    return np.frombuffer("".join(c.ljust(CELL) for c in cells).encode(), np.uint8).reshape(-1, CELL)
+
+
+def _snapshot_blocks(times, xs, snapshots):
+    """The ``t,x,re_phi,im_phi`` rows as one text block per snapshot.
+
+    Every cell reads as ``fmt`` of its value. A row is laid out as four
+    space-padded cells of ``CELL`` bytes and a newline, and the block drops
+    the spaces. ``x`` is formatted once and ``t`` once per snapshot; a
+    snapshot's real and imaginary parts come from ``_cells``, and
+    ``FLOAT_SPEC %`` fills the cells it cannot prove.
+    """
+    import numpy as np
+
+    n = len(xs)
+    row = np.empty((n, 4 * CELL + 1), np.uint8)
+    row[:, CELL : 2 * CELL] = _padded(["," + FLOAT_SPEC % x for x in xs.tolist()])
+    row[:, -1] = ord("\n")
     parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
     for t, values in zip(times.tolist(), parts):
-        t_cell = FLOAT_SPEC % t
-        yield (t_cell + t_cell.join(row_tails)) % tuple(values.tolist())
+        cells, fast = _cells(values)
+        slow = np.flatnonzero(~fast)
+        cells[slow] = _padded(["," + FLOAT_SPEC % v for v in values[slow].tolist()])
+        row[:, :CELL] = _padded([FLOAT_SPEC % t])
+        row[:, 2 * CELL : 4 * CELL] = cells.reshape(n, 2 * CELL)
+        yield row[row != ord(" ")].tobytes().decode("ascii")
 
 
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):

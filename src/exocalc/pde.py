@@ -220,6 +220,10 @@ def simulate_time_domain(
 
     lap0, adv0 = _stencil(prev, 2 * phi0, dx * dx, 2 * dx)
     phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
+    if include_x_term:  # its own phi_tt at t = 0; the plain one would leave the run first order
+        p_t0 = _padded(phi_t0, bc)
+        phi_tx0 = (p_t0[2:] - p_t0[:-2]) / (2 * dx)
+        phi_tt0 += 2 * theta_t * xs * phi_tx0 - 2 * theta_x * xs * lap0
     cur = _padded(phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0, bc)
 
     stored, energies = [], []

@@ -117,6 +117,11 @@ def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, initial=
         + theta_t * phi_t0
         - theta_x * _first_diff(phi0, dx, bc)
     )
+    if include_x_term:
+        phi_tt0 += (
+            2 * theta_t * xs * _first_diff(phi_t0, dx, bc)
+            - 2 * theta_x * xs * _second_diff(phi0, dx, bc)
+        )
     phi1 = phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0
     if bc == "dirichlet":
         phi1[0] = phi1[-1] = 0.0

@@ -20,6 +20,7 @@ from exocalc.cli import (
     DEFAULTS,
     METRIC_HEADER,
     SCHEMA_LINE,
+    _cells,
     _snapshot_blocks,
     cartan_rows,
     fmt,
@@ -30,6 +31,7 @@ from exocalc.cli import (
 )
 from exocalc.pde import SimGrid, WavePacket, simulate_time_domain
 from cartan_reference import cartan_rows_reference
+from fmt_sweep import edge_values, fast_cells_match, random_values
 from regenerate_fixtures import fixture_tables, write_fixtures
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -636,6 +638,33 @@ def test_out_of_range_inputs_exit_2_without_traceback(
 
 
 any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# a tie, a carry, a subnormal, nan and -0.0 are left to ``%``; 1e-100 is fast, with three exponent digits
+MIXED = [1234567890123.5, 9.9999999999995e-5, 5e-324, float("nan"), -0.0, 1e-100]
+
+
+def test_fast_formatter_cells_equal_cpython():
+    """Every cell the snapshot formatter's fast path takes is CPython's ``%.12e``:
+    over 2e6 random 64-bit patterns, 1e6 lognormal and wave-like values and the
+    edge families of ``fmt_sweep`` (``python tests/fmt_sweep.py`` runs 1e7)."""
+    rng = np.random.default_rng(5)
+    assert fast_cells_match(edge_values(rng))[0]
+    values = random_values(rng, 2 * 10**6)
+    equal, fast = fast_cells_match(values)
+    assert equal and fast > 0.9 * len(values)
+    _, fast = _cells(np.array(MIXED))
+    assert fast.tolist() == [False] * 5 + [True]
+
+
+def test_a_default_stride_1_pass_falls_back_on_few_cells():
+    """The fast path proves the rounding of all but a few cells of a real pass,
+    so it cannot silently leave every cell to ``%``."""
+    cfg = DEFAULTS["simulate"]
+    grid = SimGrid(**{**cfg["grid"], "snapshot_stride": 1})
+    simulate_time_domain(
+        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], initial=WavePacket(**cfg["packet"])
+    )
+    _, fast = _cells(grid.snapshots.view(np.float64).ravel())
+    assert 1 - fast.mean() < 0.02
 
 
 @given(
@@ -645,6 +674,9 @@ any_double = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True
 )
 @example(t=-0.0, xs=[5e-324, -5e-324], parts=[float("nan"), float("inf"), float("-inf"), 0.0,
                                             -0.0, 1.7976931348623157e308] * 2)
+# fast-path and spliced cells side by side (``MIXED`` says which is which), both ways round
+@example(t=0.25, xs=[-1.0, 2.0, 3e-7, -4e100, 5.0, 6.5], parts=MIXED + [-v for v in MIXED[::-1]])
+@example(t=1e-100, xs=[1e-100] * 6, parts=MIXED[::-1] + [0.1] * 6)
 def test_snapshot_block_cells_equal_fmt(t, xs, parts):
     snap = np.empty((1, len(xs)), dtype=np.complex128)
     snap.real = parts[: len(xs)]

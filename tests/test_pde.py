@@ -177,7 +177,7 @@ def test_energy_conserved_undamped():
     grid = SimGrid(0.0, 100.0, 1024, 0.02, 1000, bc="periodic", snapshot_stride=100)
     simulate_time_domain(grid, 1.0, 0.0, 0.0, initial=WavePacket(50.0, 8.0, 0.5))
     drift = np.max(np.abs(grid.energies - grid.energies[0])) / grid.energies[0]
-    assert drift < 1e-3
+    assert drift < 1e-12
 
 
 def test_damping_rate_matches_mode_analysis():
@@ -379,6 +379,24 @@ def test_x_term_runs_and_warns_out_of_scale():
         )
     assert any("validity" in str(w.message) for w in caught)
     assert np.isfinite(grid.snapshots[-1]).all()
+
+
+@pytest.mark.parametrize("theta_t,theta_x", [(0.015, 0.0), (0.0, 0.01), (0.015, 0.01)])
+def test_x_term_run_converges_at_second_order(theta_t, theta_x):
+    """The implicit x-term run is second order in ``dx`` and ``dt`` together, its
+    first step included: successive final snapshots of grids refined by 2 differ
+    at the shared points by errors whose ratios give orders 2.00 +- 0.05."""
+    finals = []
+    for k in range(5):
+        n_t = 50 * 2**k
+        grid = SimGrid(0.0, 4.0, 64 * 2**k + 1, 0.02 / 2**k, n_t, bc="dirichlet", snapshot_stride=n_t)
+        simulate_time_domain(
+            grid, 1.0, theta_t, theta_x, include_x_term=True, initial=WavePacket(2.0, 0.4, 3.0)
+        )
+        finals.append(grid.snapshots[-1])
+    diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(finals, finals[1:])]
+    orders = np.log2(np.array(diffs[:-1]) / diffs[1:])
+    assert np.all(np.abs(orders - 2.0) < 0.05), orders
 
 
 def test_x_term_is_first_order_perturbation():

@@ -282,12 +282,14 @@ TRACE = (
     TraceEntry(
         "scalar-matrix-operator",
         "scalar wave operator with gradient, point, and commutator terms",
-        ("clifford.kg_symbol", "clifford.apply_exotic_kg"),
+        ("clifford.kg_symbol", "clifford.apply_exotic_kg", "pde.simulate_time_domain"),
         (
             "test_clifford.py::test_apply_matches_symbol_scalar",
             "test_clifford.py::test_apply_spinor_overlay_matches_full_symbol",
             "test_clifford.py::test_kg_symbol_quadratic_in_momentum",
             "test_clifford.py::test_kg_symbol_affine_in_gradient_and_point",
+            # the point term evolved in time: the implicit x-term run, first step included
+            "test_pde.py::test_x_term_run_converges_at_second_order",
         ),
     ),
     TraceEntry(
