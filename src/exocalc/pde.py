@@ -38,8 +38,8 @@ class SimGrid:
     """Discretized 1+1D field history.
 
     Construct with the grid geometry; :func:`simulate_time_domain` fills
-    ``times``, ``snapshots`` and ``energies`` (stored every
-    ``snapshot_stride`` steps). Construction raises ``ValueError`` unless
+    ``times`` and ``snapshots`` only (stored every ``snapshot_stride``
+    steps). Construction raises ``ValueError`` unless
     ``bc`` is a known boundary tag, ``x_max > x_min``, ``n_x >= 8``,
     ``n_t >= 2``, ``snapshot_stride >= 1``, ``dt > 0`` and the CFL bound
     ``dt <= CFL_FACTOR * dx`` hold, so every grid is a valid one.
@@ -54,7 +54,6 @@ class SimGrid:
     snapshot_stride: int = 16
     times: np.ndarray | None = None
     snapshots: np.ndarray | None = None
-    energies: np.ndarray | None = None
 
     def __post_init__(self):
         if self.bc not in BOUNDARY_TAGS:
@@ -142,21 +141,6 @@ def _stencil(p, two_phi, dx2, two_dx, lap=None, adv=None):
     return lap, adv
 
 
-def _staggered_energy(p0, p1, dt, dx, m, bc) -> float:
-    """Discrete energy exactly conserved by the undamped leapfrog update, from
-    two consecutive ghost-padded levels; a periodic grid's last forward
-    difference wraps through the right-hand ghost cell."""
-    phi0, phi1 = p0[1:-1], p1[1:-1]
-    n = len(phi0) if bc == "periodic" else len(phi0) - 1
-    vel = (phi1 - phi0) / dt
-    d0 = (p0[2 : n + 2] - p0[1 : n + 1]) / dx
-    d1 = (p1[2 : n + 2] - p1[1 : n + 1]) / dx
-    kinetic = 0.5 * np.sum(np.abs(vel) ** 2)
-    gradient = 0.5 * np.sum((np.conj(d1) * d0).real)
-    mass = 0.5 * m * m * np.sum((np.conj(phi1) * phi0).real)
-    return float((kinetic + gradient + mass) * dx)
-
-
 # overflow and NaN reach the amplitude probe, which raises InstabilityError; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_time_domain(
@@ -226,16 +210,14 @@ def simulate_time_domain(
         phi_tt0 += 2 * theta_t * xs * phi_tx0 - 2 * theta_x * xs * lap0
     cur = _padded(phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0, bc)
 
-    stored, energies = [], []
+    stored = []
 
-    def store(step, level, p0, p1):
+    def store(step, level):
         if step % grid.snapshot_stride == 0:
             stored.append(level[1:-1].copy())
-            energies.append(_staggered_energy(p0, p1, dt, dx, m, bc))
 
-    # the staggered energy lives on consecutive-step pairs
-    store(0, prev, prev, cur)
-    store(1, cur, prev, cur)
+    store(0, prev)
+    store(1, cur)
 
     if include_x_term:
         stepper = _x_term_stepper(xs, dx, dt, m, theta_t, theta_x)
@@ -247,11 +229,10 @@ def simulate_time_domain(
         _apply_bc(nxt, bc)
         _check_amplitude(nxt[1:-1], n + 1, dt)
         prev, cur, nxt = cur, nxt, prev
-        store(n + 1, cur, prev, cur)
+        store(n + 1, cur)
 
     grid.times = grid.snapshot_times()
     grid.snapshots = np.array(stored)
-    grid.energies = np.array(energies)
     return grid
 
 

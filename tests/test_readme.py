@@ -47,10 +47,15 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 
 def test_readme_layout_lists_every_module():
+    """The Layout block names every library module, and every module of
+    ``tests/`` that is not a ``test_*.py`` file."""
     text = README.read_text()
     layout = text[text.index("## Layout") :]
-    block = re.search(r"```\nsrc/exocalc/\n(.*?)\ntests/", layout, flags=re.DOTALL).group(1)
-    listed = {line.split()[0] for line in block.splitlines()}
+    match = re.search(r"```\nsrc/exocalc/\n(.*?)\n(tests/.*?)```", layout, flags=re.DOTALL)
+    listed = {line.split()[0] for line in match.group(1).splitlines()}
     package = README.parent / "src" / "exocalc"
     modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "__main__.py"}
     assert listed == modules
+    named = {line.split()[0].removeprefix("tests/") for line in match.group(2).splitlines()}
+    support = {p.name for p in (README.parent / "tests").glob("*.py") if not p.name.startswith("test_")}
+    assert {name for name in named if name.endswith(".py")} == support

@@ -378,6 +378,7 @@ TRACE = (
         (
             "test_pde.py::test_mode_frequency_matches_the_scheme_and_converges_at_second_order",
             "test_pde.py::test_damping_rate_matches_mode_analysis",
+            "test_pde.py::test_energy_obeys_the_discrete_balance_law",
         ),
     ),
     TraceEntry(
