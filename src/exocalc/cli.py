@@ -619,6 +619,14 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
 # ---------------------------------------------------------------------- main
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in ``[0, 2**64)``, else argparse exits with 2."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {value} is outside [0, 2**64)")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exocalc",
@@ -637,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a config scalar (repeatable, dotted keys allowed)",
         )
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=42, help="random seed (u64)")
+        p.add_argument("--seed", type=_seed, default=42, help="random seed (u64)")
         p.add_argument("--svg", action="store_true", help="also write SVG plots")
     return parser
 

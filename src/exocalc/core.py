@@ -9,7 +9,9 @@ Everything downstream shares the conventions fixed here:
   question, so a nonlinear ``theta`` passes its gradient at that point,
 * "first order in the theta gradient" statements are made exact by
   substituting ``theta -> eps * theta`` and computing in a truncated
-  formal power series in the grading parameter ``eps`` (:class:`EpsSeries`).
+  formal power series in the grading parameter ``eps`` (:class:`EpsSeries`),
+* every ``eps``-graded ring (:class:`EpsSeries` here, the polynomials of
+  :mod:`exocalc.poly`) drops the grades above one order, :data:`EPS_ORDER`.
 
 Scalars are deliberately generic: the same formulas run over floats,
 :class:`fractions.Fraction`, :class:`RationalComplex` and
@@ -25,6 +27,9 @@ from fractions import Fraction
 from typing import Sequence
 
 MINKOWSKI_SIGNS = (1, -1, -1, -1)
+
+#: the highest ``eps`` grade any graded value keeps
+EPS_ORDER = 3
 
 
 # raised by dispersion and pde; defined here so the CLI maps them to exit codes
@@ -66,45 +71,32 @@ def contract(cov: Sequence, vec: Sequence):
 
 
 class EpsSeries:
-    """Truncated formal power series in the grading parameter ``eps``.
+    """Formal power series in the grading parameter ``eps``, truncated at :data:`EPS_ORDER`.
 
-    ``coeffs[k]`` is the coefficient of ``eps**k``; coefficients may be
-    Fractions (exact mode), floats, complex, or :class:`RationalComplex`.
-    Products truncate consistently at the smaller truncation order of the
-    operands: ``(a*b).coeffs[k] = sum_{i+j=k} a_i b_j`` for ``k <= K``.
+    ``coeffs[k]`` is the coefficient of ``eps**k`` for ``k <= EPS_ORDER``;
+    coefficients may be Fractions (exact mode), floats, complex, or
+    :class:`RationalComplex`.  Products keep
+    ``(a*b).coeffs[k] = sum_{i+j=k} a_i b_j`` for ``k <= EPS_ORDER``.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence, trunc: int | None = None):
-        coeffs = list(coeffs)
-        if trunc is None:
-            trunc = max(len(coeffs) - 1, 0)
-        if trunc < 0:
-            raise ValueError("truncation order must be >= 0")
-        if len(coeffs) < trunc + 1:
-            coeffs.extend([0] * (trunc + 1 - len(coeffs)))
-        self.coeffs = tuple(coeffs[: trunc + 1])
-        self.trunc = trunc
+    def __init__(self, coeffs: Sequence):
+        coeffs = list(coeffs)[: EPS_ORDER + 1]
+        self.coeffs = tuple(coeffs + [0] * (EPS_ORDER + 1 - len(coeffs)))
 
     @classmethod
-    def constant(cls, value, trunc: int = 2) -> "EpsSeries":
-        return cls([value], trunc=trunc)
+    def constant(cls, value) -> "EpsSeries":
+        return cls([value])
 
     @classmethod
-    def eps(cls, value=1, trunc: int = 2) -> "EpsSeries":
+    def eps(cls, value=1) -> "EpsSeries":
         """The grade-1 element ``value * eps``."""
-        return cls([0, value], trunc=trunc)
-
-    def coeff(self, k: int):
-        return self.coeffs[k] if k <= self.trunc else 0
+        return cls([0, value])
 
     def grade(self):
         """Smallest k with a nonzero coefficient; ``math.inf`` for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return math.inf
+        return next((k for k, c in enumerate(self.coeffs) if c != 0), math.inf)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -113,22 +105,19 @@ class EpsSeries:
         if isinstance(other, EpsSeries):
             return other
         if isinstance(other, (int, float, complex, Fraction, RationalComplex)):
-            return EpsSeries.constant(other, trunc=self.trunc)
+            return EpsSeries.constant(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.trunc, o.trunc)
-        return EpsSeries(
-            [self.coeff(i) + o.coeff(i) for i in range(k + 1)], trunc=k
-        )
+        return EpsSeries([a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsSeries([-c for c in self.coeffs], trunc=self.trunc)
+        return EpsSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -146,29 +135,27 @@ class EpsSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.trunc, o.trunc)
-        out = [0] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
+        out = [0] * (EPS_ORDER + 1)
+        for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j in range(k + 1 - i):
-                b = o.coeff(j)
+            for j, b in enumerate(o.coeffs[: EPS_ORDER + 1 - i]):
                 if b == 0:
                     continue
                 out[i + j] = out[i + j] + a * b
-        return EpsSeries(out, trunc=k)
+        return EpsSeries(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
-            return EpsSeries([c / other for c in self.coeffs], trunc=self.trunc)
+            return EpsSeries([c / other for c in self.coeffs])
         return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = EpsSeries.constant(1, trunc=self.trunc)
+        out = EpsSeries.constant(1)
         for _ in range(n):
             out = out * self
         return out
@@ -177,8 +164,7 @@ class EpsSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = max(self.trunc, o.trunc)
-        return all(self.coeff(i) == o.coeff(i) for i in range(k + 1))
+        return self.coeffs == o.coeffs
 
     def __bool__(self):
         return not self.is_zero()

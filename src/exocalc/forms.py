@@ -51,23 +51,15 @@ def _canonical(idx: Sequence[int]):
 class ExoticForm:
     """Antisymmetric multi-indexed form with exact polynomial coefficients."""
 
-    __slots__ = ("dim", "degree", "basis", "lambda_active", "trunc", "coeffs")
+    __slots__ = ("dim", "degree", "basis", "lambda_active", "coeffs")
 
-    def __init__(
-        self,
-        dim: int,
-        degree: int,
-        basis: str = PLAIN,
-        lambda_active: bool = False,
-        trunc: int = 3,
-    ):
+    def __init__(self, dim: int, degree: int, basis: str = PLAIN, lambda_active: bool = False):
         if degree < 0:
             raise ValueError("negative form degree")
         self.dim = dim
         self.degree = degree
         self.basis = basis
         self.lambda_active = lambda_active
-        self.trunc = trunc
         self.coeffs = {}
 
     # construction-time accumulation; forms are treated as immutable once built
@@ -95,17 +87,12 @@ class ExoticForm:
         key, sign = _canonical(idx)
         poly = self.coeffs.get(key)
         if poly is None:
-            return MultiPoly.zero(self.dim, self.trunc)
+            return MultiPoly.zero(self.dim)
         return poly if sign > 0 else -poly
 
     def _like(self, degree: int | None = None) -> "ExoticForm":
-        return ExoticForm(
-            self.dim,
-            self.degree if degree is None else degree,
-            self.basis,
-            self.lambda_active,
-            self.trunc,
-        )
+        degree = self.degree if degree is None else degree
+        return ExoticForm(self.dim, degree, self.basis, self.lambda_active)
 
     def _compatible(self, other: "ExoticForm"):
         if (
@@ -160,7 +147,7 @@ class ExoticForm:
         """View over ``R x base``: indices and variables shift up by one."""
         if self.lambda_active:
             raise ValueError("form already carries the lambda coordinate")
-        out = ExoticForm(self.dim + 1, self.degree, self.basis, True, self.trunc)
+        out = ExoticForm(self.dim + 1, self.degree, self.basis, True)
         shifted = ((tuple(i + 1 for i in idx), p.promote()) for idx, p in self.coeffs.items())
         return _filled(out, shifted)
 
@@ -200,7 +187,7 @@ def _spatial_range(form: ExoticForm) -> range:
 def wedge(a: ExoticForm, b: ExoticForm) -> ExoticForm:
     """Graded-antisymmetric product; ``a ^ b = (-1)^{kl} b ^ a``."""
     a._compatible(b)
-    out = ExoticForm(a.dim, a.degree + b.degree, a.basis, a.lambda_active, min(a.trunc, b.trunc))
+    out = ExoticForm(a.dim, a.degree + b.degree, a.basis, a.lambda_active)
     if out.degree > out.dim:
         return out
     for ia, ca in a.coeffs.items():
@@ -244,7 +231,7 @@ def exotic_d(form: ExoticForm, grad: Sequence) -> ExoticForm:
             dm = poly.diff(m)
             if dm.is_zero():
                 continue
-            term = MultiPoly.variable(m, poly.nvars, poly.trunc) * dm
+            term = MultiPoly.variable(m, poly.nvars) * dm
             scan = term if scan is None else scan + term
         for n in range(form.dim):
             dn = poly.diff(n)
@@ -265,13 +252,13 @@ def deformed_to_plain(form: ExoticForm, grad: Sequence) -> ExoticForm:
     if form.basis != DEFORMED:
         raise ValueError("expected deformed-basis input")
     g = _grad_for(form, grad)
-    plain = ExoticForm(form.dim, 0, PLAIN, form.lambda_active, form.trunc)
+    plain = ExoticForm(form.dim, 0, PLAIN, form.lambda_active)
     dtx = []
     for i in range(form.dim):
         one_form = plain._like(degree=1)
-        one_form.insert((i,), MultiPoly.constant(1, form.dim, form.trunc))
+        one_form.insert((i,), MultiPoly.constant(1, form.dim))
         if not (form.lambda_active and i == 0):
-            xi = MultiPoly.variable(i, form.dim, form.trunc)
+            xi = MultiPoly.variable(i, form.dim)
             for j in range(form.dim):
                 if g[j] != 0:
                     one_form.insert((j,), (g[j] * xi).scale_eps(1))
@@ -343,8 +330,8 @@ def homotopy_H(form: ExoticForm) -> ExoticForm:
     if not form.lambda_active:
         raise ValueError("homotopy operator needs the lambda coordinate")
     if form.degree == 0:
-        return ExoticForm(form.dim - 1, 0, form.basis, False, form.trunc)
-    out = ExoticForm(form.dim - 1, form.degree - 1, form.basis, False, form.trunc)
+        return ExoticForm(form.dim - 1, 0, form.basis, False)
+    out = ExoticForm(form.dim - 1, form.degree - 1, form.basis, False)
     return _filled(out, (
         (tuple(i - 1 for i in idx[1:]), poly.integrate_unit(0).drop_leading_var())
         for idx, poly in form.coeffs.items()
@@ -357,7 +344,7 @@ def pullback_at(form: ExoticForm, value) -> ExoticForm:
     if not form.lambda_active:
         raise ValueError("pullback needs the lambda coordinate")
     # no degree guard: a key that skips the lambda slot 0 has at most dim - 1 indices
-    out = ExoticForm(form.dim - 1, form.degree, form.basis, False, form.trunc)
+    out = ExoticForm(form.dim - 1, form.degree, form.basis, False)
     return _filled(out, (
         (tuple(i - 1 for i in idx), poly.subst_const(0, value).drop_leading_var())
         for idx, poly in form.coeffs.items()
@@ -383,10 +370,9 @@ def field_strength(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticF
     gradient already yields a nonzero result: gauge invariance is lost.
     """
     n = len(a_components)
-    trunc = a_components[0].trunc
-    out = ExoticForm(n, 2, PLAIN, False, trunc)
+    out = ExoticForm(n, 2, PLAIN, False)
     g = _grad_for(out, grad)
-    xs = [MultiPoly.variable(i, n, trunc) for i in range(n)]
+    xs = [MultiPoly.variable(i, n) for i in range(n)]
     for mu in range(n):
         for nu in range(n):
             if mu == nu:
@@ -397,7 +383,7 @@ def field_strength(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticF
             dil = a_components[mu]
             for al in range(n):
                 dil = dil + xs[al] * a_components[al].diff(mu)
-            swirl = MultiPoly.zero(n, trunc)
+            swirl = MultiPoly.zero(n)
             for al in range(n):
                 swirl = swirl + xs[al] * a_components[nu].diff(al)
             theta_part = (g[nu] * dil + g[mu] * swirl).scale_eps(1)
@@ -408,34 +394,26 @@ def field_strength(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticF
 def dilated_connection(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticForm:
     """The 1-form ``(A_m + eps g_m sum_a x^a A_a) dx^m`` over the plain basis."""
     n = len(a_components)
-    trunc = a_components[0].trunc
-    out = ExoticForm(n, 1, PLAIN, False, trunc)
+    out = ExoticForm(n, 1, PLAIN, False)
     g = _grad_for(out, grad)
-    xa = MultiPoly.zero(n, trunc)
+    xa = MultiPoly.zero(n)
     for al in range(n):
-        xa = xa + MultiPoly.variable(al, n, trunc) * a_components[al]
+        xa = xa + MultiPoly.variable(al, n) * a_components[al]
     for mu in range(n):
         out.insert((mu,), a_components[mu] + (g[mu] * xa).scale_eps(1))
     return out
 
 
-def random_form(
-    rng,
-    dim: int,
-    degree: int,
-    max_poly_degree: int = 3,
-    trunc: int = 3,
-    basis: str = PLAIN,
-    lambda_active: bool = False,
-) -> ExoticForm:
+def random_form(rng, dim: int, degree: int, max_poly_degree: int = 3, basis: str = PLAIN,
+                lambda_active: bool = False) -> ExoticForm:
     """Random form with small rational polynomial coefficients (test/fixture input)."""
     from itertools import combinations
 
-    out = ExoticForm(dim, degree, basis, lambda_active, trunc)
+    out = ExoticForm(dim, degree, basis, lambda_active)
     for idx in combinations(range(dim), degree):
         if rng.random() < 0.25 and degree > 0:
             continue
-        out.insert(idx, random_multipoly(rng, dim, max_poly_degree, trunc))
+        out.insert(idx, random_multipoly(rng, dim, max_poly_degree))
     return out
 
 

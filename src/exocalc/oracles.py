@@ -66,7 +66,7 @@ def form_to_dense(form: ExoticForm) -> np.ndarray:
     """Fully antisymmetric coefficient array extending the canonical storage."""
     k = form.degree
     arr = np.empty((form.dim,) * k, dtype=object)
-    zero = MultiPoly.zero(form.dim, form.trunc)
+    zero = MultiPoly.zero(form.dim)
     for idx in np.ndindex(arr.shape):
         arr[idx] = zero
     for idx, poly in form.coeffs.items():
@@ -75,12 +75,12 @@ def form_to_dense(form: ExoticForm) -> np.ndarray:
     return arr
 
 
-def _alternate(arr: np.ndarray, k: int, dim: int, trunc: int) -> dict:
+def _alternate(arr: np.ndarray, k: int, dim: int) -> dict:
     """Antisymmetrization ``(1/k!) sum_sigma sign(sigma) arr[sigma T]`` on increasing T."""
     out = {}
     norm = Fraction(1, math.factorial(k)) if k else Fraction(1)
     for idx in combinations(range(dim), k):
-        total = MultiPoly.zero(dim, trunc)
+        total = MultiPoly.zero(dim)
         for perm in permutations(range(k)):
             entry = arr[tuple(idx[p] for p in perm)]
             if entry.is_zero():
@@ -97,13 +97,13 @@ def dense_exotic_d(form: ExoticForm, grad) -> ExoticForm:
     if form.basis != PLAIN:
         raise ValueError("dense route expects plain-basis input")
     g = _grad_for(form, grad)
-    dim, k, trunc = form.dim, form.degree, form.trunc
+    dim, k = form.dim, form.degree
     dense = form_to_dense(form)
-    out = ExoticForm(dim, k + 1, PLAIN, form.lambda_active, trunc)
+    out = ExoticForm(dim, k + 1, PLAIN, form.lambda_active)
     if k + 1 > dim:
         return out
     spatial = list(_spatial_range(form))
-    xs = [MultiPoly.variable(i, dim, trunc) for i in range(dim)]
+    xs = [MultiPoly.variable(i, dim) for i in range(dim)]
 
     raw = np.empty((dim,) * (k + 1), dtype=object)
     for idx in np.ndindex(dense.shape):
@@ -121,7 +121,7 @@ def dense_exotic_d(form: ExoticForm, grad) -> ExoticForm:
             if g[n] != 0 and scan is not None:
                 val = val + (g[n] * scan).scale_eps(1)
             raw[(n,) + idx] = val
-    sparse = _alternate(raw, k + 1, dim, trunc)
+    sparse = _alternate(raw, k + 1, dim)
     for idx, poly in sparse.items():
         out.insert(idx, (k + 1) * poly)
     return out
@@ -134,9 +134,9 @@ def dense_deformed_to_plain(form: ExoticForm, grad) -> ExoticForm:
     antisymmetrize; valid (and compared) at grades 0 and 1 only.
     """
     g = _grad_for(form, grad)
-    dim, k, trunc = form.dim, form.degree, form.trunc
+    dim, k = form.dim, form.degree
     dense = form_to_dense(form)
-    xs = [MultiPoly.variable(i, dim, trunc) for i in range(dim)]
+    xs = [MultiPoly.variable(i, dim) for i in range(dim)]
     raw = np.empty_like(dense)
     for idx in np.ndindex(dense.shape):
         val = dense[idx]
@@ -151,8 +151,8 @@ def dense_deformed_to_plain(form: ExoticForm, grad) -> ExoticForm:
             if acc is not None:
                 val = val + (k * g[idx[0]] * acc).scale_eps(1)
         raw[idx] = val
-    out = ExoticForm(dim, k, PLAIN, form.lambda_active, trunc)
-    for idx, poly in _alternate(raw, k, dim, trunc).items():
+    out = ExoticForm(dim, k, PLAIN, form.lambda_active)
+    for idx, poly in _alternate(raw, k, dim).items():
         out.insert(idx, poly)
     return out
 

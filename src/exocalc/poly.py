@@ -2,8 +2,8 @@
 
 Coefficient ring for the exotic exterior calculus: every appendix-style
 identity is checked with zero tolerance, and "first order" claims become
-statements about the minimal ``eps`` power present.  Products truncate
-``eps`` powers beyond the grading order.
+statements about the minimal ``eps`` power present.  Every polynomial
+drops the ``eps`` powers above :data:`exocalc.core.EPS_ORDER`.
 
 Storage is the content/primitive-part form: ``terms`` maps a packed
 monomial key to a nonzero ``int`` numerator, and ``den`` is one positive
@@ -14,7 +14,7 @@ polynomials therefore have equal ``terms`` and ``den``.
 A key packs the ``eps`` power and every exponent into fixed-width bit
 fields: ``eps`` in the top field, then ``x0``, ``x1``, ... down to the
 last variable in the lowest.  A monomial product is one integer add, eps
-truncation one compare against ``(trunc + 1) << shift``, the ``eps``
+truncation one compare against ``(EPS_ORDER + 1) << shift``, the ``eps``
 grade ``min(terms) >> shift``, a derivative one subtraction, and keys
 sort like ``(eps, exponents)`` tuples.  The top bit of each variable field
 is a guard: stored exponents stay below ``EXP_LIMIT``, so the sum of two
@@ -31,6 +31,8 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+
+from .core import EPS_ORDER
 
 FIELD_BITS = 16
 EXP_LIMIT = 1 << (FIELD_BITS - 1)  # exclusive bound on a stored exponent
@@ -78,7 +80,7 @@ def _ratio(value):
     return None
 
 
-def _poly(nvars: int, trunc: int, terms: dict, den: int) -> "MultiPoly":
+def _poly(nvars: int, terms: dict, den: int) -> "MultiPoly":
     """A polynomial from nonzero numerators over ``den > 0``, content removed."""
     if den != 1:
         g = math.gcd(den, *terms.values())
@@ -87,45 +89,43 @@ def _poly(nvars: int, trunc: int, terms: dict, den: int) -> "MultiPoly":
             den //= g
     out = object.__new__(MultiPoly)
     out.nvars = nvars
-    out.trunc = trunc
     out.terms = terms
     out.den = den
     return out
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "trunc", "terms", "den")
+    __slots__ = ("nvars", "terms", "den")
 
-    def __init__(self, nvars: int, trunc: int = 3, terms: dict | None = None):
+    def __init__(self, nvars: int, terms: dict | None = None):
         """Polynomial from ``{(eps_power, exponent_tuple): coefficient}``.
 
         Coefficients are anything ``Fraction`` accepts; zero coefficients and
-        grades above ``trunc`` are dropped.
+        grades above ``EPS_ORDER`` are dropped.
         """
         kept = {}
         for (eps, mono), coeff in (terms or {}).items():
             coeff = Fraction(coeff)
-            if eps <= trunc and coeff:
+            if eps <= EPS_ORDER and coeff:
                 kept[_pack(eps, mono, nvars)] = coeff
         self.nvars = nvars
-        self.trunc = trunc
         self.den = math.lcm(*(c.denominator for c in kept.values()))  # 1 when empty
         self.terms = {k: c.numerator * (self.den // c.denominator) for k, c in kept.items()}
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, nvars: int, trunc: int = 3) -> "MultiPoly":
-        return cls(nvars, trunc)
+    def zero(cls, nvars: int) -> "MultiPoly":
+        return cls(nvars)
 
     @classmethod
-    def constant(cls, value, nvars: int, trunc: int = 3) -> "MultiPoly":
+    def constant(cls, value, nvars: int) -> "MultiPoly":
         value = Fraction(value)
         terms = {0: value.numerator} if value else {}
-        return _poly(nvars, trunc, terms, value.denominator)
+        return _poly(nvars, terms, value.denominator)
 
     @classmethod
-    def variable(cls, index: int, nvars: int, trunc: int = 3) -> "MultiPoly":
-        return _poly(nvars, trunc, {1 << _offset(index, nvars): 1}, 1)
+    def variable(cls, index: int, nvars: int) -> "MultiPoly":
+        return _poly(nvars, {1 << _offset(index, nvars): 1}, 1)
 
     def coefficient(self, eps: int, mono) -> Fraction:
         """Exact coefficient of ``eps**eps * x**mono`` (zero when absent)."""
@@ -153,11 +153,7 @@ class MultiPoly:
                 out[k] = n
             else:
                 del out[k]
-        trunc = min(self.trunc, other.trunc)
-        if self.trunc != other.trunc:
-            limit = (trunc + 1) << FIELD_BITS * self.nvars
-            out = {k: v for k, v in out.items() if k < limit}
-        return _poly(self.nvars, trunc, out, da)
+        return _poly(self.nvars, out, da)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -168,7 +164,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.nvars, self.trunc, {k: -v for k, v in self.terms.items()}, self.den)
+        return _poly(self.nvars, {k: -v for k, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -188,8 +184,7 @@ class MultiPoly:
             return NotImplemented if scalar is None else self._scaled(*scalar)
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        trunc = min(self.trunc, other.trunc)
-        limit = (trunc + 1) << FIELD_BITS * self.nvars
+        limit = (EPS_ORDER + 1) << FIELD_BITS * self.nvars
         outer, inner = self.terms, other.terms
         if len(outer) > len(inner):
             outer, inner = inner, outer
@@ -203,15 +198,15 @@ class MultiPoly:
         out = {k: v for k, v in out.items() if v}
         if out and reduce(or_, out) & _guard(self.nvars):
             raise OverflowError(f"product exponent reaches the field limit {EXP_LIMIT}")
-        return _poly(self.nvars, trunc, out, self.den * other.den)
+        return _poly(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def _scaled(self, num: int, den: int) -> "MultiPoly":
         """``self * num / den`` for a reduced fraction with ``den > 0``."""
         if not num:
-            return MultiPoly(self.nvars, self.trunc)
-        return _poly(self.nvars, self.trunc, {k: v * num for k, v in self.terms.items()}, self.den * den)
+            return MultiPoly(self.nvars)
+        return _poly(self.nvars, {k: v * num for k, v in self.terms.items()}, self.den * den)
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -222,15 +217,13 @@ class MultiPoly:
         if scalar is None:
             return None
         num, den = scalar
-        return _poly(self.nvars, self.trunc, {0: num} if num else {}, den)
+        return _poly(self.nvars, {0: num} if num else {}, den)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.trunc == self.trunc:
-            return self.den == other.den and self.terms == other.terms
-        return self._add(other, -1).is_zero()
+        return self.den == other.den and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -240,13 +233,13 @@ class MultiPoly:
 
     # -- grading -------------------------------------------------------
     def scale_eps(self, k: int = 1) -> "MultiPoly":
-        """Multiply by ``eps**k`` (grades above the truncation drop out)."""
+        """Multiply by ``eps**k`` (grades above ``EPS_ORDER`` drop out)."""
         if k < 0:
             raise ValueError("negative eps power")
         shift = FIELD_BITS * self.nvars
-        step, limit = k << shift, (self.trunc + 1) << shift
+        step, limit = k << shift, (EPS_ORDER + 1) << shift
         out = {key + step: v for key, v in self.terms.items() if key + step < limit}
-        return _poly(self.nvars, self.trunc, out, self.den)
+        return _poly(self.nvars, out, self.den)
 
     def eps_grade(self):
         """Minimal ``eps`` power present; ``inf`` for the zero polynomial."""
@@ -259,12 +252,12 @@ class MultiPoly:
         shift = FIELD_BITS * self.nvars
         lo, hi = k << shift, (k + 1) << shift
         out = {key - lo: v for key, v in self.terms.items() if lo <= key < hi}
-        return _poly(self.nvars, self.trunc, out, self.den)
+        return _poly(self.nvars, out, self.den)
 
     def eps_truncated(self, max_grade: int) -> "MultiPoly":
         limit = (max_grade + 1) << FIELD_BITS * self.nvars
         out = {key: v for key, v in self.terms.items() if key < limit}
-        return _poly(self.nvars, self.trunc, out, self.den)
+        return _poly(self.nvars, out, self.den)
 
     # -- calculus -------------------------------------------------------
     def diff(self, var: int) -> "MultiPoly":
@@ -275,7 +268,7 @@ class MultiPoly:
             k = key >> off & _FIELD_MASK
             if k:
                 out[key - one] = v * k
-        return _poly(self.nvars, self.trunc, out, self.den)
+        return _poly(self.nvars, out, self.den)
 
     def integrate_unit(self, var: int) -> "MultiPoly":
         """Exact definite integral over ``var`` from 0 to 1."""
@@ -301,7 +294,7 @@ class MultiPoly:
         for key, v in pairs:
             out[key] = out.get(key, 0) + v
         out = {k: v for k, v in out.items() if v}
-        return _poly(self.nvars, self.trunc, out, self.den * den)
+        return _poly(self.nvars, out, self.den * den)
 
     # -- variable bookkeeping (lambda extension) ------------------------
     def promote(self) -> "MultiPoly":
@@ -309,7 +302,7 @@ class MultiPoly:
         shift = FIELD_BITS * self.nvars
         low = (1 << shift) - 1
         out = {(key >> shift) << (shift + FIELD_BITS) | key & low: v for key, v in self.terms.items()}
-        return _poly(self.nvars + 1, self.trunc, out, self.den)
+        return _poly(self.nvars + 1, out, self.den)
 
     def drop_leading_var(self) -> "MultiPoly":
         """Remove the leading variable; it must not occur."""
@@ -318,7 +311,7 @@ class MultiPoly:
         if any(key & lead for key in self.terms):
             raise ValueError("leading variable still present")
         out = {(key >> shift + FIELD_BITS) << shift | key & low: v for key, v in self.terms.items()}
-        return _poly(self.nvars - 1, self.trunc, out, self.den)
+        return _poly(self.nvars - 1, out, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -338,7 +331,7 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def random_multipoly(rng, nvars: int, degree: int, trunc: int = 3) -> MultiPoly:
+def random_multipoly(rng, nvars: int, degree: int) -> MultiPoly:
     """Small random polynomial with single-digit rational coefficients."""
     coeffs = {}
     for _ in range(4):
@@ -347,4 +340,4 @@ def random_multipoly(rng, nvars: int, degree: int, trunc: int = 3) -> MultiPoly:
             mono[rng.randrange(nvars)] += 1
         key = (0, tuple(mono))
         coeffs[key] = coeffs.get(key, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return MultiPoly(nvars, trunc, coeffs)
+    return MultiPoly(nvars, coeffs)

@@ -54,7 +54,7 @@ def report(num, elapsed, detail=""):
 
 def plain_d_oracle(form):
     """Independent ordinary exterior derivative (direct coefficient loop)."""
-    out = ExoticForm(form.dim, form.degree + 1, trunc=form.trunc)
+    out = ExoticForm(form.dim, form.degree + 1)
     if out.degree > out.dim:
         return out
     for idx, poly in form.coeffs.items():

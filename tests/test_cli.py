@@ -584,6 +584,20 @@ def test_unusable_out_dir_fails_before_simulating(tmp_path, monkeypatch):
     assert run_cli(["simulate", "--out", tmp_path / "file", *FAST_ARGS["simulate"]]) == 2
 
 
+@pytest.mark.parametrize("command", ["forms-check", "cartan"])
+def test_seed_outside_u64_exits_2_and_writes_nothing(command, tmp_path, capsys):
+    """``--seed`` is a u64: CPython would seed -1 as 1 and accept 2**64 silently."""
+    for seed in (-1, 2**64):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "--out", tmp_path / str(seed), "--seed", seed, *FAST_ARGS[command]])
+        assert exit_info.value.code == 2
+        assert f"seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / str(seed)).exists()
+    for seed in (0, 2**64 - 1):
+        assert run_cli([command, "--out", tmp_path / str(seed), "--seed", seed, *FAST_ARGS[command]]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["0", str(2**64 - 1)])
+
+
 BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, --out under tmp_path]
     ("lightcone", "c=0", "lightcone.csv", 2),
     ("lightcone", "c=-1", "lightcone.csv", 2),

@@ -176,8 +176,8 @@ def test_gamma_tilde_hand_contraction():
     for i in range(4):
         for j in range(4):
             got = gt[0][i, j]
-            assert got.coeff(0) == rep.matrices[0][i, j]
-            assert got.coeff(1) == -beta * rep.matrices[1][i, j]
+            assert got.coeffs[0] == rep.matrices[0][i, j]
+            assert got.coeffs[1] == -beta * rep.matrices[1][i, j]
 
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)

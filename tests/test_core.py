@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from exocalc.core import (
+    EPS_ORDER,
     EpsSeries,
     QI,
     RationalComplex,
@@ -17,8 +18,8 @@ from exocalc.core import (
 from helpers import rand_frac
 
 
-def rand_series(rng, trunc=2):
-    return EpsSeries([rand_frac(rng) for _ in range(trunc + 1)], trunc=trunc)
+def rand_series(rng):
+    return EpsSeries([rand_frac(rng) for _ in range(EPS_ORDER + 1)])
 
 
 def test_series_ring_axioms_exact():
@@ -37,9 +38,16 @@ def test_series_truncation_rule():
     a = EpsSeries([Fraction(1), Fraction(2), Fraction(3)])
     b = EpsSeries([Fraction(4), Fraction(5), Fraction(6)])
     prod = a * b
-    # coeffs[k] = sum_{i+j=k} a_i b_j, k <= K
-    assert prod.coeffs == (Fraction(4), Fraction(13), Fraction(28))
-    assert prod.trunc == 2
+    # coeffs[k] = sum_{i+j=k} a_i b_j, k <= EPS_ORDER
+    assert EPS_ORDER == 3
+    assert prod.coeffs == (Fraction(4), Fraction(13), Fraction(28), Fraction(27))
+    # grade EPS_ORDER survives and grade EPS_ORDER + 1 drops, from products and the constructor
+    top = EpsSeries.eps() ** EPS_ORDER
+    assert top.grade() == EPS_ORDER and top.coeffs[EPS_ORDER] == 1
+    assert (EpsSeries.eps() ** (EPS_ORDER + 1)).is_zero()
+    assert (top * EpsSeries.eps(Fraction(5, 2))).is_zero()
+    assert EpsSeries([0] * (EPS_ORDER + 1) + [1]).is_zero()
+    assert len(EpsSeries([1, 2, 3, 4, 5, 6]).coeffs) == EPS_ORDER + 1
 
 
 def test_series_grade_additivity():
@@ -48,11 +56,11 @@ def test_series_grade_additivity():
         ga, gb = rng.randint(0, 1), rng.randint(0, 1)
         coeffs_a = [0] * ga + [rand_frac(rng) or Fraction(1)]
         coeffs_b = [0] * gb + [rand_frac(rng) or Fraction(1)]
-        a = EpsSeries(coeffs_a, trunc=2)
-        b = EpsSeries(coeffs_b, trunc=2)
+        a = EpsSeries(coeffs_a)
+        b = EpsSeries(coeffs_b)
         if a.grade() is math.inf or b.grade() is math.inf:
             continue
-        if a.grade() + b.grade() <= 2:
+        if a.grade() + b.grade() <= EPS_ORDER:
             assert (a * b).grade() == a.grade() + b.grade()
 
 

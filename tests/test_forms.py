@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from exocalc.core import EPS_ORDER
 from exocalc.forms import (
     DEFORMED,
     ExoticForm,
@@ -48,7 +49,7 @@ def _snapshot(form):
 
 def _inserted(template, *parts):
     """Empty form shaped like ``template``, then every ``(idx, poly)`` inserted."""
-    out = ExoticForm(template.dim, template.degree, template.basis, template.lambda_active, template.trunc)
+    out = ExoticForm(template.dim, template.degree, template.basis, template.lambda_active)
     for items in parts:
         for idx, poly in items:
             out.insert(idx, poly)
@@ -94,7 +95,7 @@ def test_form_algebra_agrees_with_insert_and_leaves_operands_unchanged():
                         assert a.component(perm) == sign * poly
 
                 partial = _inserted(a)
-                for k in range(a.trunc + 1):
+                for k in range(EPS_ORDER + 1):
                     part = a.eps_component(k)
                     partial = partial + _inserted(
                         a, [(idx, poly.scale_eps(k)) for idx, poly in part.coeffs.items()]
@@ -115,7 +116,7 @@ def test_form_algebra_agrees_with_insert_and_leaves_operands_unchanged():
                 # writing into a result must not reach back into an operand
                 for out in results:
                     if out.degree <= out.dim:
-                        out.insert(tuple(range(out.degree)), MultiPoly.constant(7, out.dim, out.trunc))
+                        out.insert(tuple(range(out.degree)), MultiPoly.constant(7, out.dim))
                 assert (_snapshot(a), _snapshot(b)) == before
 
 

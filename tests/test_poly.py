@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from exocalc.core import EPS_ORDER
 from exocalc.poly import EXP_LIMIT, FIELD_BITS, MultiPoly, random_multipoly
 
 
@@ -57,13 +58,18 @@ def test_eps_grading():
 
 
 def test_eps_truncation_drops_high_grades():
-    p = MultiPoly.constant(1, 1, trunc=2)
-    assert p.scale_eps(3).is_zero()
-    a = MultiPoly.variable(0, 1, trunc=2).scale_eps(1)
-    assert (a * a).eps_grade() == 2
-    assert (a * a * a).is_zero()
-    c = MultiPoly.constant(1, 1, trunc=2)
-    assert (c.scale_eps(1) * c.scale_eps(2)).is_zero()  # eps^3 times the unit monomial
+    # grade EPS_ORDER survives and grade EPS_ORDER + 1 drops: scaling, products, constructor
+    c = MultiPoly.constant(1, 1)
+    assert c.scale_eps(EPS_ORDER).eps_grade() == EPS_ORDER
+    assert c.scale_eps(EPS_ORDER + 1).is_zero()
+    a = MultiPoly.variable(0, 1).scale_eps(1)
+    power = a
+    for _ in range(EPS_ORDER - 1):
+        power = power * a
+    assert power.eps_grade() == EPS_ORDER and power.coefficient(EPS_ORDER, (EPS_ORDER,)) == 1
+    assert (power * a).is_zero()
+    assert (c.scale_eps(1) * c.scale_eps(EPS_ORDER)).is_zero()
+    assert MultiPoly(1, {(EPS_ORDER + 1, (0,)): 1}).is_zero()
 
 
 def test_promote_and_drop():
@@ -88,11 +94,11 @@ def test_total_degree_and_repr():
 
 
 def test_coefficient_reads_exact_fractions():
-    p = MultiPoly(2, 2, {(0, (0, 0)): Fraction(3, 4), (1, (2, 1)): -2, (3, (1, 0)): 5})
+    p = MultiPoly(2, {(0, (0, 0)): Fraction(3, 4), (1, (2, 1)): -2, (EPS_ORDER + 1, (1, 0)): 5})
     assert p.coefficient(0, (0, 0)) == Fraction(3, 4)
     assert p.coefficient(1, (2, 1)) == -2
     assert p.coefficient(1, (1, 2)) == 0
-    assert p.coefficient(3, (1, 0)) == 0  # above the truncation order
+    assert p.coefficient(EPS_ORDER + 1, (1, 0)) == 0  # above the truncation order
     assert p.terms and all(type(v) is int for v in p.terms.values())
 
 
@@ -101,7 +107,7 @@ def test_products_fill_the_exponent_field_and_overflow_raises():
     half = MultiPoly.variable(0, 2)
     for _ in range(FIELD_BITS - 2):
         half = half * half  # x0^(EXP_LIMIT / 2)
-    rest = MultiPoly(2, 3, {(1, (top - EXP_LIMIT // 2, top)): Fraction(3, 2)})
+    rest = MultiPoly(2, {(1, (top - EXP_LIMIT // 2, top)): Fraction(3, 2)})
     full = half * rest
     assert repr(full) == f"MultiPoly(3/2*eps*x0^{top}*x1^{top})"
     assert full.eps_grade() == 1
@@ -110,7 +116,7 @@ def test_products_fill_the_exponent_field_and_overflow_raises():
         with pytest.raises(OverflowError):
             full * MultiPoly.variable(var, 2)
     with pytest.raises(OverflowError):
-        MultiPoly(2, 3, {(0, (0, EXP_LIMIT)): 1})
+        MultiPoly(2, {(0, (0, EXP_LIMIT)): 1})
 
 
 def test_results_are_in_lowest_terms():

@@ -3,18 +3,22 @@
 sympy shares no code with :mod:`exocalc.poly`, so it is the ring's own
 oracle.  Results are read back through ``repr`` (a public, byte-stable
 format), parsed by sympy and compared as polynomials in ``eps, x0, ...``;
-``eps`` grades above a polynomial's truncation order are dropped on the
-sympy side exactly as the ring drops them.
+``eps`` grades above ``EPS_ORDER`` are dropped on the sympy side exactly
+as the ring drops them.
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exocalc.core import EPS_ORDER
 from exocalc.poly import MultiPoly
 
 EPS = sympy.Symbol("eps")
@@ -33,8 +37,8 @@ def from_terms(terms, nvars):
     return sympy.Poly.from_dict(terms or {(0,) * (nvars + 1): 0}, gens(nvars), domain=sympy.QQ)
 
 
-def truncated(poly, trunc):
-    keep = {m: c for m, c in poly.as_dict().items() if m[0] <= trunc}
+def truncated(poly, order=EPS_ORDER):
+    keep = {m: c for m, c in poly.as_dict().items() if m[0] <= order}
     return from_terms(keep, len(poly.gens) - 1)
 
 
@@ -52,35 +56,33 @@ def monomial(key, nvars):
 
 
 @st.composite
-def sparse(draw, nvars, trunc):
+def sparse(draw, nvars):
     """A ring polynomial and its sympy twin, built from sparse random terms.
 
-    The constructor sees zero coefficients and grades above ``trunc``; the
-    added single terms often cancel a constructor term exactly.
+    The constructor sees zero coefficients and grades above ``EPS_ORDER``;
+    the added single terms often cancel a constructor term exactly.
     """
-    key = st.tuples(st.integers(0, 4), st.tuples(*[st.integers(0, 3)] * nvars))
+    key = st.tuples(st.integers(0, EPS_ORDER + 1), st.tuples(*[st.integers(0, 3)] * nvars))
     base = draw(st.dictionaries(key, coeffs, max_size=6))
-    poly = MultiPoly(nvars, trunc, base)
+    poly = MultiPoly(nvars, base)
     expr = sum((sympy.Rational(c) * monomial(k, nvars) for k, c in base.items()), sympy.S.Zero)
     for k in draw(st.lists(st.sampled_from(sorted(base)), max_size=3)) if base else ():
         c = -base[k] if draw(st.booleans()) else draw(coeffs)
-        poly = poly + MultiPoly(nvars, trunc, {k: c})
+        poly = poly + MultiPoly(nvars, {k: c})
         expr += sympy.Rational(c) * monomial(k, nvars)
-    return poly, truncated(sympy.Poly(expr, *gens(nvars), domain=sympy.QQ), trunc)
+    return poly, truncated(sympy.Poly(expr, *gens(nvars), domain=sympy.QQ))
 
 
 @st.composite
 def pairs(draw):
     nvars = draw(st.integers(1, 3))
-    a = draw(sparse(nvars, draw(st.integers(0, 3))))
-    b = draw(sparse(nvars, draw(st.integers(0, 3))))
-    return nvars, a, b
+    return nvars, draw(sparse(nvars)), draw(sparse(nvars))
 
 
 @st.composite
 def singles(draw):
     nvars = draw(st.integers(1, 3))
-    return nvars, draw(sparse(nvars, draw(st.integers(0, 3))))
+    return nvars, draw(sparse(nvars))
 
 
 def grade(poly):
@@ -92,18 +94,17 @@ def grade(poly):
 @given(case=pairs(), s=scalars)
 def test_ring_operations_match_sympy(case, s):
     nvars, (a, pa), (b, pb) = case
-    t = min(a.trunc, b.trunc)
     assert as_sympy(a) == pa and as_sympy(b) == pb
-    assert as_sympy(a + b) == truncated(pa + pb, t)
-    assert as_sympy(a - b) == truncated(pa - pb, t)
+    assert as_sympy(a + b) == pa + pb
+    assert as_sympy(a - b) == pa - pb
     assert as_sympy(-a) == -pa
-    assert as_sympy(a * b) == truncated(pa * pb, t)
-    assert as_sympy(b * a) == truncated(pa * pb, t)
-    assert (a * b).eps_grade() == grade(truncated(pa * pb, t))
-    assert (a + b).eps_grade() == grade(truncated(pa + pb, t))
-    assert (a == b) == (truncated(pa, t) == truncated(pb, t))
-    assert as_sympy(a - b + b) == truncated(pa, t)
-    assert a - b + b == a.eps_truncated(t)
+    assert as_sympy(a * b) == truncated(pa * pb)
+    assert as_sympy(b * a) == truncated(pa * pb)
+    assert (a * b).eps_grade() == grade(truncated(pa * pb))
+    assert (a + b).eps_grade() == grade(pa + pb)
+    assert (a == b) == (pa == pb)
+    assert as_sympy(a - b + b) == pa
+    assert a - b + b == a
     # scalars on either side
     rs = sympy.Rational(s)
     assert as_sympy(a * s) == pa * rs
@@ -132,7 +133,7 @@ def test_calculus_matches_sympy(case, var, value):
 def test_grading_matches_sympy(case, k):
     nvars, (a, pa) = case
     assert a.eps_grade() == grade(pa)
-    assert as_sympy(a.scale_eps(k)) == truncated(pa * sympy.Poly(EPS**k, *gens(nvars)), a.trunc)
+    assert as_sympy(a.scale_eps(k)) == truncated(pa * sympy.Poly(EPS**k, *gens(nvars)))
     assert as_sympy(a.eps_truncated(k)) == truncated(pa, k)
     component = {(0,) + m[1:]: c for m, c in pa.as_dict().items() if m[0] == k}
     assert as_sympy(a.eps_component(k)) == from_terms(component, nvars)
@@ -153,3 +154,24 @@ def test_promote_and_drop_match_sympy(case):
     else:
         dropped = {(m[0],) + m[2:]: c for m, c in terms.items()}
         assert as_sympy(a.drop_leading_var()) == from_terms(dropped, nvars - 1)
+
+
+def test_failing_property_prints_its_falsifying_example(tmp_path):
+    """Under the suite's warning filters a failing ``@given`` test still reports its example."""
+    case = tmp_path / "test_fails.py"
+    case.write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n@given(st.integers())\n"
+        "def test_small(n):\n    assert n < 10\n"
+    )
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), str(case)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert "Falsifying example" in output and "1 failed" in output
+    assert "INTERNALERROR" not in output
