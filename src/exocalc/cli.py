@@ -398,6 +398,8 @@ def forms_check_rows(cfg: dict, seed: int, d_fn=None):
         raise ConfigError("degree must be between 0 and 3")
     if count < 1:
         raise ConfigError(f"seeds must be >= 1, got {count}")
+    if seed + count - 1 >= 1 << 64:  # the rows draw seeds seed .. seed + count - 1
+        raise ConfigError(f"last seed {seed + count - 1} (--seed + seeds - 1) is outside [0, 2**64)")
     rows = [
         row
         for s in range(seed, seed + count)

@@ -129,15 +129,17 @@ def _padded(phi: np.ndarray, bc: str) -> np.ndarray:
     return buf
 
 
-def _stencil(p, two_phi, dx2, two_dx, lap=None, adv=None):
-    """Centered ``(p[2:] - 2 phi + p[:-2]) / dx2`` and ``(p[2:] - p[:-2]) / two_dx``
-    of the ghost-padded field ``p``, written into ``lap`` and ``adv`` when given."""
-    right, left = p[2:], p[:-2]
+def _stencil(p, two_phi, inv_dx2, inv_two_dx, lap=None, adv=None):
+    """Centered ``(right - 2 phi + left) / dx2`` and ``(right - left) / two_dx``
+    of a ghost-padded field, on its float view ``p`` (interior ``p[2:-2]``,
+    neighbours ``p[4:]`` and ``p[:-4]``), written into ``lap`` and ``adv``
+    when given; ``inv_dx2`` and ``inv_two_dx`` are ``1 / dx2`` and ``1 / two_dx``."""
+    right, left = p[4:], p[:-4]
     lap = np.subtract(right, two_phi, out=lap)
     np.add(lap, left, out=lap)
-    np.true_divide(lap, dx2, out=lap)
+    np.multiply(lap, inv_dx2, out=lap)
     adv = np.subtract(right, left, out=adv)
-    np.true_divide(adv, two_dx, out=adv)
+    np.multiply(adv, inv_two_dx, out=adv)
     return lap, adv
 
 
@@ -164,10 +166,17 @@ def simulate_time_domain(
     which needs dirichlet boundaries, and warns when
     ``max(|t|, |x|) * ||grad theta||`` is large.
 
-    Each step runs in place: the explicit leapfrog and the implicit
-    update's band and right-hand side are evaluated in buffers allocated
-    once per call, and the implicit system is solved by LAPACK ``?gtsv``.
-    The results are bit-identical to the plain array expressions.
+    Each step runs in place, in buffers allocated once per call: the
+    explicit leapfrog and the implicit update's right-hand side on the
+    interleaved float64 view of the levels, the implicit system by LAPACK
+    ``?gtsv``. Every coefficient is real, so a real coefficient multiplies
+    both parts, and a division by a real ``c`` is a multiply by
+    ``fl(1 / c)``, the reciprocal numpy's complex division multiplies by.
+    The complex ops add only exact-zero cross terms ``im * 0``, which leave
+    every nonzero part as it is and can only decide the sign of a zero part;
+    the points where that sign is open are evaluated with the complex ops
+    (see the note above the steppers). So the results are bit-identical to
+    the plain complex array expressions.
     """
     if initial is None:
         initial = WavePacket(
@@ -202,7 +211,8 @@ def simulate_time_domain(
         omega0 = complex(plane_wave_rates(-initial.wavenumber, m, theta_t, theta_x))
         phi_t0 = 1j * omega0 * phi0
 
-    lap0, adv0 = _stencil(prev, 2 * phi0, dx * dx, 2 * dx)
+    # the complex stencil: it runs once, and on the float view it would need the steppers' flags
+    _, lap0, adv0 = _complex_stencil(prev, np.arange(1, nx + 1), dx * dx, 2 * dx)
     phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
     if include_x_term:  # its own phi_tt at t = 0; the plain one would leave the run first order
         p_t0 = _padded(phi_t0, bc)
@@ -253,10 +263,44 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float):
 
 
 # The steppers below write time level n + 1 into the interior of ``out`` from
-# the ghost-padded levels ``prev`` (n - 1) and ``cur`` (n). They evaluate
-# their update formula with the same ufuncs, operand order and dtypes as the
-# plain array expression, but into scratch arrays allocated once, so the
-# result is bit-identical to that expression.
+# the ghost-padded levels ``prev`` (n - 1) and ``cur`` (n). They work on the
+# interleaved float64 view of the levels (interior ``[2:-2]``, neighbours
+# ``[4:]`` and ``[:-4]``), into scratch arrays allocated once. Every
+# coefficient of the update is real, so each complex op of the plain array
+# expression becomes one real op over both parts: an add or subtract is one
+# already, a real coefficient multiplies both parts, and a division by a real
+# ``c`` is a multiply by ``fl(1 / c)``, the reciprocal numpy's complex
+# division (Smith's algorithm) forms for a real divisor before it multiplies.
+#
+# The complex ops differ from these only by the exact-zero cross terms
+# ``im * 0`` they add to each part. Adding a zero leaves a nonzero part as it
+# is and can only turn a -0 into +0, and a product that underflows stays a
+# zero whether numpy fuses that add or not. So of a finite part only the sign
+# of a zero can differ. A sum of zeros is -0 only if every term is -0, so a part
+# whose leading term (``2 cur`` in the explicit update, ``a_tt (2 cur - prev)
+# / dt^2`` in the x-term's right-hand side) is +0 or nonzero on both routes
+# comes out alike; the cross terms only ever turn that term's -0 into +0 (for
+# ``a_tt >= 0``). A cross term ``0 * inf`` is NaN, so a part that is not
+# finite can differ too. The points where the leading term is -0 on the float
+# view (zero, for ``a_tt < 0``) or a result part is not finite are evaluated
+# again with the complex ops of the plain expression, so the result equals
+# that expression bit for bit.
+
+# the bits of -0.0 read as an int64: the least int64, so a min finds it
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
+
+
+def _flagged_points(flag: np.ndarray) -> np.ndarray:
+    """Indices, in the ghost-padded level, of the points with ``flag`` set on
+    either part of the interior's float view."""
+    return np.flatnonzero(flag.reshape(-1, 2).any(axis=1)) + 1
+
+
+def _complex_stencil(p, i, dx2, two_dx):
+    """``2 p[i]`` and the centered stencils of the complex ghost-padded field
+    ``p`` at the points ``i``, by the complex ops of the plain expression."""
+    right, left, two_phi = p[i + 1], p[i - 1], 2 * p[i]
+    return two_phi, (right - two_phi + left) / dx2, (right - left) / two_dx
 
 
 def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
@@ -265,21 +309,27 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
     lag = 1 + 0.5 * theta_t * dt
     denom = 1 - 0.5 * theta_t * dt
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
-    two_cur, lap, adv, tmp = (np.empty(n_x, dtype=complex) for _ in range(4))
+    inv_dx2, inv_two_dx, inv_denom = 1 / dx2, 1 / two_dx, 1 / denom
+    two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(4))
 
     def step(n, prev, cur, out):
-        now, new = cur[1:-1], out[1:-1]
+        c = cur.view(np.float64)
+        now, new = c[2:-2], out.view(np.float64)[2:-2]
         np.multiply(2, now, out=two_cur)
-        _stencil(cur, two_cur, dx2, two_dx, lap, adv)
+        _stencil(c, two_cur, inv_dx2, inv_two_dx, lap, adv)
         np.multiply(mm, now, out=tmp)
         np.subtract(lap, tmp, out=lap)
         np.multiply(theta_x, adv, out=adv)
         np.subtract(lap, adv, out=lap)
         np.multiply(dt2, lap, out=lap)
-        np.multiply(lag, prev[1:-1], out=tmp)
+        np.multiply(lag, prev.view(np.float64)[2:-2], out=tmp)
         np.subtract(two_cur, tmp, out=new)
         np.add(new, lap, out=new)
-        np.true_divide(new, denom, out=new)
+        np.multiply(new, inv_denom, out=new)
+        if two_cur.view(np.int64).min() == _NEGATIVE_ZERO or not np.isfinite(new).all():
+            i = _flagged_points((two_cur.view(np.int64) == _NEGATIVE_ZERO) | ~np.isfinite(new))
+            two_c, lap_i, adv_i = _complex_stencil(cur, i, dx2, two_dx)
+            out[i] = (two_c - lag * prev[i] + dt2 * (lap_i - mm * cur[i] - theta_x * adv_i)) / denom
 
     return step
 
@@ -289,19 +339,25 @@ def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
 
     The mixed time-space derivative couples neighbouring points of the new
     level, giving a tridiagonal complex system per step with dirichlet rows
-    at both ends. LAPACK ``?gtsv`` solves it, the routine
+    at both ends. Its right-hand side is built on the float view, and LAPACK
+    ``?gtsv`` solves the complex system, the routine
     ``scipy.linalg.solve_banded((1, 1), ...)`` calls, without a finiteness
     check, so non-finite values reach the amplitude probe.
     """
     from scipy.linalg import get_lapack_funcs  # scipy loads only on the paths that call it
 
     n_x = len(xs)
-    a_xx = -1 + 2 * theta_x * xs
-    theta_t_xs = theta_t * xs
+    # the real coefficient arrays are interleaved, one value per part
+    xs2 = np.repeat(xs, 2)
+    a_xx = -1 + 2 * theta_x * xs2
+    theta_t_xs = theta_t * xs2
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
     half_tt, shift_scale = 0.5 * theta_t, 4 * dt * dx
-    c_cross, off = np.empty(n_x), np.empty(n_x - 1)
-    rhs, d, two_cur, lap, adv, tmp = (np.empty(n_x, dtype=complex) for _ in range(6))
+    inv_dx2, inv_two_dx, inv_dt2, inv_dt = 1 / dx2, 1 / two_dx, 1 / dt2, 1 / dt
+    inv_shift = 1 / shift_scale
+    c_cross, off = np.empty(2 * n_x), np.empty(n_x - 1)
+    rhs_parts, two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(5))
+    rhs, d = rhs_parts.view(complex), np.empty(n_x, dtype=complex)
     du, dl = np.empty(n_x - 1, dtype=complex), np.empty(n_x - 1, dtype=complex)
     (gtsv,) = get_lapack_funcs(("gtsv",), (d, rhs))
 
@@ -312,30 +368,46 @@ def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
         np.multiply(2, c_cross, out=c_cross)
         # rhs = a_tt (2 cur - prev) / dt^2 - th_t prev / (2 dt) + c_cross dprev / (4 dt dx)
         #       - a_xx lap - m^2 cur - th_x adv
-        now, before = cur[1:-1], prev[1:-1]
+        c, p = cur.view(np.float64), prev.view(np.float64)
+        now, before = c[2:-2], p[2:-2]
         np.multiply(2, now, out=two_cur)
-        np.subtract(two_cur, before, out=rhs)
-        np.multiply(a_tt, rhs, out=rhs)
-        np.true_divide(rhs, dt2, out=rhs)
+        np.subtract(two_cur, before, out=rhs_parts)
+        np.multiply(a_tt, rhs_parts, out=rhs_parts)
+        np.multiply(rhs_parts, inv_dt2, out=rhs_parts)
+        # the leading term's parts that decide a zero's sign (see the note above)
+        lead = rhs_parts.view(np.int64) == _NEGATIVE_ZERO if a_tt >= 0 else rhs_parts == 0
         np.multiply(half_tt, before, out=tmp)
-        np.true_divide(tmp, dt, out=tmp)
-        np.subtract(rhs, tmp, out=rhs)
-        np.subtract(prev[2:], prev[:-2], out=tmp)
-        np.true_divide(tmp, shift_scale, out=tmp)
+        np.multiply(tmp, inv_dt, out=tmp)
+        np.subtract(rhs_parts, tmp, out=rhs_parts)
+        np.subtract(p[4:], p[:-4], out=tmp)
+        np.multiply(tmp, inv_shift, out=tmp)
         np.multiply(c_cross, tmp, out=tmp)
-        np.add(rhs, tmp, out=rhs)
-        _stencil(cur, two_cur, dx2, two_dx, lap, adv)
+        np.add(rhs_parts, tmp, out=rhs_parts)
+        _stencil(c, two_cur, inv_dx2, inv_two_dx, lap, adv)
         np.multiply(a_xx, lap, out=lap)
-        np.subtract(rhs, lap, out=rhs)
+        np.subtract(rhs_parts, lap, out=rhs_parts)
         np.multiply(mm, now, out=tmp)
-        np.subtract(rhs, tmp, out=rhs)
+        np.subtract(rhs_parts, tmp, out=rhs_parts)
         np.multiply(theta_x, adv, out=adv)
-        np.subtract(rhs, adv, out=rhs)
+        np.subtract(rhs_parts, adv, out=rhs_parts)
+        flag = lead | ~np.isfinite(rhs_parts)
+        if flag.any():
+            i = _flagged_points(flag)
+            two_c, lap_i, adv_i = _complex_stencil(cur, i, dx2, two_dx)
+            before_i = prev[i]
+            rhs[i - 1] = (
+                a_tt * (two_c - before_i) / dt2
+                - half_tt * before_i / dt
+                + c_cross[2 * i - 2] * ((prev[i + 1] - prev[i - 1]) / shift_scale)
+                - a_xx[2 * i - 2] * lap_i
+                - mm * cur[i]
+                - theta_x * adv_i
+            )
         # the band, dirichlet rows pinning the boundary values; off-diagonals
         # are divided as reals, then widened to complex
         d.fill(a_tt / dt2 - half_tt / dt)
-        np.true_divide(c_cross[:-1], shift_scale, out=du)
-        np.negative(c_cross[1:], out=off)
+        np.true_divide(c_cross[:-2:2], shift_scale, out=du)
+        np.negative(c_cross[2::2], out=off)
         np.true_divide(off, shift_scale, out=dl)
         d[0] = d[-1] = 1.0
         du[0] = dl[-1] = 0.0

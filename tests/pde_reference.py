@@ -81,6 +81,18 @@ def _implicit_x_term_step(prev, cur, t_now, xs, dt, dx, m, theta_t, theta_x, bc)
     return solve_banded((1, 1), band, rhs, check_finite=False)
 
 
+def reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc):
+    """The explicit leapfrog's level ``n + 1`` from the unpadded levels
+    ``prev`` (``n - 1``) and ``cur`` (``n``), before any boundary pin."""
+    lap = _second_diff(cur, dx, bc)
+    adv = _first_diff(cur, dx, bc)
+    return (
+        2 * cur
+        - (1 + 0.5 * theta_t * dt) * prev
+        + dt * dt * (lap - m * m * cur - theta_x * adv)
+    ) / (1 - 0.5 * theta_t * dt)
+
+
 def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, initial=None):
     """``(times, snapshots)`` of the run ``simulate_time_domain``
     makes on ``grid``; raises :class:`InstabilityError` where it does."""
@@ -134,18 +146,11 @@ def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, initial=
     store(1, phi1)
 
     prev, cur = phi0, phi1
-    denom = 1 - 0.5 * theta_t * dt
     for n in range(1, nt):
         if include_x_term:
             nxt = _implicit_x_term_step(prev, cur, n * dt, xs, dt, dx, m, theta_t, theta_x, bc)
         else:
-            lap = _second_diff(cur, dx, bc)
-            adv = _first_diff(cur, dx, bc)
-            nxt = (
-                2 * cur
-                - (1 + 0.5 * theta_t * dt) * prev
-                + dt * dt * (lap - m * m * cur - theta_x * adv)
-            ) / denom
+            nxt = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
         if bc == "dirichlet":
             nxt[0] = nxt[-1] = 0.0
         amp = float(np.max(np.abs(nxt)))

@@ -586,16 +586,24 @@ def test_unusable_out_dir_fails_before_simulating(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["forms-check", "cartan"])
 def test_seed_outside_u64_exits_2_and_writes_nothing(command, tmp_path, capsys):
-    """``--seed`` is a u64: CPython would seed -1 as 1 and accept 2**64 silently."""
+    """``--seed`` is a u64: CPython would seed -1 as 1 and accept 2**64 silently.
+    forms-check draws its ``seeds`` (4 here) from ``--seed`` on, so its last seed
+    must be a u64 too."""
     for seed in (-1, 2**64):
         with pytest.raises(SystemExit) as exit_info:
             run_cli([command, "--out", tmp_path / str(seed), "--seed", seed, *FAST_ARGS[command]])
         assert exit_info.value.code == 2
         assert f"seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / str(seed)).exists()
-    for seed in (0, 2**64 - 1):
+    top = 2**64 - 4 if command == "forms-check" else 2**64 - 1
+    for seed in (0, top):
         assert run_cli([command, "--out", tmp_path / str(seed), "--seed", seed, *FAST_ARGS[command]]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["0", str(2**64 - 1)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["0", str(top)])
+    if command == "forms-check":
+        out = tmp_path / str(top + 1)
+        assert run_cli([command, "--out", out, "--seed", top + 1, *FAST_ARGS[command]]) == 2
+        assert f"last seed {2**64} (--seed + seeds - 1) is outside [0, 2**64)" in capsys.readouterr().err
+        assert not (out / "forms_check.csv").exists()
 
 
 BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, --out under tmp_path]

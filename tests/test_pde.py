@@ -24,8 +24,17 @@ from exocalc.pde import (
     solve_ode_x,
     solve_ode_y,
     _check_amplitude,
+    _leapfrog_stepper,
+    _x_term_stepper,
 )
-from pde_reference import balance_residuals, reference_simulate, staggered_energies
+from pde_reference import (
+    _implicit_x_term_step,
+    _pad,
+    balance_residuals,
+    reference_simulate,
+    reference_step,
+    staggered_energies,
+)
 
 
 def test_ode_x_free_case_oscillatory():
@@ -303,34 +312,49 @@ def _float_bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-# explicit leapfrog: every boundary kind, theta_t of both signs, with and without theta_x
+def _holds_negative_zero(a) -> bool:
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return bool(np.signbit(parts[parts == 0]).any())
+
+
+# an underflowing, negative-amplitude packet: its tails are zeros of both signs
+_SIGNED_ZERO_PACKET = WavePacket(10.0, 0.2, 1.3, -1.0)
+# explicit leapfrog: every boundary kind, theta_t of both signs, with and without
+# theta_x; and the signed-zero packet on every boundary kind
 _EXPLICIT_RUNS = [
-    (bc, theta_t, theta_x)
+    pytest.param(bc, theta_t, theta_x, WavePacket(10.0, 2.0, 1.3), id=f"{bc}-{theta_t}-{theta_x}")
     for bc in ("periodic", "dirichlet", "neumann")
     for theta_t in (0.04, -0.04)
     for theta_x in (0.0, 0.03)
+] + [
+    pytest.param(bc, -0.04, 0.03, _SIGNED_ZERO_PACKET, id=f"{bc}-signed-zeros")
+    for bc in ("periodic", "dirichlet", "neumann")
 ]
-# implicit x-term leg: dirichlet only, on boxes with x_min at zero and below it
+# implicit x-term leg: dirichlet only, on boxes with x_min at zero and below it;
+# and an underflowing, negative-amplitude packet
 _X_TERM_RUNS = [
-    (x_min, x_max, theta_t, theta_x)
+    pytest.param(
+        x_min, x_max, theta_t, theta_x, WavePacket(0.5 * (x_min + x_max), 0.4, 3.0),
+        id=f"{x_min}-{x_max}-{theta_t}-{theta_x}",
+    )
     for x_min, x_max in ((0.0, 4.0), (-2.0, 2.0))
     for theta_t, theta_x in ((0.015, 0.0), (-0.015, 0.01))
-]
+] + [pytest.param(0.0, 4.0, -0.015, 0.01, WavePacket(1.0, 0.05, 3.0, -1.0), id="signed-zeros")]
 
 
-@pytest.mark.parametrize("bc,theta_t,theta_x", _EXPLICIT_RUNS)
-def test_leapfrog_matches_the_allocating_reference_bit_for_bit(bc, theta_t, theta_x):
-    packet = WavePacket(10.0, 2.0, 1.3)
+@pytest.mark.parametrize("bc,theta_t,theta_x,packet", _EXPLICIT_RUNS)
+def test_leapfrog_matches_the_allocating_reference_bit_for_bit(bc, theta_t, theta_x, packet):
     grids = [SimGrid(0.0, 20.0, 96, 0.1, 120, bc=bc, snapshot_stride=1) for _ in range(2)]
     simulate_time_domain(grids[0], 1.0, theta_t, theta_x, initial=packet)
     times, snapshots = reference_simulate(grids[1], 1.0, theta_t, theta_x, initial=packet)
     assert _same_bits(grids[0].times, times)
     assert _same_bits(grids[0].snapshots, snapshots)
+    if packet.amplitude < 0:  # the case is not vacuous: the run holds negative zeros
+        assert _holds_negative_zero(snapshots)
 
 
-@pytest.mark.parametrize("x_min,x_max,theta_t,theta_x", _X_TERM_RUNS)
-def test_x_term_step_matches_the_allocating_reference_bit_for_bit(x_min, x_max, theta_t, theta_x):
-    packet = WavePacket(0.5 * (x_min + x_max), 0.4, 3.0)
+@pytest.mark.parametrize("x_min,x_max,theta_t,theta_x,packet", _X_TERM_RUNS)
+def test_x_term_step_matches_the_allocating_reference_bit_for_bit(x_min, x_max, theta_t, theta_x, packet):
     grids = [SimGrid(x_min, x_max, 64, 0.005, 80, bc="dirichlet", snapshot_stride=1) for _ in range(2)]
     simulate_time_domain(grids[0], 1.0, theta_t, theta_x, include_x_term=True, initial=packet)
     times, snapshots = reference_simulate(
@@ -338,6 +362,95 @@ def test_x_term_step_matches_the_allocating_reference_bit_for_bit(x_min, x_max, 
     )
     assert _same_bits(grids[0].times, times)
     assert _same_bits(grids[0].snapshots, snapshots)
+    if packet.amplitude < 0:  # the case is not vacuous: the run holds negative zeros
+        assert _holds_negative_zero(snapshots)
+
+
+# one part of a level: both zeros, the smallest subnormals (whose products
+# with the step's coefficients underflow), other subnormals, normal values,
+# and values near the amplitude probe's fast-path bound
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-8, 8).map(lambda k: k * 5e-324),
+    st.floats(-2.2e-308, 2.2e-308),
+    st.floats(-10.0, 10.0),
+    st.floats(0.9, 1.1).map(lambda v: v * AMPLITUDE_ABORT / 1.5),
+    st.floats(-1.1, -0.9).map(lambda v: v * AMPLITUDE_ABORT / 1.5),
+)
+_SLOPE = st.sampled_from([0.0, -0.0, 0.02, -0.02, 1e-3, -1e-3, 0.5, -0.5])
+
+
+@st.composite
+def _levels(draw):
+    """Two unpadded complex levels of a common length."""
+    size = 2 * draw(st.integers(3, 12))
+    parts = st.lists(_PART, min_size=size, max_size=size)
+    return tuple(np.array(draw(parts)).view(complex) for _ in range(2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    levels=_levels(),
+    bc=st.sampled_from(["periodic", "dirichlet", "neumann"]),
+    dt=st.sampled_from([0.1, 0.01]),
+    m=st.sampled_from([0.0, 1.0]),
+    theta_t=_SLOPE,
+    theta_x=_SLOPE,
+    step=st.integers(1, 400),
+)
+# a zero part next to the smallest subnormal: dt^2 lap underflows, and the
+# cross terms of 2 cur set the sign of the zero that comes out
+@example(
+    levels=(np.zeros(3, dtype=complex), np.array([complex(0.0, -0.0), complex(0.0, -5e-324), 0j])),
+    bc="periodic", dt=0.1, m=0.0, theta_t=0.0, theta_x=0.0, step=1,
+)
+# a -0 in the leading term a_tt (2 cur - prev) / dt^2 of the x-term's right-hand side
+@example(
+    levels=(
+        np.array([0j, complex(4e-323, 0.0), complex(-0.0, -0.0)]),
+        np.array([complex(5e-324, -1e-323), 0j, 0j]),
+    ),
+    bc="periodic", dt=0.1, m=0.0, theta_t=0.5, theta_x=0.5, step=259,
+)
+# past t = 1 / (2 th_t), where a_tt < 0, a leading term that is +0 on the float
+# view can be -0 on the complex route
+@example(
+    levels=(
+        np.array(
+            [0.15927159690267856, -0.0, -0.0, -0.0, 1.3811193935406947, 0.0, -0.49130268764043683, -0.0]
+        ).view(complex),
+        np.array([-1e-323, -0.0, -0.0, 0.0, 0.0, -0.0, 5e-324, -0.0]).view(complex),
+    ),
+    bc="periodic", dt=0.1, m=0.0, theta_t=0.02, theta_x=-0.5, step=5083,
+)
+# an infinite part: the cross terms 0 * inf turn the other part into NaN
+@example(
+    levels=(np.array([1 + 0j, -2 - 2j, 1 + 0j]), np.array([complex(1.0, math.inf), 0j, 1j])),
+    bc="periodic", dt=0.1, m=1.0, theta_t=0.02, theta_x=0.02, step=7,
+)
+def test_one_step_of_each_kernel_matches_the_plain_complex_step_bit_for_bit(
+    levels, bc, dt, m, theta_t, theta_x, step
+):
+    """The float-view kernels equal the complex expressions on every double:
+    the sign of a zero part, a product that underflows and a part that is not
+    finite included. The x-term kernel takes its ``step``-th step on a
+    dirichlet box of width 4."""
+    prev, cur = levels
+    n_x = len(cur)
+    out = np.zeros(n_x + 2, dtype=complex)
+    dx = 0.3
+    with np.errstate(over="ignore", invalid="ignore"):  # as in simulate_time_domain
+        _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)(1, _pad(prev, bc), _pad(cur, bc), out)
+        want = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
+    assert _same_bits(out[1:-1], want)
+
+    xs = np.linspace(-2.0, 2.0, n_x)
+    dx, dt = xs[1] - xs[0], 0.005
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_fn = _x_term_stepper(xs, dx, dt, m, theta_t, theta_x)
+        step_fn(step, _pad(prev, "dirichlet"), _pad(cur, "dirichlet"), out)
+        want = _implicit_x_term_step(prev, cur, step * dt, xs, dt, dx, m, theta_t, theta_x, "dirichlet")
+    assert _same_bits(out[1:-1], want)
 
 
 def _instability(fn, grid, m, theta_t, x_term, packet) -> InstabilityError:
@@ -356,8 +469,12 @@ def _instability(fn, grid, m, theta_t, x_term, packet) -> InstabilityError:
         ((0.0, 100.0, 64, 0.3, 16, "dirichlet", 4), 1.0, theta_t, x_term, WavePacket(50.0, 5.0, 0.5))
         for theta_t in (math.nan, math.inf, 1e300)
         for x_term in (False, True)
-    ],
-    ids=["mass-dominated"] + [f"{t}-{k}" for t in ("nan", "inf", "huge") for k in ("explicit", "implicit")],
+    ]
+    # the seeded level overflows, so the first step meets infinite parts
+    + [((0.0, 20.0, 32, 0.1, 6, "periodic", 1), 1.0, 1e150, False, WavePacket(10.0, 2.0, 0.5, 1e300))],
+    ids=["mass-dominated"]
+    + [f"{t}-{k}" for t in ("nan", "inf", "huge") for k in ("explicit", "implicit")]
+    + ["overflowing-seed"],
 )
 def test_instability_matches_the_allocating_reference(grid_args, m, theta_t, x_term, packet):
     got = _instability(simulate_time_domain, SimGrid(*grid_args), m, theta_t, x_term, packet)

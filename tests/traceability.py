@@ -379,6 +379,10 @@ TRACE = (
             "test_pde.py::test_mode_frequency_matches_the_scheme_and_converges_at_second_order",
             "test_pde.py::test_damping_rate_matches_mode_analysis",
             "test_pde.py::test_energy_obeys_the_discrete_balance_law",
+            # the steppers are the scheme's plain complex expressions, bit for bit
+            "test_pde.py::test_leapfrog_matches_the_allocating_reference_bit_for_bit",
+            "test_pde.py::test_x_term_step_matches_the_allocating_reference_bit_for_bit",
+            "test_pde.py::test_one_step_of_each_kernel_matches_the_plain_complex_step_bit_for_bit",
         ),
     ),
     TraceEntry(
