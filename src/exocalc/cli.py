@@ -433,24 +433,22 @@ def cartan_rows(cfg: dict, seed: int):
     return CARTAN_HEADER, rows
 
 
-def _fit_window(spec, times) -> tuple:
-    """The first and last of the snapshot ``times`` (an array) the fit window selects.
+def _fit_window(spec, times):
+    """The mask of the snapshot ``times`` (an array) the fit window selects.
 
     ``spec`` is ``[t_start, t_end]`` or ``None`` for every time after 0; it
     must select at least 3 snapshots.
     """
     if spec is None:
-        selected = times[1:]
+        mask = times > 0
     else:
         if not isinstance(spec, list) or len(spec) != 2:
             raise ConfigError(f"fit_window must be [t_start, t_end], got {spec!r}")
         t_a, t_b = (_finite(v, "fit_window") for v in spec)
-        selected = times[(times >= t_a) & (times <= t_b)]
-    if len(selected) < 3:
-        raise ConfigError(
-            f"fit window selects {len(selected)} stored snapshots, fewer than 3"
-        )
-    return float(selected[0]), float(selected[-1])
+        mask = (times >= t_a) & (times <= t_b)
+    if mask.sum() < 3:
+        raise ConfigError(f"fit window selects {mask.sum()} stored snapshots, fewer than 3")
+    return mask
 
 
 # bytes of a value cell: ``,`` and a ``FLOAT_SPEC`` cell (at most 20 characters), space-padded
@@ -582,14 +580,14 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     if packet.width**2 == 0:
         raise DegenerateParameterError(f"packet width {packet.width!r} squares to zero")
     simulate_time_domain(
-        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], cfg["include_x_term"], packet,
+        grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], cfg["include_x_term"], initial=packet,
     )
     norms = grid.l2_norms()
     if not norms.all():  # a vanishing field, or one whose squares underflow
         raise DegenerateParameterError("a stored snapshot has zero L2 norm")
-    # the window and the norms are checked; a dt too small to fit raises FloatingPointError
-    rate = fit_decay_rate(grid, window)
     log_amp = np.log(norms)
+    # a dt too small to fit raises FloatingPointError
+    rate = fit_decay_rate(grid.times[window], log_amp[window])
 
     snap_path = write_csv(
         out_dir / "simulate_snapshots.csv",

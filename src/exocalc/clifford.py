@@ -118,42 +118,14 @@ def matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a == b))
 
 
-@dataclass(frozen=True)
-class TetradPair:
-    """Frame maps between deformed and flat coordinates.
+def tetrads(x: Sequence, grad: Sequence) -> tuple:
+    """Frame maps ``(up, down)`` at ``x`` from ``grad``, the covariant theta gradient at ``x``.
 
     ``up[mu, alpha] = delta - x^mu d_alpha theta`` and
     ``down[mu, alpha] = delta + x^alpha d_mu theta``, both 4x4 object
-    arrays; the two contract to the identity up to grade-2 terms.  Each
-    contraction returns a 4x4 object array, indexed ``[a][b]`` or ``[a, b]``.
+    arrays; ``up.T @ down`` and ``up @ down.T`` are the identity up to
+    grade-2 terms.
     """
-
-    up: np.ndarray
-    down: np.ndarray
-
-    def contract_frame(self) -> np.ndarray:
-        """``sum_mu up[mu][a] down[mu][b]`` as a 4x4 object array."""
-        return self.up.T @ self.down
-
-    def contract_coord(self) -> np.ndarray:
-        """``sum_alpha up[mu][alpha] down[nu][alpha]`` as a 4x4 object array."""
-        return self.up @ self.down.T
-
-    def inverse_metric(self) -> np.ndarray:
-        """Reconstruction ``g^{mn} = up[m][a] up[n][b] eta^{ab}`` (all grades)."""
-        return (self.up * MINKOWSKI_SIGNS) @ self.up.T
-
-    def covariant_metric(self) -> np.ndarray:
-        """Reconstruction ``g_{mn} = down[m][a] down[n][b] eta_{ab}`` (all grades).
-
-        Carries the quadratic gradient term, so it matches the full
-        deformed metric exactly, not just at first order.
-        """
-        return (self.down * MINKOWSKI_SIGNS) @ self.down.T
-
-
-def tetrads(x: Sequence, grad: Sequence) -> TetradPair:
-    """Frame maps at ``x`` from ``grad``, the covariant theta gradient at ``x``."""
     up = _obj([
         [(1 if mu == al else 0) - x[mu] * grad[al] for al in range(4)]
         for mu in range(4)
@@ -162,14 +134,21 @@ def tetrads(x: Sequence, grad: Sequence) -> TetradPair:
         [(1 if mu == al else 0) + x[al] * grad[mu] for al in range(4)]
         for mu in range(4)
     ])
-    return TetradPair(up, down)
+    return up, down
+
+
+def frame_metric(e: np.ndarray) -> np.ndarray:
+    """``e[m][a] e[n][b] eta^{ab}`` (all grades): the inverse metric from ``up``,
+    and from ``down`` the covariant metric, which carries the quadratic
+    gradient term and so matches the full deformed metric exactly."""
+    return (e * MINKOWSKI_SIGNS) @ e.T
 
 
 def gamma_tilde(x: Sequence, grad: Sequence, rep: GammaRep) -> tuple:
     """Deformed gammas ``gt^mu = up[mu][alpha] gamma^alpha``."""
     return tuple(
         sum(s * g for s, g in zip(row, rep.matrices))
-        for row in tetrads(x, grad).up
+        for row in tetrads(x, grad)[0]
     )
 
 

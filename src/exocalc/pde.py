@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InstabilityError
+from .core import DegenerateParameterError, InstabilityError
 from .dispersion import plane_wave_rates
 
 
@@ -151,7 +151,8 @@ def simulate_time_domain(
     theta_t: float,
     theta_x: float,
     include_x_term: bool = False,
-    initial: WavePacket | None = None,
+    *,
+    initial: WavePacket,
 ) -> SimGrid:
     """Leapfrog integration of the damped wave equation; fills ``grid``.
 
@@ -178,12 +179,6 @@ def simulate_time_domain(
     (see the note above the steppers). So the results are bit-identical to
     the plain complex array expressions.
     """
-    if initial is None:
-        initial = WavePacket(
-            center=0.5 * (grid.x_min + grid.x_max),
-            width=0.1 * (grid.x_max - grid.x_min),
-            wavenumber=0.0,
-        )
     xs = grid.xs()
     dx, dt = grid.dx, grid.dt
     nx, nt = grid.n_x, grid.n_t
@@ -197,7 +192,7 @@ def simulate_time_domain(
             warnings.warn(
                 "point-dependent term enabled outside its validity scale "
                 "(extent * |grad theta| > 0.1)",
-                stacklevel=2,
+                stacklevel=3,  # past the errstate decorator's frame
             )
 
     # the time levels rotate through three ghost-padded buffers
@@ -342,7 +337,8 @@ def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
     at both ends. Its right-hand side is built on the float view, and LAPACK
     ``?gtsv`` solves the complex system, the routine
     ``scipy.linalg.solve_banded((1, 1), ...)`` calls, without a finiteness
-    check, so non-finite values reach the amplitude probe.
+    check, so non-finite values reach the amplitude probe; a singular system
+    raises :class:`DegenerateParameterError`.
     """
     from scipy.linalg import get_lapack_funcs  # scipy loads only on the paths that call it
 
@@ -415,27 +411,18 @@ def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
         # solved in place: the factors overwrite dl, d, du and the solution rhs
         *_, x, info = gtsv(dl, d, du, rhs, True, True, True, True)
         if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+            raise DegenerateParameterError(f"the x-term system is singular at step {n} (t = {t_now:.6g})")
         out[1:-1] = x
 
     return step
 
 
-def fit_decay_rate(grid: SimGrid, window: tuple) -> float:
-    """Least-squares slope of ``log ||phi(t, .)||_2`` over a time window."""
-    if grid.times is None or grid.snapshots is None:
-        raise ValueError("grid holds no simulation history")
-    t_a, t_b = window
-    mask = (grid.times >= t_a) & (grid.times <= t_b)
-    if int(mask.sum()) < 3:
-        raise ValueError("window selects fewer than 3 stored snapshots")
-    norms = grid.l2_norms()[mask]
-    if np.any(norms <= 0):
-        raise ValueError("non-positive amplitude inside the fit window")
-    # snapshot times whose squares underflow leave the fit no scale: raise, not warn
+def fit_decay_rate(times: np.ndarray, log_amplitudes: np.ndarray) -> float:
+    """Least-squares slope of ``log_amplitudes`` against ``times``: the growth
+    rate of ``||phi(t, .)||_2`` when they are its logarithms at those times."""
+    # times whose squares underflow leave the fit no scale: raise, not warn
     with np.errstate(divide="raise", invalid="raise"):
-        slope = np.polyfit(grid.times[mask], np.log(norms), 1)[0]
-    return float(slope)
+        return float(np.polyfit(times, log_amplitudes, 1)[0])
 
 
 @dataclass(frozen=True)

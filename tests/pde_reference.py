@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from exocalc.dispersion import plane_wave_rates
-from exocalc.pde import AMPLITUDE_ABORT, InstabilityError, WavePacket
+from exocalc.pde import AMPLITUDE_ABORT, InstabilityError
 
 
 def _pad(phi, bc):
@@ -93,15 +93,9 @@ def reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc):
     ) / (1 - 0.5 * theta_t * dt)
 
 
-def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, initial=None):
+def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, *, initial):
     """``(times, snapshots)`` of the run ``simulate_time_domain``
     makes on ``grid``; raises :class:`InstabilityError` where it does."""
-    if initial is None:
-        initial = WavePacket(
-            center=0.5 * (grid.x_min + grid.x_max),
-            width=0.1 * (grid.x_max - grid.x_min),
-            wavenumber=0.0,
-        )
     xs = grid.xs()
     dx, dt = grid.dx, grid.dt
     nx, nt = grid.n_x, grid.n_t

@@ -143,8 +143,8 @@ def test_criterion_3_first_order_structure():
             for b in range(4):
                 contracted = sum(hi[a][c] * lo[c][b] for c in range(4))
                 assert eps_grade(contracted - (1 if a == b else 0)) >= 2
-        pair = tetrads(x, grad)
-        frame = pair.contract_frame()
+        up, down = tetrads(x, grad)
+        frame = up.T @ down
         for a in range(4):
             for b in range(4):
                 assert eps_grade(frame[a][b] - (1 if a == b else 0)) >= 2
@@ -171,7 +171,8 @@ def test_criterion_3_first_order_structure():
                 for b in range(4)
             )
         )
-        frame = tetrads(x, grad).contract_frame()
+        up, down = tetrads(x, grad)
+        frame = up.T @ down
         norms["tetrad"].append(
             max(abs(frame[a][b] - (1 if a == b else 0)) for a in range(4) for b in range(4))
         )
@@ -336,7 +337,7 @@ def test_criterion_8_quasinormal_damping():
                 0.0,
                 initial=WavePacket(100.0, 12.0, k_over_m * m),
             )
-            rate = fit_decay_rate(grid, (float(grid.times[1]), float(grid.times[-1])))
+            rate = fit_decay_rate(grid.times[1:], np.log(grid.l2_norms()[1:]))
             expect = td_over_m * m / 2
             worst_rel = max(worst_rel, abs(abs(rate) - expect) / expect)
     assert worst_rel < 0.02
@@ -353,7 +354,7 @@ def test_criterion_8_quasinormal_damping():
     for key, k0 in (("right", 1.0), ("left", -1.0)):
         grid = SimGrid(0.0, 200.0, 1024, 0.16, 1024, bc="periodic", snapshot_stride=64)
         simulate_time_domain(grid, m, 0.0, 0.02, initial=WavePacket(100.0, 10.0, k0))
-        rates[key] = fit_decay_rate(grid, (float(grid.times[1]), float(grid.times[-1])))
+        rates[key] = fit_decay_rate(grid.times[1:], np.log(grid.l2_norms()[1:]))
     assert rates["right"] * rates["left"] < 0
 
     elapsed = time.time() - start

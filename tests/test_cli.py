@@ -151,10 +151,11 @@ def test_flag_overrides_beat_config_file(tmp_path):
 
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    code = run_cli(["metric", "--config", bad, "--out", tmp_path])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    for text in ("{ not json", "[1, 2]"):  # not JSON, and JSON that is not an object
+        bad.write_text(text)
+        code = run_cli(["metric", "--config", bad, "--out", tmp_path])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -502,6 +503,7 @@ def test_sweep_values_forms():
     assert sweep_values(2.0) == [2.0]
     assert sweep_values([1, 2]) == [1.0, 2.0]
     assert sweep_values({"start": 0.0, "stop": 1.0, "count": 3}) == [0.0, 0.5, 1.0]
+    assert sweep_values({"start": 0.5, "stop": 1.0, "count": 1}) == [0.5]
     from exocalc.cli import ConfigError
 
     with pytest.raises(ConfigError):
@@ -532,6 +534,9 @@ def test_fmt_stability():
         ("grid.n_x=[1]", 2),
         ("grid.bc=foo", 2),
         ("grid.x_max=-5", 2),  # an empty interval, not a time step violation
+        ("grid.n_x=7", 2),
+        ("grid.n_t=1", 2),
+        ("include_x_term=true", 2),  # on the default periodic grid
         ("fit_window=[0,1]", 2),  # selects only t = 0
         ("fit_window=abc", 2),
         ("grid.n_x=256.7", 2),  # not truncated to 256
@@ -549,6 +554,10 @@ def test_fmt_stability():
         ("grid.dt=1e-300", 3),  # the squared snapshot times underflow: no rate to fit
         # the implicit solver's band overflows: a non-finite field, not a config error
         ("grid.bc=dirichlet include_x_term=true theta_dot=1e300", 4),
+        # at step 80 the band's diagonal rounds to 0 and the row at x = 0 is zero: singular
+        ("grid.x_min=-4.0 grid.x_max=4.0 grid.n_x=65 grid.dt=0.05 grid.n_t=100 grid.bc=dirichlet "
+         "grid.snapshot_stride=10 include_x_term=true theta_dot=0.12461059190031153 "
+         "packet.center=0.0 packet.width=1.0 packet.wavenumber=0.0", 3),
         # overflowing parameters or amplitude: the probe reports them, numpy stays quiet
         ("m=1e300", 4),
         ("theta_prime=1e300", 4),
@@ -615,6 +624,11 @@ BAD_INPUTS = [  # command, space-separated overrides, output file, exit code[, -
     ("lightcone", "points=[[1,2,3]]", "lightcone.csv", 2),
     ("forms-check", "seeds=abc", "forms_check.csv", 2),
     ("forms-check", "seeds=2.5", "forms_check.csv", 2),  # not truncated to 2
+    ("forms-check", "dimension=5", "forms_check.csv", 2),
+    ("forms-check", "dimension=1", "forms_check.csv", 2),
+    ("forms-check", "degree=4", "forms_check.csv", 2),
+    ("forms-check", "degree=-1", "forms_check.csv", 2),
+    ("metric", "points", "metric.csv", 2),  # a --set without "="
     ("cartan", "samples=abc", "cartan.csv", 2),
     ("cartan", "samples=-3", "cartan.csv", 2),
     ("metric", "points=[[1,2]]", "metric.csv", 2),

@@ -165,7 +165,7 @@ def test_cfl_guard():
 def test_snapshot_times_predict_stored_times(stride):
     grid = SimGrid(0.0, 10.0, 64, 0.1, 17, bc="periodic", snapshot_stride=stride)
     planned = grid.snapshot_times()
-    simulate_time_domain(grid, 1.0, 0.0, 0.0)
+    simulate_time_domain(grid, 1.0, 0.0, 0.0, initial=WavePacket(5.0, 1.0, 0.0))
     assert planned.tolist() == grid.times.tolist()
     assert len(grid.snapshots) == 17 // stride + 1
     if stride == 1:
@@ -218,7 +218,7 @@ def test_damping_rate_matches_mode_analysis():
     td = 0.02
     grid = SimGrid(0.0, 200.0, 1024, 0.16, 2048, bc="periodic", snapshot_stride=64)
     simulate_time_domain(grid, 1.0, td, 0.0, initial=WavePacket(100.0, 12.0, 0.5))
-    rate = fit_decay_rate(grid, (float(grid.times[1]), float(grid.times[-1])))
+    rate = fit_decay_rate(grid.times[1:], np.log(grid.l2_norms()[1:]))
     expect = abs(plane_wave_rates(0.5, 1.0, td, 0.0).imag)
     assert abs(abs(rate) - expect) / expect < 0.02
 
@@ -228,7 +228,7 @@ def test_left_right_movers_opposite_rates():
     for key, k0 in (("plus", 1.0), ("minus", -1.0)):
         grid = SimGrid(0.0, 200.0, 1024, 0.16, 1024, bc="periodic", snapshot_stride=64)
         simulate_time_domain(grid, 1.0, 0.0, 0.02, initial=WavePacket(100.0, 10.0, k0))
-        rates[key] = fit_decay_rate(grid, (float(grid.times[1]), float(grid.times[-1])))
+        rates[key] = fit_decay_rate(grid.times[1:], np.log(grid.l2_norms()[1:]))
     assert rates["plus"] * rates["minus"] < 0
     magnitude = 0.02 * 1.0 / (2 * math.sqrt(2.0))
     for rate in rates.values():
@@ -242,7 +242,8 @@ def test_rate_fit_convergence_second_order():
     for n, dt, stride in ((1024, 0.16, 25), (2048, 0.08, 50)):
         grid = SimGrid(0.0, 200.0, n, dt, int(320 / dt), bc="periodic", snapshot_stride=stride)
         simulate_time_domain(grid, 1.0, 0.05, 0.0, initial=WavePacket(100.0, 12.0, 0.5))
-        rate = fit_decay_rate(grid, (4.0, 316.0))
+        window = (grid.times >= 4.0) & (grid.times <= 316.0)
+        rate = fit_decay_rate(grid.times[window], np.log(grid.l2_norms()[window]))
         errs.append(abs(abs(rate) - 0.025))
     assert 3.0 < errs[0] / errs[1] < 5.5
 
@@ -506,7 +507,9 @@ def test_x_term_on_other_boundaries_raises_without_a_warning(bc):
     grid = SimGrid(0.0, 100.0, 64, 0.3, 16, bc=bc)
     with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="dirichlet"):
         warnings.simplefilter("always")
-        simulate_time_domain(grid, 1.0, 0.02, 0.0, include_x_term=True)
+        simulate_time_domain(
+            grid, 1.0, 0.02, 0.0, include_x_term=True, initial=WavePacket(50.0, 10.0, 0.0)
+        )
     assert caught == []
 
 
@@ -517,7 +520,8 @@ def test_x_term_runs_and_warns_out_of_scale():
         simulate_time_domain(
             grid, 1.0, 0.02, 0.0, include_x_term=True, initial=WavePacket(20.0, 3.0, 0.8)
         )
-    assert any("validity" in str(w.message) for w in caught)
+    (warning,) = [w for w in caught if "validity" in str(w.message)]
+    assert warning.filename == __file__  # attributed to the caller, not to numpy's errstate
     assert np.isfinite(grid.snapshots[-1]).all()
 
 
@@ -568,32 +572,20 @@ def test_neumann_boundaries_run_and_conserve():
 
 
 def test_fit_decay_rate_synthetic():
-    grid = SimGrid(0.0, 10.0, 64, 0.05, 100, bc="periodic", snapshot_stride=10)
     ts = np.arange(0, 11) * 0.5
-    xs = grid.xs()
-    grid.times = ts
-    grid.snapshots = np.array(
-        [np.exp(-0.01 * t) * np.exp(1j * (0.7 * t - xs)) for t in ts]
-    )
-    rate = fit_decay_rate(grid, (0.0, 5.0))
+    rate = fit_decay_rate(ts, np.log(3.0) - 0.01 * ts)
     assert abs(rate + 0.01) < 1e-4
 
 
 def test_fit_decay_rate_undamped_zero():
     grid = SimGrid(0.0, 100.0, 512, 0.1, 400, bc="periodic", snapshot_stride=40)
     simulate_time_domain(grid, 1.0, 0.0, 0.0, initial=WavePacket(50.0, 8.0, 0.5))
-    rate = fit_decay_rate(grid, (float(grid.times[1]), float(grid.times[-1])))
+    rate = fit_decay_rate(grid.times[1:], np.log(grid.l2_norms()[1:]))
     assert abs(rate) < 1e-3
 
 
-def test_fit_decay_rate_errors():
-    grid = SimGrid(0.0, 10.0, 64, 0.05, 100, bc="periodic")
-    with pytest.raises(ValueError):
-        fit_decay_rate(grid, (0.0, 1.0))  # no history
-    grid.times = np.array([0.0, 1.0, 2.0, 3.0])
-    grid.snapshots = np.zeros((4, 64), dtype=complex)
-    with pytest.raises(ValueError):
-        fit_decay_rate(grid, (0.0, 3.0))  # zero amplitude
-    grid.snapshots = np.ones((4, 64), dtype=complex)
-    with pytest.raises(ValueError):
-        fit_decay_rate(grid, (10.0, 20.0))  # empty window
+def test_fit_decay_rate_underflowing_times_raise():
+    # squares of these times underflow to zero: the fit has no scale, so it raises, not warns
+    ts = np.arange(1, 4) * 1e-300
+    with pytest.raises(FloatingPointError):
+        fit_decay_rate(ts, np.zeros(3))

@@ -256,7 +256,7 @@ TRACE = (
     TraceEntry(
         "tetrad-reconstruction",
         "frame maps rebuilding the inverse metric",
-        ("clifford.tetrads",),
+        ("clifford.tetrads", "clifford.frame_metric"),
         (
             "test_clifford.py::test_tetrads_flat_and_contractions",
             "test_clifford.py::test_tetrad_metric_reconstruction",
