@@ -414,20 +414,46 @@ CARTAN_ROW = "%d," + ",".join([FLOAT_SPEC] * 3) + "\n"
 CARTAN_CHUNK = 1024
 
 
-def cartan_rows(cfg: dict, seed: int):
+def gauss_pairs(rng: random.Random, pairs: int):
+    """The next ``2 * pairs`` values of ``rng.gauss(0, 1)`` as a float64 array,
+    bit for bit; ``rng`` must hold no cached second value of a pair.
+
+    ``gauss`` draws a Box–Muller pair from two ``random()`` uniforms, each
+    built from two 32-bit Mersenne Twister words as ``((a >> 5) * 2**26 +
+    (b >> 6)) * 2**-53``. ``getrandbits`` puts the first word it draws in the
+    least significant bits, so its little-endian bytes read as ``<u4`` are
+    the words in draw order, four a pair. The uniforms, the square root and the
+    products are exact or correctly rounded in numpy; ``log``, ``cos`` and
+    ``sin`` are ``math``'s, as in ``gauss``, since numpy's need not round as
+    they do. Adding ``0.0`` is ``gauss``'s ``mu + z * sigma``: a ``-0.0``
+    becomes ``+0.0``.
+    """
     import numpy as np
 
+    words = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+    w = np.frombuffer(words, "<u4").reshape(pairs, 2, 2)
+    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
+    x2pi = (u[:, 0] * (2.0 * math.pi)).tolist()
+    logs = np.fromiter(map(math.log, (1.0 - u[:, 1]).tolist()), float, count=pairs)
+    g2rad = np.sqrt(-2.0 * logs)
+    z = np.empty((pairs, 2))
+    z[:, 0] = np.fromiter(map(math.cos, x2pi), float, count=pairs) * g2rad
+    z[:, 1] = np.fromiter(map(math.sin, x2pi), float, count=pairs) * g2rad
+    return z.ravel() + 0.0
+
+
+def cartan_rows(cfg: dict, seed: int):
     from . import cartan as cartan_mod
 
     n = cfg["samples"]
     if n < 0:
         raise ConfigError(f"samples must be >= 0, got {n}")
-    draw = itertools.starmap(random.Random(seed).gauss, itertools.repeat((0, 1)))
+    rng = random.Random(seed)
     rows = []
     for start in range(0, n, CARTAN_CHUNK):
         size = min(CARTAN_CHUNK, n - start)
         # 12 draws a sample: zeta, chi, then lam row-major, each complex as re, im
-        z = np.fromiter(draw, float, count=12 * size).view(complex).reshape(size, 6)
+        z = gauss_pairs(rng, 6 * size).view(complex).reshape(size, 6)
         cells = cartan_mod.sample_residuals(z[:, :2], z[:, 2:].reshape(size, 2, 2))
         rows += [CARTAN_ROW % r for r in zip(range(start, start + size), *cells)]
     return CARTAN_HEADER, rows
@@ -567,15 +593,17 @@ def _snapshot_blocks(times, xs, snapshots):
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     import numpy as np
 
-    from .pde import SimGrid, WavePacket, fit_decay_rate, simulate_time_domain
+    from .pde import (
+        SimGrid, WavePacket, check_x_term_boundary, fit_decay_rate, simulate_time_domain,
+    )
 
     try:
         grid = SimGrid(**cfg["grid"])
         packet = WavePacket(**cfg["packet"])
+        if cfg["include_x_term"]:
+            check_x_term_boundary(grid.bc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["include_x_term"] and grid.bc != "dirichlet":
-        raise ConfigError("the point-dependent term requires dirichlet boundaries")
     window = _fit_window(cfg["fit_window"], grid.snapshot_times())
     if packet.width**2 == 0:
         raise DegenerateParameterError(f"packet width {packet.width!r} squares to zero")
@@ -697,6 +725,10 @@ def main(argv=None) -> int:
         # a finite input can still overflow, or underflow to a zero divisor, once squared
         print(f"degenerate parameters: {args.command}: float overflow or underflow ({exc})",
               file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # the last resort for a run too large for this machine
+        print(f"degenerate parameters: {args.command}: out of memory ({exc})", file=sys.stderr)
         return 3
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)

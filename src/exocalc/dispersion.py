@@ -55,43 +55,6 @@ def delta_sigma(p_cov: Sequence, box: Sequence) -> complex:
     return value
 
 
-def gaussian_factors(centers: Sequence[float], widths: Sequence[float]) -> tuple:
-    """Per-axis ``(f, f', f'')`` of the Gaussians ``exp(-(z - c)^2 / (2 w^2))``."""
-
-    def make(c, w):
-        return (
-            lambda z: cmath.exp(-((z - c) ** 2) / (2 * w * w)),
-            lambda z: -(z - c) / (w * w) * cmath.exp(-((z - c) ** 2) / (2 * w * w)),
-            lambda z: ((z - c) ** 2 / (w * w) - 1)
-            / (w * w)
-            * cmath.exp(-((z - c) ** 2) / (2 * w * w)),
-        )
-
-    return tuple(make(c, w) for c, w in zip(centers, widths))
-
-
-def constant_factors(value: complex = 1.0) -> tuple:
-    """Per-axis ``(f, f', f'')`` of the constant ``phi = value``."""
-
-    def zero(z):
-        return 0.0j
-
-    return ((lambda z: value, zero, zero),) + ((lambda z: 1.0 + 0.0j, zero, zero),) * 3
-
-
-def plane_wave_factors(freqs: Sequence[float]) -> tuple:
-    """Per-axis ``(f, f', f'')`` of the plane wave ``exp(i q_a x^a)``."""
-
-    def make(q):
-        return (
-            lambda z: cmath.exp(1j * q * z),
-            lambda z: 1j * q * cmath.exp(1j * q * z),
-            lambda z: -q * q * cmath.exp(1j * q * z),
-        )
-
-    return tuple(make(q) for q in freqs)
-
-
 def _quad_complex(fn, a: float, b: float) -> complex:
     from scipy.integrate import quad  # scipy loads only on the paths that call it
 

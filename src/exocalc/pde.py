@@ -33,6 +33,12 @@ CFL_FACTOR = 0.9
 BOUNDARY_TAGS = ("periodic", "dirichlet", "neumann")
 
 
+def check_x_term_boundary(bc: str):
+    """The point-dependent term's implicit update runs on dirichlet boundaries only."""
+    if bc != "dirichlet":
+        raise ValueError("the point-dependent term requires dirichlet boundaries")
+
+
 @dataclass
 class SimGrid:
     """Discretized 1+1D field history.
@@ -185,8 +191,7 @@ def simulate_time_domain(
     bc = grid.bc
 
     if include_x_term:
-        if bc != "dirichlet":
-            raise ValueError("the point-dependent term requires dirichlet boundaries")
+        check_x_term_boundary(bc)
         extent = max(abs(grid.x_min), abs(grid.x_max), dt * nt)
         if extent * math.hypot(theta_t, theta_x) > 0.1:
             warnings.warn(

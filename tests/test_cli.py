@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exocalc.cli import (
+    CARTAN_CHUNK,
     DEFAULTS,
     METRIC_HEADER,
     SCHEMA_LINE,
@@ -24,6 +26,7 @@ from exocalc.cli import (
     _snapshot_blocks,
     cartan_rows,
     fmt,
+    gauss_pairs,
     load_config,
     main,
     metric_rows,
@@ -345,6 +348,41 @@ def test_cartan_rows_match_the_reference_at_benchmark_size():
     assert rows == cartan_rows_reference(20000, 5)
 
 
+@pytest.mark.parametrize("seed", [1, 7, 42, 913, 12345])
+def test_gauss_pairs_continue_the_random_gauss_stream_bit_for_bit(seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    # draw counts of 2, 12 * 1025, 36 and 14 normals: none a multiple of CARTAN_CHUNK
+    for pairs in (1, 6 * (CARTAN_CHUNK + 1), 18, 7):
+        expected = np.array([reference.gauss(0, 1) for _ in range(2 * pairs)])
+        assert gauss_pairs(rng, pairs).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert rng.getstate() == reference.getstate()
+
+
+class FixedWords(random.Random):
+    """A stream whose every 32-bit word is ``word``, as words and as ``random()``."""
+
+    def __init__(self, word: int):
+        self.word = word
+        super().__init__(0)
+
+    def getrandbits(self, k):
+        return int.from_bytes(self.word.to_bytes(4, "little") * (k // 32), "little")
+
+    def random(self):
+        return ((self.word >> 5) * 67108864.0 + (self.word >> 6)) * (1.0 / 9007199254740992.0)
+
+
+# all-zero words give u1 = u2 = 0, so g = sqrt(-2 * log(1)) = -0.0; gauss returns +0.0
+@pytest.mark.parametrize("word", [0, 0xFFFFFFFF])
+def test_gauss_pairs_on_crafted_words_equal_random_gauss(word):
+    reference = FixedWords(word)
+    expected = np.array([reference.gauss(0, 1) for _ in range(6)])
+    got = gauss_pairs(FixedWords(word), 3)
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    if word == 0:
+        assert got.tolist() == [0.0] * 6 and not np.signbit(got).any()
+
+
 def test_spectrum_reruns_are_byte_identical(tmp_path):
     for tag in ("a", "b"):
         assert run_cli(["spectrum", "--out", tmp_path / tag, "--seed", 3, *FAST_ARGS["spectrum"]]) == 0
@@ -562,6 +600,8 @@ def test_fmt_stability():
         ("m=1e300", 4),
         ("theta_prime=1e300", 4),
         ("packet.amplitude=1e300", 4),
+        # a grid no machine can hold: its first allocation fails at once
+        ("grid.n_x=1000000000000000 grid.dt=1e-20", 3),
     ],
 )
 def test_simulate_bad_inputs_exit_without_traceback(override, code, tmp_path, capsys):

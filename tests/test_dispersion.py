@@ -11,18 +11,15 @@ from exocalc.clifford import X_TERM_SIGN, GammaRep, identity_matrix, kg_symbol
 from exocalc.core import RationalComplex
 from exocalc.dispersion import (
     DegenerateParameterError,
-    constant_factors,
     constrained_momentum,
     constrained_spectrum,
     delta_sigma,
     fourier_parts_check,
-    gaussian_factors,
-    plane_wave_factors,
     plane_wave_rates,
     spectrum_reference_approx,
 )
 from exocalc.oracles import delta_quadrature, spectrum_companion
-from helpers import rand_frac
+from helpers import constant_factors, gaussian_factors, plane_wave_factors, rand_frac
 
 UNIT_BOX = ((0.0, 1.0),) * 4
 GAUSS_BOX = ((0.0, 1.3), (0.0, 1.0), (-0.5, 0.7), (0.2, 1.1))
