@@ -36,7 +36,8 @@ SpinorPair = tuple  # (zeta, chi), both complex
 def _quot(ar, ai, br, bi):
     """Real and imaginary parts of ``(ar + i ai) / (br + i bi)`` as CPython divides."""
     first = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # np.where evaluates both branches; the one not taken may overflow or divide by zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(first, bi / br, br / bi)
         denom = np.where(first, br + bi * ratio, br * ratio + bi)
         return (
@@ -156,7 +157,11 @@ def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
     when ``|det lam| < 1e-8`` and then scaled to ``|det lam| = 1``.  Returns
     three lists of floats: the spinor -> point -> spinor -> point roundtrip
     error over ``max(1, t)`` (0 where ``t <= 1e-12``), the nullity
-    ``|v.v| / max(1, t^2)`` and ``|det(lam V lam^dagger) - det V|``.
+    ``|v.v| / max(1, t^2)`` and ``|det(lam V lam^dagger) - det V|`` over
+    ``max(1, (||lam||_F^2 t)^2)``.  ``V`` has rank 1, so ``det V`` is 0 up to
+    rounding, and the entries of ``lam V lam^dagger`` are of size
+    ``||lam||_F^2 t``: the determinant residual is its rounding, of order
+    ``(||lam||_F^2 t)^2`` ulp, so it is read on that scale.
     """
     v = spinor_to_point(s)
     nonzero = v[:, 0] > 1e-12
@@ -173,7 +178,11 @@ def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
     lam = lam / np.sqrt(np.hypot(d.real, d.imag))[:, None, None]
     vm = outer_matrix(s)
     res = np.linalg.det(sl2c_act(lam, vm)) - np.linalg.det(vm)
-    return roundtrip.tolist(), nullity, np.hypot(res.real, res.imag).tolist()
+    # ||lam||_F^2 summed entry by entry, in row-major order
+    sq = (lam.real * lam.real + lam.imag * lam.imag).reshape(-1, 4)
+    size = (((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]) * v[:, 0]
+    det_res = np.hypot(res.real, res.imag) / np.maximum(1.0, size * size)
+    return roundtrip.tolist(), nullity, det_res.tolist()
 
 
 def rotate_phase(s: Sequence, alpha: float) -> SpinorPair:

@@ -67,7 +67,8 @@ def sl2c_act(lam, v_matrix) -> np.ndarray:
 
 
 def sample_cells(s, lam) -> tuple:
-    """``(roundtrip_err, nullity_residual, det_residual)`` of one sample.
+    """``(roundtrip_err, nullity_residual, det_residual)`` of one sample; the
+    determinant residual is read on its rounding scale ``(||lam||_F^2 t)^2``.
 
     ``s`` is a spinor pair and ``lam`` a 2x2 complex matrix as drawn, before
     it is made unimodular.
@@ -88,7 +89,8 @@ def sample_cells(s, lam) -> tuple:
     lam = lam / np.sqrt(abs(det))
     vm = outer_matrix(s)
     out = sl2c_act(lam, vm)
-    det_res = abs(np.linalg.det(out) - np.linalg.det(vm))
+    size = sum(c.real * c.real + c.imag * c.imag for c in lam.ravel()) * v[0]
+    det_res = abs(np.linalg.det(out) - np.linalg.det(vm)) / max(1.0, size * size)
     return roundtrip, nullity, det_res
 
 

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exocalc.cartan import (
     hermitian_to_point,
@@ -227,6 +229,37 @@ def test_sample_residuals_edge_rows_match_the_per_sample_formulas():
     want = [reference.sample_cells(s, lam) for s, lam in zip(spinors, lams)]
     assert _bits(got) == _bits(want)
     assert got[4][0] == 0.0
+
+
+_ENTRY = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    a=_ENTRY,
+    b=_ENTRY,
+    phase=st.floats(0.0, 2 * math.pi),
+    log_det=st.floats(-9.0, 2.0),
+    spinor=st.tuples(_ENTRY, _ENTRY),
+    log_size=st.floats(-3.0, 3.0),
+    lower=st.booleans(),
+)
+def test_det_residual_stays_within_a_few_ulp_on_its_rounding_scale(
+    a, b, phase, log_det, spinor, log_size, lower
+):
+    """``det_residual`` is read on the scale ``(||lam||_F^2 t)^2`` of its
+    rounding, so it stays within a few ulp for a raw ``|det lam|`` from 1e-9
+    to 1e2 and spinors whose ``t`` spans twelve decades. ``lam`` is triangular,
+    so its determinant is one product and passes the unimodular check at any
+    size; a small raw determinant with an off-diagonal entry of order one
+    leaves ``||lam||_F^2`` up to about 1e10 once ``lam`` is scaled."""
+    d = 10.0**log_det * complex(math.cos(phase), math.sin(phase)) / a
+    lam = np.array([[a, b], [0, d]])
+    if lower:
+        lam = lam.T
+    s = np.array([spinor]) * 10.0**log_size
+    (det_residual,) = sample_residuals(s, lam[None])[2]
+    assert det_residual <= 4 * np.finfo(float).eps
 
 
 def test_stacked_rejections_match_the_scalar_ones():

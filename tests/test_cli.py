@@ -342,6 +342,13 @@ def test_cartan_rows_match_the_per_sample_reference(seed):
         assert rows == reference[:n]
 
 
+def test_cartan_seed_913_rows_stay_within_the_benchmark_tolerance():
+    # row 742 draws a lam of raw |det| 4.7e-4; its unscaled det residual read 1.61e-8
+    _, rows = cartan_rows({"samples": 20000}, 913)
+    cells = np.array([row.split(",")[1:] for row in rows], dtype=float)
+    assert (cells[:, :2] <= 1e-12).all() and (cells[:, 2] <= 1e-8).all()
+
+
 def test_cartan_rows_match_the_reference_at_benchmark_size():
     _, rows = cartan_rows({"samples": 20000}, 5)
     assert len(rows) == 20000

@@ -35,6 +35,7 @@ from pde_reference import (
     reference_step,
     staggered_energies,
 )
+from step_sweep import sweep
 
 
 def test_ode_x_free_case_oscillatory():
@@ -369,9 +370,11 @@ def test_x_term_step_matches_the_allocating_reference_bit_for_bit(x_min, x_max, 
 
 # one part of a level: both zeros, the smallest subnormals (whose products
 # with the step's coefficients underflow), other subnormals, normal values,
-# and values near the amplitude probe's fast-path bound
+# values near the amplitude probe's fast-path bound, values whose squares
+# overflow the probe's sum (1.7e154 and up), and infinities; no NaN
 _PART = st.one_of(
     st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1e308, -1e308, 1.7e154, -1.7e154, math.inf, -math.inf]),
     st.integers(-8, 8).map(lambda k: k * 5e-324),
     st.floats(-2.2e-308, 2.2e-308),
     st.floats(-10.0, 10.0),
@@ -424,6 +427,16 @@ def _levels(draw):
     ),
     bc="periodic", dt=0.1, m=0.0, theta_t=0.02, theta_x=-0.5, step=5083,
 )
+# right - left overflows while lap is 0: with th_x = 0 the advection term is
+# th_x * inf = NaN, so the explicit step may skip that term only when cur is bounded
+@example(
+    levels=(np.zeros(3, dtype=complex), np.array([1e308, 0.0, -1e308], dtype=complex)),
+    bc="periodic", dt=0.1, m=0.0, theta_t=0.0, theta_x=0.0, step=1,
+)
+@example(
+    levels=(np.zeros(3, dtype=complex), np.array([1e308, 0.0, -1e308], dtype=complex)),
+    bc="periodic", dt=0.1, m=0.0, theta_t=0.0, theta_x=-0.0, step=1,
+)
 # an infinite part: the cross terms 0 * inf turn the other part into NaN
 @example(
     levels=(np.array([1 + 0j, -2 - 2j, 1 + 0j]), np.array([complex(1.0, math.inf), 0j, 1j])),
@@ -432,10 +445,10 @@ def _levels(draw):
 def test_one_step_of_each_kernel_matches_the_plain_complex_step_bit_for_bit(
     levels, bc, dt, m, theta_t, theta_x, step
 ):
-    """The float-view kernels equal the complex expressions on every double:
-    the sign of a zero part, a product that underflows and a part that is not
-    finite included. The x-term kernel takes its ``step``-th step on a
-    dirichlet box of width 4."""
+    """The float-view kernels equal the complex expressions on every double
+    but NaN, which is not drawn: the sign of a zero part, a product that
+    underflows and an infinite part included. The x-term kernel takes its
+    ``step``-th step on a dirichlet box of width 4."""
     prev, cur = levels
     n_x = len(cur)
     out = np.zeros(n_x + 2, dtype=complex)
@@ -452,6 +465,16 @@ def test_one_step_of_each_kernel_matches_the_plain_complex_step_bit_for_bit(
         step_fn(step, _pad(prev, "dirichlet"), _pad(cur, "dirichlet"), out)
         want = _implicit_x_term_step(prev, cur, step * dt, xs, dt, dx, m, theta_t, theta_x, "dirichlet")
     assert _same_bits(out[1:-1], want)
+
+
+def test_stepper_sweep_matches_the_plain_complex_step():
+    """A few thousand levels of ``step_sweep`` (``python tests/step_sweep.py``
+    runs 1e5): every stepper call and probe decision equals the reference's,
+    and the skipped, flagged and plain paths are all taken."""
+    levels = 3000
+    bad, skipped, flagged = sweep(np.random.default_rng(27), levels)
+    assert bad is None
+    assert 0 < skipped < levels and 0 < flagged < levels
 
 
 def _instability(fn, grid, m, theta_t, x_term, packet) -> InstabilityError:
@@ -499,6 +522,26 @@ def test_amplitude_probe_judges_the_modulus_near_the_threshold():
         field = np.full(64, value)
         assert np.max(np.abs(field)) <= AMPLITUDE_ABORT
         _check_amplitude(field, 7, 0.25)
+
+
+def test_amplitude_probe_gates_on_the_sum_of_squares():
+    # 4096 points of modulus 0.9e12: the sum of squares is over the gate, and the exact path passes
+    field = np.full(4096, 0.9e12 * np.exp(0.3j))
+    parts = field.view(np.float64)
+    assert parts @ parts > (AMPLITUDE_ABORT / 1.5) ** 2
+    assert np.max(np.abs(field)) < AMPLITUDE_ABORT
+    _check_amplitude(field, 7, 0.25)
+    # one point over the threshold raises with its modulus
+    field[1234] = 1.01e12
+    with pytest.raises(InstabilityError) as info:
+        _check_amplitude(field, 7, 0.25)
+    assert _float_bits(info.value.amplitude) == _float_bits(1.01e12)
+    # one NaN part raises with a NaN amplitude
+    field = np.full(64, 1.0 - 2.0j)
+    field[5] = complex(math.nan, 0.0)
+    with pytest.raises(InstabilityError) as info:
+        _check_amplitude(field, 7, 0.25)
+    assert math.isnan(info.value.amplitude)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "neumann"])
