@@ -177,7 +177,9 @@ def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
     d[small] = np.linalg.det(lam[small])
     lam = lam / np.sqrt(np.hypot(d.real, d.imag))[:, None, None]
     vm = outer_matrix(s)
-    res = np.linalg.det(sl2c_act(lam, vm)) - np.linalg.det(vm)
+    # not ``sl2c_act``: a lam of small raw |det| is unimodular only to about
+    # u ||lam||_F^2 / |det| once scaled, which its 1e-12 check would reject
+    res = np.linalg.det(lam @ vm @ lam.conj().swapaxes(-1, -2)) - np.linalg.det(vm)
     # ||lam||_F^2 summed entry by entry, in row-major order
     sq = (lam.real * lam.real + lam.imag * lam.imag).reshape(-1, 4)
     size = (((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]) * v[:, 0]

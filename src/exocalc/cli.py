@@ -59,6 +59,7 @@ def write_csv(path: Path, header: str, rows) -> Path:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row if isinstance(row, str) else ",".join(row) + "\n")
+            del row  # so a written block is freed before the next one is built
     return path
 
 
@@ -479,6 +480,8 @@ def _fit_window(spec, times):
 
 # bytes of a value cell: ``,`` and a ``FLOAT_SPEC`` cell (at most 20 characters), space-padded
 CELL = 24
+# values formatted per snapshot block: whole snapshots, so it bounds the buffers held at once
+BLOCK_VALUES = 8192
 # the exponents the fast path can meet: |x| in [1e-290, 1e290], guessed within one
 E_MIN, E_MAX = -292, 291
 
@@ -566,28 +569,44 @@ def _padded(cells: list):
 
 
 def _snapshot_blocks(times, xs, snapshots):
-    """The ``t,x,re_phi,im_phi`` rows as one text block per snapshot.
+    """The ``t,x,re_phi,im_phi`` rows as text blocks of whole snapshots,
+    yielded one by one, so only one block's buffers are held at a time.
 
-    Every cell reads as ``fmt`` of its value. A row is laid out as four
-    space-padded cells of ``CELL`` bytes and a newline, and the block drops
-    the spaces. ``x`` is formatted once and ``t`` once per snapshot; a
-    snapshot's real and imaginary parts come from ``_cells``, and
-    ``FLOAT_SPEC %`` fills the cells it cannot prove.
+    Every cell reads as ``fmt`` of its value. A block holds
+    ``max(1, BLOCK_VALUES // (2 * len(xs)))`` snapshots (the last may hold
+    fewer), so a snapshot of more than ``BLOCK_VALUES`` values is a block of
+    its own. A row is laid out as four space-padded cells of ``CELL`` bytes
+    and a newline, in one row buffer that every block reuses, and the block
+    drops the spaces. ``x`` is formatted once, a block's ``t`` cells once and
+    broadcast over each snapshot's rows, and a block's real and imaginary
+    parts in one ``_cells`` pass; ``FLOAT_SPEC %`` fills the cells it cannot
+    prove.
     """
     import numpy as np
 
     n = len(xs)
-    row = np.empty((n, 4 * CELL + 1), np.uint8)
-    row[:, CELL : 2 * CELL] = _padded(["," + FLOAT_SPEC % x for x in xs.tolist()])
-    row[:, -1] = ord("\n")
     parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
-    for t, values in zip(times.tolist(), parts):
-        cells, fast = _cells(values)
-        slow = np.flatnonzero(~fast)
-        cells[slow] = _padded(["," + FLOAT_SPEC % v for v in values[slow].tolist()])
-        row[:, :CELL] = _padded([FLOAT_SPEC % t])
-        row[:, 2 * CELL : 4 * CELL] = cells.reshape(n, 2 * CELL)
-        yield row[row != ord(" ")].tobytes().decode("ascii")
+    k = max(1, BLOCK_VALUES // (2 * n))
+    rows = np.empty((min(k, len(parts)), n, 4 * CELL + 1), np.uint8)
+    rows[:, :, CELL : 2 * CELL] = _padded(["," + FLOAT_SPEC % x for x in xs.tolist()])
+    rows[..., -1] = ord("\n")
+    for start in range(0, len(parts), k):
+        values = parts[start : start + k]
+        block = rows[: len(values)]
+        block[..., :CELL] = _padded([FLOAT_SPEC % t for t in times[start : start + k].tolist()])[:, None]
+        block[..., 2 * CELL : 4 * CELL] = _block_cells(values.ravel()).reshape(len(values), n, 2 * CELL)
+        yield str(block[block != ord(" ")], "ascii")
+
+
+def _block_cells(values):
+    """``_cells`` of ``values`` with ``FLOAT_SPEC %`` in the cells it cannot
+    prove; its own frame, so its arrays are freed before a block is compacted."""
+    import numpy as np
+
+    cells, fast = _cells(values)
+    slow = np.flatnonzero(~fast)
+    cells[slow] = _padded(["," + FLOAT_SPEC % v for v in values[slow].tolist()])
+    return cells
 
 
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):

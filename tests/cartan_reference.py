@@ -88,7 +88,7 @@ def sample_cells(s, lam) -> tuple:
         det = np.linalg.det(lam)
     lam = lam / np.sqrt(abs(det))
     vm = outer_matrix(s)
-    out = sl2c_act(lam, vm)
+    out = lam @ vm @ lam.conj().T  # lam is scaled already; see exocalc.cartan.sample_residuals
     size = sum(c.real * c.real + c.imag * c.imag for c in lam.ravel()) * v[0]
     det_res = abs(np.linalg.det(out) - np.linalg.det(vm)) / max(1.0, size * size)
     return roundtrip, nullity, det_res

@@ -10,8 +10,12 @@ stepper call with ``pde_reference.reference_step`` bit for bit, on every
 boundary, for ``m`` in {0, 1} and for ``th_t`` and ``th_x`` among signed
 zeros and small and large slopes. It also checks that the amplitude probe,
 given the stepper's sum of squares, raises exactly where the reference's
-``max |z|`` test does. Run as a script, with no arguments, it compares 1e5
-levels, prints how many took each path and exits 1 at the first difference:
+``max |z|`` test does. No NaN part is drawn, because the bit-for-bit
+contract leaves out the sign of a NaN, which the order of the ops decides
+(the note above the steppers in ``exocalc/pde.py``); a NaN never reaches a
+CSV, as the amplitude probe fails a level with a NaN part and the run exits
+4. Run as a script, with no arguments, it compares 1e5 levels, prints how
+many took each path and exits 1 at the first difference:
 
     PYTHONPATH=src python tests/step_sweep.py
 """

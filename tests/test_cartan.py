@@ -262,6 +262,25 @@ def test_det_residual_stays_within_a_few_ulp_on_its_rounding_scale(
     assert det_residual <= 4 * np.finfo(float).eps
 
 
+def test_near_singular_lam_gives_rows_within_the_benchmark_tolerance():
+    """A drawn ``lam`` of O(1) entries and raw ``|det|`` from 1e-8 to 1e-4 is
+    unimodular only to about ``u ||lam||_F^2 / |det|`` once scaled, beyond
+    ``sl2c_act``'s 1e-12 check; ``sample_residuals`` still gives its rows, the
+    per-sample formulas' bits and residuals within the benchmark's tolerances."""
+    rng = np.random.default_rng(3)
+    n = 300
+    a, b, c = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    det = 10.0 ** rng.uniform(-8.0, -4.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    lams = np.stack([np.stack([a, b], -1), np.stack([c, (det + b * c) / a], -1)], 1)
+    spinors = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    raw = np.abs(np.linalg.det(lams))
+    assert raw.min() >= 1e-8 and raw.max() <= 1e-4
+    got = list(zip(*sample_residuals(spinors, lams)))
+    assert _bits(got) == _bits([reference.sample_cells(s, lam) for s, lam in zip(spinors, lams)])
+    assert max(max(row[:2]) for row in got) <= 1e-12
+    assert max(row[2] for row in got) <= 1e-8
+
+
 def test_stacked_rejections_match_the_scalar_ones():
     good = spinor_to_point(_random_samples(5, 11)[0])
     for bad in ((1, 0.5, 0, 0), (-1, 0, 0, 1)):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exocalc.cli import (
+    BLOCK_VALUES,
     CARTAN_CHUNK,
     DEFAULTS,
     METRIC_HEADER,
@@ -31,6 +32,7 @@ from exocalc.cli import (
     main,
     metric_rows,
     sweep_values,
+    write_csv,
 )
 from exocalc.pde import SimGrid, WavePacket, simulate_time_domain
 from cartan_reference import cartan_rows_reference
@@ -770,6 +772,50 @@ def test_snapshot_block_cells_equal_fmt(t, xs, parts):
     assert block.endswith("\n")
 
 
+# snapshots of the default grid's 512 points in one block
+SNAPSHOTS_PER_BLOCK = max(1, BLOCK_VALUES // 1024)
+
+
+@pytest.mark.parametrize(
+    "n_x, count",
+    [(512, c) for c in (1, SNAPSHOTS_PER_BLOCK - 1, SNAPSHOTS_PER_BLOCK, SNAPSHOTS_PER_BLOCK + 1,
+                        2 * SNAPSHOTS_PER_BLOCK + 1)]
+    # one snapshot of more than BLOCK_VALUES values is a block of its own
+    + [(BLOCK_VALUES // 2 + 1, 3)],
+)
+def test_snapshot_blocks_hold_whole_snapshots(n_x, count, tmp_path):
+    """Blocks of whole snapshots, the last one partial, write the file built
+    cell by cell from ``fmt``, over values of every class of double."""
+    rng = np.random.default_rng(count)
+    times = np.arange(count) * 0.3
+    xs = rng.uniform(-100.0, 100.0, n_x)
+    snaps = random_values(rng, 2 * n_x * count)[: 2 * n_x * count].view(np.complex128).reshape(count, n_x)
+    blocks = list(_snapshot_blocks(times, xs, snaps))
+    per_block = max(1, BLOCK_VALUES // (2 * n_x))
+    assert len(blocks) == -(-count // per_block)
+    assert [b.count("\n") for b in blocks[:-1]] == [per_block * n_x] * (len(blocks) - 1)
+    path = write_csv(tmp_path / "snapshots.csv", "t,x,re_phi,im_phi", blocks)
+    _assert_same_lines(path.read_text(), _snapshot_csv_by_fmt(times, xs, snaps))
+
+
+def _assert_same_lines(got: str, want: str):
+    """``got == want``, reporting the first differing line: pytest's own diff
+    of two files of thousands of rows runs for minutes."""
+    got, want = got.splitlines(True), want.splitlines(True)
+    diff = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    assert len(got) == len(want) == diff, f"line {diff}: {got[diff:diff + 1]} != {want[diff:diff + 1]}"
+
+
+def _snapshot_csv_by_fmt(times, xs, snapshots) -> str:
+    """The snapshot CSV's text, built row by row from ``fmt``."""
+    rows = [
+        [fmt(t), fmt(x), fmt(v.real), fmt(v.imag)]
+        for t, snap in zip(times, snapshots)
+        for x, v in zip(xs, snap)
+    ]
+    return SCHEMA_LINE + "\nt,x,re_phi,im_phi\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
 @pytest.mark.parametrize(
     "sets",
     [
@@ -787,13 +833,8 @@ def test_snapshot_csv_matches_per_cell_fmt(sets, tmp_path):
     simulate_time_domain(
         grid, cfg["m"], cfg["theta_dot"], cfg["theta_prime"], initial=WavePacket(**cfg["packet"])
     )
-    rows = [
-        [fmt(t), fmt(x), fmt(v.real), fmt(v.imag)]
-        for t, snap in zip(grid.times, grid.snapshots)
-        for x, v in zip(grid.xs(), snap)
-    ]
-    want = SCHEMA_LINE + "\nt,x,re_phi,im_phi\n" + "".join(",".join(r) + "\n" for r in rows)
-    assert (tmp_path / "simulate_snapshots.csv").read_text() == want
+    want = _snapshot_csv_by_fmt(grid.times, grid.xs(), grid.snapshots)
+    _assert_same_lines((tmp_path / "simulate_snapshots.csv").read_text(), want)
 
 
 def test_config_values_are_typed_by_their_defaults():
