@@ -343,7 +343,8 @@ FORMS_IDENTITIES = {
 
 
 def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
-    """Residual grades of the five identity checks for one seeded draw.
+    """Residual grades of the five identity checks for one seeded draw, as five
+    row tuples.
 
     ``d_fn`` selects the deformed-derivative route (defaults to the sparse
     engine; the fixture generator passes the dense oracle route).  Only
@@ -379,11 +380,12 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
         "homotopy": hom,
         "field_strength": fs,
     }
+    # forms-check holds every row until it writes, so a seed's rows share their cells
+    draw = (str(seed), str(dim), str(deg))
     rows = []
     for name, pass_grade in FORMS_IDENTITIES.items():
         grade = residuals[name].eps_grade()
-        ok = grade >= pass_grade
-        rows.append([name, str(seed), str(dim), str(deg), fmt_grade(grade), "1" if ok else "0"])
+        rows.append((name, *draw, fmt_grade(grade), "1" if grade >= pass_grade else "0"))
     return rows
 
 

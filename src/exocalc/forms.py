@@ -215,9 +215,10 @@ def exotic_d(form: ExoticForm, grad: Sequence) -> ExoticForm:
     """Deformed exterior derivative on plain-basis coefficients.
 
     Coefficient rule per direction ``n``:
-    ``D_n[c] = d_n c + eps * g_n * sum_m x^m d_m c`` (the dilatation scan
-    runs over the non-lambda coordinates), the result wedged in front.
-    All ``eps`` grades generated by the rule are kept.
+    ``D_n[c] = d_n c + eps * g_n * sum_m x^m d_m c``, the result wedged in
+    front.  The dilatation scan ``sum_m x^m d_m c`` is Euler's operator over
+    the non-lambda coordinates (:meth:`MultiPoly.euler`), computed once per
+    coefficient.  All ``eps`` grades generated by the rule are kept.
     """
     if form.basis != PLAIN:
         raise ValueError("deformed derivative expects plain-basis coefficients")
@@ -225,18 +226,13 @@ def exotic_d(form: ExoticForm, grad: Sequence) -> ExoticForm:
     out = form._like(degree=form.degree + 1)
     if out.degree > out.dim:
         return out
+    spatial = _spatial_range(form)
     for idx, poly in form.coeffs.items():
-        scan = None
-        for m in _spatial_range(form):
-            dm = poly.diff(m)
-            if dm.is_zero():
-                continue
-            term = MultiPoly.variable(m, poly.nvars) * dm
-            scan = term if scan is None else scan + term
+        tilt = poly.euler(spatial).scale_eps(1)
         for n in range(form.dim):
             dn = poly.diff(n)
-            if g[n] != 0 and scan is not None:
-                dn = dn + (g[n] * scan).scale_eps(1)
+            if g[n] != 0 and tilt:
+                dn = dn + g[n] * tilt
             if not dn.is_zero():
                 out.insert((n,) + idx, dn)
     return out
@@ -368,27 +364,29 @@ def field_strength(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticF
     agrees with the grade <= 1 part of the deformed derivative of the
     dilated connection 1-form.  A constant connection with a nonzero
     gradient already yields a nonzero result: gauge invariance is lost.
+
+    Each term is built once: the ``n^2`` derivatives ``d_m A_a``, then
+    ``dil_m = A_m + x^a d_m A_a`` and ``swirl_m = x^a d_a A_m`` (Euler's
+    operator) once per index.  The gradient terms of ``(m, n)`` and
+    ``(n, m)`` collect on ``m < n`` to ``g_n h_m - g_m h_n`` with
+    ``h = dil - swirl``.
     """
     n = len(a_components)
     out = ExoticForm(n, 2, PLAIN, False)
     g = _grad_for(out, grad)
     xs = [MultiPoly.variable(i, n) for i in range(n)]
+    da = [[a.diff(mu) for a in a_components] for mu in range(n)]  # da[m][a] = d_m A_a
+    h = []
     for mu in range(n):
-        for nu in range(n):
-            if mu == nu:
-                continue
-            f_part = Fraction(1, 2) * (
-                a_components[nu].diff(mu) - a_components[mu].diff(nu)
-            )
-            dil = a_components[mu]
-            for al in range(n):
-                dil = dil + xs[al] * a_components[al].diff(mu)
-            swirl = MultiPoly.zero(n)
-            for al in range(n):
-                swirl = swirl + xs[al] * a_components[nu].diff(al)
-            theta_part = (g[nu] * dil + g[mu] * swirl).scale_eps(1)
-            out.insert((mu, nu), f_part + theta_part)
-    return out
+        dil = a_components[mu]
+        for al in range(n):
+            dil = dil + xs[al] * da[mu][al]
+        h.append(dil - a_components[mu].euler(range(n)))
+    return _filled(out, (
+        ((mu, nu), da[mu][nu] - da[nu][mu] + (g[nu] * h[mu] - g[mu] * h[nu]).scale_eps(1))
+        for mu in range(n)
+        for nu in range(mu + 1, n)
+    ))
 
 
 def dilated_connection(a_components: Sequence[MultiPoly], grad: Sequence) -> ExoticForm:

@@ -37,6 +37,10 @@ from .core import EPS_ORDER
 FIELD_BITS = 16
 EXP_LIMIT = 1 << (FIELD_BITS - 1)  # exclusive bound on a stored exponent
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+# random_multipoly draws its coefficients' denominators from 1 .. _MAX_DEN and
+# keeps their numerators over the lcm of that range
+_MAX_DEN = 5
+_DRAW_DEN = math.lcm(*range(1, _MAX_DEN + 1))
 
 
 def _guard(nvars: int) -> int:
@@ -270,6 +274,17 @@ class MultiPoly:
                 out[key - one] = v * k
         return _poly(self.nvars, out, self.den)
 
+    def euler(self, variables) -> "MultiPoly":
+        """Euler's operator ``sum_{v in variables} x^v d_v``: one pass that
+        multiplies each term by its total degree in ``variables``."""
+        offs = [_offset(var, self.nvars) for var in variables]
+        out = {}
+        for key, v in self.terms.items():
+            k = sum([key >> off & _FIELD_MASK for off in offs])
+            if k:
+                out[key] = v * k
+        return _poly(self.nvars, out, self.den)
+
     def integrate_unit(self, var: int) -> "MultiPoly":
         """Exact definite integral over ``var`` from 0 to 1."""
         off = _offset(var, self.nvars)
@@ -332,12 +347,29 @@ class MultiPoly:
 
 
 def random_multipoly(rng, nvars: int, degree: int) -> MultiPoly:
-    """Small random polynomial with single-digit rational coefficients."""
-    coeffs = {}
+    """Small random polynomial with single-digit rational coefficients.
+
+    Four terms, each the product of ``rng.randint(0, degree)`` variables
+    drawn with ``rng.randrange(nvars)``, with coefficient
+    ``rng.randint(-9, 9) / rng.randint(1, 5)``.  Keys are summed from the
+    drawn variables and numerators are kept over the lcm of the denominator
+    range, so no ``Fraction`` is built.  As in the constructor, a drawn
+    exponent that reaches ``EXP_LIMIT`` raises ``OverflowError`` unless its
+    coefficient sums to zero.
+    """
+    ones = [1 << _offset(var, nvars) for var in range(nvars)]
+    terms = {}
     for _ in range(4):
-        mono = [0] * nvars
-        for _ in range(rng.randint(0, degree)):
-            mono[rng.randrange(nvars)] += 1
-        key = (0, tuple(mono))
-        coeffs[key] = coeffs.get(key, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return MultiPoly(nvars, coeffs)
+        count = rng.randint(0, degree)
+        if count < EXP_LIMIT:  # no exponent reaches a guard bit
+            key = 0
+            for _ in range(count):
+                key += ones[rng.randrange(nvars)]
+        else:  # count exponents, as the constructor does; no key above has this total degree
+            mono = [0] * nvars
+            for _ in range(count):
+                mono[rng.randrange(nvars)] += 1
+            key = tuple(mono)
+        terms[key] = terms.get(key, 0) + rng.randint(-9, 9) * (_DRAW_DEN // rng.randint(1, _MAX_DEN))
+    terms = {k if type(k) is int else _pack(0, k, nvars): v for k, v in terms.items() if v}
+    return _poly(nvars, terms, _DRAW_DEN)

@@ -6,10 +6,24 @@ import cmath
 from fractions import Fraction
 
 from exocalc.core import EpsSeries
+from exocalc.poly import MultiPoly
 
 
 def rand_frac(rng, lo=-9, hi=9, den=9) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+
+def fraction_multipoly(rng, nvars: int, degree: int) -> MultiPoly:
+    """Reference for ``poly.random_multipoly``: the same draws, with each
+    coefficient a ``Fraction`` and the terms passed to the constructor."""
+    coeffs = {}
+    for _ in range(4):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(nvars)] += 1
+        key = (0, tuple(mono))
+        coeffs[key] = coeffs.get(key, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return MultiPoly(nvars, coeffs)
 
 
 def rand_vec4(rng) -> tuple:

@@ -437,6 +437,9 @@ def test_sparse_engine_matches_dense_route():
         grad = random_linear_theta(rng, dim)
         w = random_form(rng, dim, rng.randint(0, dim - 1))
         assert (exotic_d(w, grad) - dense_exotic_d(w, grad)).is_zero()
+        # the lambda slot 0 is left out of the sparse engine's Euler scan
+        ext = random_form(rng, dim + 1, rng.randint(0, dim), lambda_active=True)
+        assert (exotic_d(ext, grad) - dense_exotic_d(ext, grad)).is_zero()
 
 
 def test_obstruction_matches_square_on_extended_forms():

@@ -8,6 +8,7 @@ import pytest
 
 from exocalc.core import EPS_ORDER
 from exocalc.poly import EXP_LIMIT, FIELD_BITS, MultiPoly, random_multipoly
+from helpers import fraction_multipoly
 
 
 def test_constant_and_variable():
@@ -130,3 +131,29 @@ def test_results_are_in_lowest_terms():
         assert (a * 2) * Fraction(1, 2) == a
     x = MultiPoly.variable(0, 1)
     assert len(((x + 1) * (x - 1)).terms) == 2  # the cross terms cancel inside the product
+
+
+def _drawn(draw, seed, nvars, degree):
+    """``(terms, den, next uniform)`` of one seeded draw: equal outcomes mean equal
+    polynomials from the same ``rng`` calls."""
+    rng = random.Random(seed)
+    poly = draw(rng, nvars, degree)
+    return poly.terms, poly.den, rng.random()
+
+
+@pytest.mark.parametrize("nvars, degree", [(1, 3), (2, 1), (3, 3), (4, 2), (5, 3)])
+def test_integer_draw_equals_the_fraction_draw(nvars, degree):
+    for seed in range(2000):
+        assert _drawn(random_multipoly, seed, nvars, degree) == _drawn(fraction_multipoly, seed, nvars, degree)
+
+
+def test_integer_draw_at_the_exponent_limit_matches_the_fraction_draw():
+    # seed 0, one variable: a term reaches EXP_LIMIT.  Seed 140: only the term
+    # x0^41561 does, and its coefficient is 0.  Four variables: the first term
+    # draws 50 494 of them, and none comes near the limit.
+    degree = 2 * EXP_LIMIT
+    for draw in (random_multipoly, fraction_multipoly):
+        with pytest.raises(OverflowError):
+            draw(random.Random(0), 1, degree)
+    for seed, nvars in ((140, 1), (0, 4)):
+        assert _drawn(random_multipoly, seed, nvars, degree) == _drawn(fraction_multipoly, seed, nvars, degree)

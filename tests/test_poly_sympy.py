@@ -129,6 +129,18 @@ def test_calculus_matches_sympy(case, var, value):
 
 
 @settings(deadline=None, max_examples=150)
+@given(case=singles(), data=st.data())
+def test_euler_matches_sympy(case, data):
+    nvars, (a, pa) = case
+    variables = data.draw(st.sets(st.integers(0, nvars - 1)), label="variables")
+    expect = from_terms({}, nvars)
+    for v in sorted(variables):
+        expect += sympy.Poly(XS[v], *gens(nvars), domain=sympy.QQ) * pa.diff(XS[v])
+    assert as_sympy(a.euler(sorted(variables))) == expect
+    assert a.euler(()).is_zero()
+
+
+@settings(deadline=None, max_examples=150)
 @given(case=singles(), k=st.integers(0, 4))
 def test_grading_matches_sympy(case, k):
     nvars, (a, pa) = case
