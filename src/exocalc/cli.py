@@ -8,6 +8,7 @@ fixed header; identical config + seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import itertools
@@ -98,6 +99,28 @@ def write_svg_line(path: Path, xs, ys, title: str, x_label: str, y_label: str) -
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def publish(out_dir: Path, files: dict) -> list:
+    """Write ``files``, ``{name: (write, *args)}``, into ``out_dir`` all or none:
+    each under a hidden temporary name, renamed into place after the last is
+    written. Any exception removes the temporary and renamed files; an
+    ``OSError`` is a config error naming the output file."""
+    temps = {name: out_dir / f".{name}.tmp" for name in files}
+    placed = []
+    try:
+        for name, (write, *args) in files.items():
+            write(temps[name], *args)
+        for name, temp in temps.items():
+            placed.append(temp.replace(out_dir / name))
+    except BaseException as exc:
+        for path in [*temps.values(), *placed]:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {out_dir / name}: {exc.strerror or exc}") from exc
+        raise
+    return placed
 
 
 def _finite(value, where: str) -> float:
@@ -288,16 +311,15 @@ SPECTRUM_HEADER = (
 )
 
 
-def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
+def spectrum_rows(cfg: dict):
     """Rows of the aligned-spectrum sweep.
 
-    ``spectrum_fn`` and ``delta_fn`` default to the implementation; the
-    fixture generator passes the oracle routes instead.
+    ``dispersion.constrained_spectrum`` and ``dispersion.delta_sigma`` are
+    looked up when a row is built, so the fixture generator can rebind them
+    to the oracle routes.
     """
     from . import dispersion
 
-    spectrum_fn = spectrum_fn or dispersion.constrained_spectrum
-    delta_fn = delta_fn or dispersion.delta_sigma
     spec = cfg["box"]
     box = ((spec["t0"], spec["t1"]), *spec["spatial"])
     if len(box) != 4 or not all(hi > lo for lo, hi in box):
@@ -308,11 +330,11 @@ def spectrum_rows(cfg: dict, spectrum_fn=None, delta_fn=None):
 
     def one(td, gn, m):
         v = (td, gn, 0.0, 0.0)
-        e_plus, e_minus = spectrum_fn(v, m)
+        e_plus, e_minus = dispersion.constrained_spectrum(v, m)
         ref = dispersion.spectrum_reference_approx(td, gn, m)
         p = dispersion.constrained_momentum(v, e_plus)
         v_norm = math.hypot(td, gn)
-        diag = v_norm * abs(delta_fn(p, box))
+        diag = v_norm * abs(dispersion.delta_sigma(p, box))
         return [
             fmt(td),
             fmt(gn),
@@ -638,31 +660,17 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     # a dt too small to fit raises FloatingPointError
     rate = fit_decay_rate(grid.times[window], log_amp[window])
 
-    snap_path = write_csv(
-        out_dir / "simulate_snapshots.csv",
-        "t,x,re_phi,im_phi",
-        _snapshot_blocks(grid.times, grid.xs(), grid.snapshots),
-    )
-
-    summary_rows = [
-        [fmt(t), fmt(a), fmt(rate)] for t, a in zip(grid.times, log_amp)
-    ]
-    summary_path = write_csv(
-        out_dir / "simulate_summary.csv", "t,log_l2_amplitude,fitted_rate", summary_rows
-    )
-    written = [snap_path, summary_path]
+    blocks = _snapshot_blocks(grid.times, grid.xs(), grid.snapshots)
+    summary = [[fmt(t), fmt(a), fmt(rate)] for t, a in zip(grid.times, log_amp)]
+    files = {
+        "simulate_snapshots.csv": (write_csv, "t,x,re_phi,im_phi", blocks),
+        "simulate_summary.csv": (write_csv, "t,log_l2_amplitude,fitted_rate", summary),
+    }
     if svg:
-        written.append(
-            write_svg_line(
-                out_dir / "simulate.svg",
-                grid.times,
-                log_amp,
-                "log amplitude vs time",
-                "t",
-                "log ||phi||",
-            )
+        files["simulate.svg"] = (
+            write_svg_line, grid.times, log_amp, "log amplitude vs time", "t", "log ||phi||"
         )
-    return written
+    return publish(out_dir, files)
 
 
 # ---------------------------------------------------------------------- main
@@ -716,19 +724,11 @@ def run(args) -> list:
     # only a ``nan`` or ``inf`` cell holds an ``n``; forms-check's ``inf`` grade is an exact zero
     if name != "forms_check" and any("n" in (r if isinstance(r, str) else ",".join(r)) for r in rows):
         raise DegenerateParameterError(f"{name}.csv would hold a value that is not finite")
-    written = [write_csv(out_dir / f"{name}.csv", header, rows)]
+    files = {f"{name}.csv": (write_csv, header, rows)}
     if args.svg and name == "spectrum" and rows:
-        written.append(
-            write_svg_line(
-                out_dir / "spectrum.svg",
-                [float(r[0]) for r in rows],
-                [float(r[4]) for r in rows],
-                "Im E+ vs theta_dot",
-                "theta_dot",
-                "Im E+",
-            )
-        )
-    return written
+        xs, ys = [float(r[0]) for r in rows], [float(r[4]) for r in rows]
+        files["spectrum.svg"] = (write_svg_line, xs, ys, "Im E+ vs theta_dot", "theta_dot", "Im E+")
+    return publish(out_dir, files)
 
 
 def main(argv=None) -> int:

@@ -21,11 +21,18 @@ SEED = 42
 
 def fixture_tables(seed: int = SEED) -> dict:
     """``{file name: (header, oracle rows, implementation rows)}``."""
+    from exocalc import dispersion
     from exocalc.cli import DEFAULTS, forms_check_rows, spectrum_rows
     from exocalc.oracles import delta_quadrature, dense_exotic_d, spectrum_companion
 
     spec_cfg = copy.deepcopy(DEFAULTS["spectrum"])
-    header, oracle = spectrum_rows(spec_cfg, spectrum_fn=spectrum_companion, delta_fn=delta_quadrature)
+    # spectrum_rows looks both routes up on the module when it runs
+    routes = dispersion.constrained_spectrum, dispersion.delta_sigma
+    dispersion.constrained_spectrum, dispersion.delta_sigma = spectrum_companion, delta_quadrature
+    try:
+        header, oracle = spectrum_rows(spec_cfg)
+    finally:
+        dispersion.constrained_spectrum, dispersion.delta_sigma = routes
     tables = {"spectrum_golden.csv": (header, oracle, spectrum_rows(spec_cfg)[1])}
     forms_cfg = copy.deepcopy(DEFAULTS["forms-check"])
     header, oracle = forms_check_rows(forms_cfg, seed, d_fn=dense_exotic_d)

@@ -642,6 +642,52 @@ def test_unusable_out_dir_fails_before_simulating(tmp_path, monkeypatch):
     assert run_cli(["simulate", "--out", tmp_path / "file", *FAST_ARGS["simulate"]]) == 2
 
 
+OUTPUTS = [  # command, output file, flags that make the command write it
+    ("metric", "metric.csv", []),
+    ("lightcone", "lightcone.csv", []),
+    ("spectrum", "spectrum.csv", []),
+    ("spectrum", "spectrum.svg", ["--svg"]),
+    ("forms-check", "forms_check.csv", []),
+    ("cartan", "cartan.csv", []),
+    ("simulate", "simulate_snapshots.csv", []),
+    ("simulate", "simulate_summary.csv", []),
+    ("simulate", "simulate.svg", ["--svg"]),
+]
+
+
+@pytest.mark.parametrize("command, blocked, flags", OUTPUTS, ids=[case[1] for case in OUTPUTS])
+def test_an_output_name_taken_by_a_directory_exits_2_and_writes_nothing(
+    command, blocked, flags, tmp_path, capsys
+):
+    """A run writes all of its files or none: a directory in the way of one of
+    them is a config error naming that file, and only the directory is left."""
+    (tmp_path / blocked).mkdir()
+    assert run_cli([command, "--out", tmp_path, *flags, *FAST_ARGS[command]]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config error: cannot write {tmp_path / blocked}: Is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert not any((tmp_path / blocked).iterdir())
+
+
+@pytest.mark.parametrize("stop", [MemoryError, KeyboardInterrupt])
+def test_a_failure_inside_the_snapshot_stream_leaves_no_file(stop, tmp_path, monkeypatch):
+    """A run stopped after its first snapshot block is written leaves ``--out``
+    empty: out of memory is exit 3, and an interrupt propagates."""
+    def one_block_then_stop(*args):
+        yield next(_snapshot_blocks(*args))
+        raise stop("stopped after one block")
+
+    monkeypatch.setattr("exocalc.cli._snapshot_blocks", one_block_then_stop)
+    args = ["simulate", "--out", tmp_path, *FAST_ARGS["simulate"]]
+    if stop is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(args)
+    else:
+        assert run_cli(args) == 3
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["forms-check", "cartan"])
 def test_seed_outside_u64_exits_2_and_writes_nothing(command, tmp_path, capsys):
     """``--seed`` is a u64: CPython would seed -1 as 1 and accept 2**64 silently.
@@ -919,7 +965,8 @@ def _nonfinite_cells(out: Path) -> list:
 }))
 def test_any_config_value_keeps_the_exit_code_contract(case):
     """Drawn values, by flag or in a document, exit 0, 2, 3 or 4 and raise
-    nothing; a run that exits 0 writes only finite cells."""
+    nothing; a run that exits 0 writes only finite cells, and any other run
+    leaves its ``--out`` empty."""
     command, values = case
     doc = {}
     for key, value in values.items():
@@ -935,7 +982,9 @@ def test_any_config_value_keeps_the_exit_code_contract(case):
         sets = [a for key, value in values.items() for a in ("--set", f"{key}={json.dumps(value)}")]
         # the document's values must not be overridden by the same keys' fast flags
         doc_fast = [a for s in fast[1::2] if s.partition("=")[0] not in values for a in ("--set", s)]
-        for args in ([*fast, *sets], ["--config", cfg_path, *doc_fast]):
-            code = run_cli([command, "--out", tmp, *args])
+        for tag, args in (("flags", [*fast, *sets]), ("doc", ["--config", cfg_path, *doc_fast])):
+            out = Path(tmp) / tag
+            code = run_cli([command, "--out", out, *args])
             assert code in codes
-            assert code != 0 or _nonfinite_cells(Path(tmp)) == []
+            assert code != 0 or _nonfinite_cells(out) == []
+            assert code == 0 or not out.exists() or not any(out.iterdir())
