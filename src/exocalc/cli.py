@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import errno
 import functools
 import itertools
 import json
 import math
 import numbers
+import os
 import random
 import sys
 from pathlib import Path
@@ -50,16 +52,18 @@ def fmt6(x) -> str:
 def write_csv(path: Path, header: str, rows) -> Path:
     """Write the schema line, ``header`` and ``rows``.
 
-    Each item of ``rows`` is a list of cell strings or a text block of whole
-    lines.  Items are written as they arrive, so a generator of blocks is
-    streamed to the file without the table being held in memory.
+    Each item of ``rows`` is a list of cell strings, or a block of whole
+    lines as ``str`` or as ASCII ``bytes``, which go to the file as they are.
+    Items are written as they arrive, so a generator of blocks is streamed to
+    the file without the table being held in memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_LINE + "\n")
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{SCHEMA_LINE}\n{header}\n".encode())
         for row in rows:
-            fh.write(row if isinstance(row, str) else ",".join(row) + "\n")
+            if not isinstance(row, bytes):
+                row = (row if isinstance(row, str) else ",".join(row) + "\n").encode()
+            fh.write(row)
             del row  # so a written block is freed before the next one is built
     return path
 
@@ -104,21 +108,28 @@ def write_svg_line(path: Path, xs, ys, title: str, x_label: str, y_label: str) -
 def publish(out_dir: Path, files: dict) -> list:
     """Write ``files``, ``{name: (write, *args)}``, into ``out_dir`` all or none:
     each under a hidden temporary name, renamed into place after the last is
-    written. Any exception removes the temporary and renamed files; an
-    ``OSError`` is a config error naming the output file."""
+    written. A target that is a directory fails the run before any file is
+    written, so no earlier file under a target's name is lost to it. Any
+    exception removes the temporary and renamed files; an ``OSError`` is a
+    config error naming the path that failed."""
     temps = {name: out_dir / f".{name}.tmp" for name in files}
     placed = []
     try:
+        for path in map(out_dir.joinpath, files):
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for name, (write, *args) in files.items():
-            write(temps[name], *args)
+            path = temps[name]
+            write(path, *args)
         for name, temp in temps.items():
-            placed.append(temp.replace(out_dir / name))
+            path = out_dir / name
+            placed.append(temp.replace(path))
     except BaseException as exc:
-        for path in [*temps.values(), *placed]:
+        for done in [*temps.values(), *placed]:
             with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
+                done.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {out_dir / name}: {exc.strerror or exc}") from exc
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
     return placed
 
@@ -584,42 +595,53 @@ def _cells(values):
     return cells.view(np.uint8), fast
 
 
-def _padded(cells: list):
-    """``cells``, strings of at most ``CELL`` characters, as rows of ``CELL``
+def _padded(cells: list, width: int = CELL):
+    """``cells``, strings of at most ``width`` characters, as rows of ``width``
     bytes padded with spaces."""
     import numpy as np
 
-    return np.frombuffer("".join(c.ljust(CELL) for c in cells).encode(), np.uint8).reshape(-1, CELL)
+    return np.frombuffer("".join(c.ljust(width) for c in cells).encode(), np.uint8).reshape(-1, width)
+
+
+def _column(cells: list):
+    """``cells`` as rows of bytes padded with spaces to the widest of them."""
+    return _padded(cells, max(map(len, cells)))
 
 
 def _snapshot_blocks(times, xs, snapshots):
-    """The ``t,x,re_phi,im_phi`` rows as text blocks of whole snapshots,
-    yielded one by one, so only one block's buffers are held at a time.
+    """The ``t,x,re_phi,im_phi`` rows as ASCII ``bytes`` blocks of whole
+    snapshots, yielded one by one, so only one block's buffers are held at a
+    time.
 
     Every cell reads as ``fmt`` of its value. A block holds
     ``max(1, BLOCK_VALUES // (2 * len(xs)))`` snapshots (the last may hold
     fewer), so a snapshot of more than ``BLOCK_VALUES`` values is a block of
-    its own. A row is laid out as four space-padded cells of ``CELL`` bytes
-    and a newline, in one row buffer that every block reuses, and the block
-    drops the spaces. ``x`` is formatted once, a block's ``t`` cells once and
-    broadcast over each snapshot's rows, and a block's real and imaginary
-    parts in one ``_cells`` pass; ``FLOAT_SPEC %`` fills the cells it cannot
-    prove.
+    its own. A row is laid out as space-padded cells and a newline, in one
+    row buffer that every block reuses, and the block drops the spaces: the
+    ``t`` and ``x`` columns as wide as the run's widest ``t`` and ``x``
+    cell, each value cell ``CELL`` bytes. Every ``t`` and ``x`` cell is
+    formatted once per run, a block's ``t`` cells broadcast over each
+    snapshot's rows, and a block's real and imaginary parts in one
+    ``_cells`` pass; ``FLOAT_SPEC %`` fills the cells it cannot prove.
     """
     import numpy as np
 
     n = len(xs)
     parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
     k = max(1, BLOCK_VALUES // (2 * n))
-    rows = np.empty((min(k, len(parts)), n, 4 * CELL + 1), np.uint8)
-    rows[:, :, CELL : 2 * CELL] = _padded(["," + FLOAT_SPEC % x for x in xs.tolist()])
+    t_cells = _column([FLOAT_SPEC % t for t in times.tolist()])
+    x_cells = _column(["," + FLOAT_SPEC % x for x in xs.tolist()])
+    t_end = t_cells.shape[1]
+    x_end = t_end + x_cells.shape[1]
+    rows = np.empty((min(k, len(parts)), n, x_end + 2 * CELL + 1), np.uint8)
+    rows[:, :, t_end:x_end] = x_cells
     rows[..., -1] = ord("\n")
     for start in range(0, len(parts), k):
         values = parts[start : start + k]
         block = rows[: len(values)]
-        block[..., :CELL] = _padded([FLOAT_SPEC % t for t in times[start : start + k].tolist()])[:, None]
-        block[..., 2 * CELL : 4 * CELL] = _block_cells(values.ravel()).reshape(len(values), n, 2 * CELL)
-        yield str(block[block != ord(" ")], "ascii")
+        block[..., :t_end] = t_cells[start : start + k, None]
+        block[..., x_end:-1] = _block_cells(values.ravel()).reshape(len(values), n, 2 * CELL)
+        yield block[block != ord(" ")].tobytes()
 
 
 def _block_cells(values):
@@ -661,7 +683,8 @@ def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     rate = fit_decay_rate(grid.times[window], log_amp[window])
 
     blocks = _snapshot_blocks(grid.times, grid.xs(), grid.snapshots)
-    summary = [[fmt(t), fmt(a), fmt(rate)] for t, a in zip(grid.times, log_amp)]
+    rate_cell = fmt(rate)
+    summary = [[fmt(t), fmt(a), rate_cell] for t, a in zip(grid.times, log_amp)]
     files = {
         "simulate_snapshots.csv": (write_csv, "t,x,re_phi,im_phi", blocks),
         "simulate_summary.csv": (write_csv, "t,log_l2_amplitude,fitted_rate", summary),

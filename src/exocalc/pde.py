@@ -322,6 +322,37 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float, sumsq=None):
 # changes ``lap`` only in the sign of a zero. Added to ``2 cur - lag prev``,
 # that zero decides the result only where ``2 cur - lag prev`` is -0, which
 # needs a -0 ``2 cur``: a point that is flagged already.
+#
+# The explicit stepper serves one run: each call's ``cur`` is the previous
+# call's ``out`` with ``_apply_bc`` applied. When that call rewrote no point,
+# two facts about ``cur`` follow from it, so they are proved once per run, not
+# checked at every step. The first call, and the call after a rewrite, check
+# them as above.
+# - The -0 scan. When ``0.5 < 1 / denom``, a part of the new level is -0 only
+#   where ``2 cur`` is -0. The part is ``x * fl(1 / denom)`` with ``x = (2 cur
+#   - lag prev) + dt^2 lap``, each op rounded. A sum of two floats that rounds
+#   to zero is exact, and an exact zero of nonzero terms is +0, so a sum or a
+#   difference is -0 only where its first term is -0; so ``x`` is -0 only where
+#   ``2 cur`` is. A nonzero ``x`` is at least the least subnormal ``2^-1074`` in
+#   size, so ``|x| * fl(1 / denom)`` exceeds ``2^-1075`` and rounds to a nonzero:
+#   the product is -0 only where ``x`` is. The boundary rule adds no -0 to the
+#   interior (dirichlet pins +0), and ``2 cur`` is -0 exactly where ``cur`` is.
+#   So a call that found no -0 in its ``2 cur`` hands the next call a ``2 cur``
+#   with none, and the scan runs on the first level, after a rewrite, and on
+#   every step when ``1 / denom <= 0.5``: ``th_t dt <= -2``, where a product
+#   with the least subnormal can round to -0, or ``th_t dt > 2``, where
+#   ``denom < 0`` turns a +0 into -0.
+# - The advection gate. With ``th_x == 0`` it reads the sum of squares ``s``
+#   that the call that made ``cur`` computed over that level's interior,
+#   instead of ``c @ c``. The exact sum ``S`` is at most ``s / (1 -
+#   gamma_{2 n_x})`` (the bound ``_check_amplitude`` cites; squares that
+#   underflow add at most ``2 n_x`` least subnormals, far inside the margins
+#   here). The boundary rule zeroes interior points, or copies into the
+#   ghosts two interior points, distinct on every grid (``n_x >= 8``), so the
+#   exact sum of ``cur``, ghosts included, is at most ``2 S``, and the
+#   computed ``c @ c`` at most ``(1 + gamma_{2 n_x + 4}) 2 S``. The two gammas
+#   sum to less than ``16 n_x u``, so ``s <= (1 - 16 n_x u) gate / 2`` puts
+#   ``c @ c`` within the gate, as the skip above asks.
 
 # the bits of -0.0 read as an int64: the least int64, so a min finds it
 _NEGATIVE_ZERO = np.iinfo(np.int64).min
@@ -342,14 +373,23 @@ def _complex_stencil(p, i, dx2, two_dx):
 
 def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
     """Explicit centered update
-    ``(2 cur - (1 + th_t dt/2) prev + dt^2 (lap - m^2 cur - th_x adv)) / (1 - th_t dt/2)``."""
+    ``(2 cur - (1 + th_t dt/2) prev + dt^2 (lap - m^2 cur - th_x adv)) / (1 - th_t dt/2)``.
+
+    The returned step serves one run: each call's ``cur`` is the previous
+    call's ``out`` with the boundary rule applied (see the note above)."""
     lag = 1 + 0.5 * theta_t * dt
     denom = 1 - 0.5 * theta_t * dt
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
     inv_dx2, inv_two_dx, inv_denom = 1 / dx2, 1 / two_dx, 1 / denom
+    # a level returned with a sum of squares at most this has, ghosts included, a
+    # computed sum within the gate (see the note above)
+    level_gate = 0.5 * _SUMSQ_GATE * (1 - 16 * n_x * 2.0**-53)
     two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(4))
+    # facts about ``cur``: whether it may hold a -0, and a bound on its sum of squares
+    scan, bound = True, None
 
     def step(n, prev, cur, out):
+        nonlocal scan, bound
         c = cur.view(np.float64)
         now, new = c[2:-2], out.view(np.float64)[2:-2]
         np.multiply(2, now, out=two_cur)
@@ -357,7 +397,7 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
         np.multiply(mm, now, out=tmp)
         np.subtract(lap, tmp, out=lap)
         # with th_x = 0 and cur within the gate, the advection term is a zero (see the note above)
-        if not (theta_x == 0 and c @ c <= _SUMSQ_GATE):
+        if not (theta_x == 0 and (c @ c <= _SUMSQ_GATE if bound is None else bound <= level_gate)):
             _advection(c, inv_two_dx, adv)
             np.multiply(theta_x, adv, out=adv)
             np.subtract(lap, adv, out=lap)
@@ -367,11 +407,13 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
         np.add(new, lap, out=new)
         np.multiply(new, inv_denom, out=new)
         sumsq = new @ new
-        if two_cur.view(np.int64).min() != _NEGATIVE_ZERO and math.isfinite(sumsq):
+        if not (scan and two_cur.view(np.int64).min() == _NEGATIVE_ZERO) and math.isfinite(sumsq):
+            scan, bound = inv_denom <= 0.5, sumsq
             return sumsq
         i = _flagged_points((two_cur.view(np.int64) == _NEGATIVE_ZERO) | ~np.isfinite(new))
         two_c, lap_i, adv_i = _complex_stencil(cur, i, dx2, two_dx)
         out[i] = (two_c - lag * prev[i] + dt2 * (lap_i - mm * cur[i] - theta_x * adv_i)) / denom
+        scan, bound = True, None
         return None
 
     return step

@@ -3,19 +3,24 @@
 ``exocalc.pde._leapfrog_stepper`` computes a level on the float64 view, skips
 the advection term when ``th_x`` is a zero and the level is bounded, and
 evaluates again with the complex ops the points whose zero sign or finiteness
-the float view cannot vouch for. This module draws random levels whose parts
-mix both zeros, subnormals, normal values, values near the amplitude probe's
-gate, values whose squares overflow and infinities (no NaN), and compares one
-stepper call with ``pde_reference.reference_step`` bit for bit, on every
-boundary, for ``m`` in {0, 1} and for ``th_t`` and ``th_x`` among signed
-zeros and small and large slopes. It also checks that the amplitude probe,
-given the stepper's sum of squares, raises exactly where the reference's
-``max |z|`` test does. No NaN part is drawn, because the bit-for-bit
-contract leaves out the sign of a NaN, which the order of the ops decides
-(the note above the steppers in ``exocalc/pde.py``); a NaN never reaches a
-CSV, as the amplitude probe fails a level with a NaN part and the run exits
-4. Run as a script, with no arguments, it compares 1e5 levels, prints how
-many took each path and exits 1 at the first difference:
+the float view cannot vouch for. What it knows of a level it made (no -0, a
+bound on its sum of squares) it carries to the next call of the same run.
+This module draws random levels whose parts mix both zeros, subnormals,
+normal values, values near the amplitude probe's gate, values whose squares
+overflow and infinities (no NaN), and runs a fresh stepper from them for one
+to ``RUN_STEPS`` steps, applying the boundary rule between steps as
+``simulate_time_domain`` does. Every level is compared with
+``pde_reference.reference_step`` bit for bit, on every boundary, for ``m``
+in {0, 1} and for ``th_t`` and ``th_x`` among signed zeros, small and large
+slopes, and slopes with ``th_t dt`` at -2 and -3, where the stepper scans
+every level for a -0. It also checks that the amplitude probe, given the
+stepper's sum of squares, raises exactly where the reference's ``max |z|``
+test does; a run ends where the probe raises. No NaN part is drawn, because
+the bit-for-bit contract leaves out the sign of a NaN, which the order of the
+ops decides (the note above the steppers in ``exocalc/pde.py``); a NaN never
+reaches a CSV, as the amplitude probe fails a level with a NaN part and the
+run exits 4. Run as a script, with no arguments, it compares 1e5 levels,
+prints how many took each path and exits 1 at the first difference:
 
     PYTHONPATH=src python tests/step_sweep.py
 """
@@ -27,12 +32,14 @@ import sys
 import numpy as np
 
 from exocalc.core import InstabilityError
-from exocalc.pde import AMPLITUDE_ABORT, _check_amplitude, _leapfrog_stepper
+from exocalc.pde import AMPLITUDE_ABORT, _apply_bc, _check_amplitude, _leapfrog_stepper
 from pde_reference import _pad, reference_step
 
 LEVELS = 10**5
 BOUNDARIES = ("periodic", "dirichlet", "neumann")
-SLOPES = (0.0, -0.0, 0.02, -0.02, 1e-3, -1e-3, 0.5, -0.5)
+SLOPES = (0.0, -0.0, 0.02, -0.02, 1e-3, -1e-3, 0.5, -0.5, -20.0, -30.0, 30.0)
+# the most steps a run takes
+RUN_STEPS = 4
 HUGE = (1e308, -1e308, 1.7e154, -1.7e154, np.inf, -np.inf)
 GATE = AMPLITUDE_ABORT / 1.5
 # how often a part comes from each family of ``random_parts``
@@ -64,43 +71,70 @@ def probe_raises(level: np.ndarray, sumsq) -> bool:
     return False
 
 
-def check_level(rng: np.random.Generator) -> tuple:
-    """``(equal, skipped, flagged)`` for one random level: whether the stepper
-    and the probe agree with the reference, whether the stepper could skip the
-    advection term, and whether it rewrote points (returned no sum)."""
+def random_run(rng: np.random.Generator) -> tuple:
+    """The arguments of ``check_run`` for one random run of 1 to ``RUN_STEPS``
+    steps on 3 to 12 points."""
     n_x = int(rng.integers(3, 13))
-    # a third of the levels stay far inside the gate, a third reach it, a third overflow
-    parts = random_parts(rng, 4 * n_x, int(rng.integers(4, 7)))
-    prev, cur = parts[: 2 * n_x].view(complex), parts[2 * n_x :].view(complex)
+    # some runs hold only zeros and subnormals; of the others, a third of the
+    # levels stay far inside the gate, a third reach it, a third overflow
+    parts = random_parts(rng, 4 * n_x, int(rng.integers(2, 7)))
     bc = BOUNDARIES[rng.integers(0, 3)]
     dt, m = (0.1, 0.01)[rng.integers(0, 2)], float(rng.integers(0, 2))
     theta_t = SLOPES[rng.integers(0, len(SLOPES))]
-    # half the levels have a zero th_x, where the stepper may skip the advection term
+    # half the runs have a zero th_x, where the stepper may skip the advection term
     theta_x = SLOPES[rng.integers(0, 2 if rng.integers(0, 2) else len(SLOPES))]
-    dx, out = 0.3, np.zeros(n_x + 2, dtype=complex)
-    padded = _pad(cur, bc)
-    parts = padded.view(np.float64)
-    skipped = theta_x == 0 and parts @ parts <= GATE**2
-    sumsq = _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)(1, _pad(prev, bc), padded, out)
-    want = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
-    level = out[1:-1]
-    equal = np.array_equal(level.view(np.uint64), want.view(np.uint64))
-    amp = float(np.max(np.abs(want)))
-    equal = equal and probe_raises(level, sumsq) == (not np.isfinite(amp) or amp > AMPLITUDE_ABORT)
-    return equal, skipped, sumsq is None
+    return parts, bc, dt, m, theta_t, theta_x, int(rng.integers(1, RUN_STEPS + 1))
+
+
+def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
+    """``(levels, mismatch, skipped, flagged)`` for a run of a fresh stepper
+    from the unpadded levels ``prev`` and ``cur``, the two halves of the float
+    ``parts``, on ``dx = 0.3``: how many levels it made, the step (from 0) at
+    which the stepper or the probe first differs from the reference or None,
+    how many levels the stepper could skip the advection term on, and how
+    many it rewrote points of (returned no sum). The run ends after ``steps``
+    steps or where the probe raises."""
+    parts = np.asarray(parts, dtype=np.float64)
+    prev, cur = np.split(parts.view(complex), 2)
+    n_x, dx = len(cur), 0.3
+    stepper = _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)
+    # the three rotating ghost-padded levels of simulate_time_domain
+    padded_prev, padded, out = _pad(prev, bc), _pad(cur, bc), np.zeros(n_x + 2, dtype=complex)
+    skipped = flagged = 0
+    for step in range(steps):
+        parts = padded.view(np.float64)
+        skipped += theta_x == 0 and parts @ parts <= GATE**2
+        sumsq = stepper(step + 1, padded_prev, padded, out)
+        flagged += sumsq is None
+        want = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
+        if not np.array_equal(out[1:-1].view(np.uint64), want.view(np.uint64)):
+            return step + 1, step, skipped, flagged
+        _apply_bc(out, bc)
+        if bc == "dirichlet":
+            want[0] = want[-1] = 0.0
+        amp = float(np.max(np.abs(want)))
+        aborts = not np.isfinite(amp) or amp > AMPLITUDE_ABORT
+        if probe_raises(out[1:-1], sumsq) != aborts:
+            return step + 1, step, skipped, flagged
+        if aborts:  # the run ends here
+            return step + 1, None, skipped, flagged
+        padded_prev, padded, out = padded, out, padded_prev
+        prev, cur = cur, want
+    return steps, None, skipped, flagged
 
 
 def sweep(rng: np.random.Generator, levels: int) -> tuple:
-    """``(first_mismatch, skipped, flagged)`` over ``levels`` random levels;
-    ``first_mismatch`` is the index of the first level that differs, or None."""
-    skipped = flagged = 0
+    """``(first_mismatch, skipped, flagged)`` over random runs until ``levels``
+    levels are made; ``first_mismatch`` is the index of the first level that
+    differs, or None."""
+    done = skipped = flagged = 0
     # overflow and NaN reach the amplitude probe, as in simulate_time_domain
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(levels):
-            equal, skip, flag = check_level(rng)
-            if not equal:
-                return i, skipped, flagged
-            skipped, flagged = skipped + skip, flagged + flag
+        while done < levels:
+            made, bad, skip, flag = check_run(*random_run(rng))
+            if bad is not None:
+                return done + bad, skipped, flagged
+            done, skipped, flagged = done + made, skipped + skip, flagged + flag
     return None, skipped, flagged
 
 

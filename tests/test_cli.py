@@ -670,6 +670,29 @@ def test_an_output_name_taken_by_a_directory_exits_2_and_writes_nothing(
     assert not any((tmp_path / blocked).iterdir())
 
 
+def test_a_target_taken_by_a_directory_keeps_the_earlier_run_files(tmp_path, capsys):
+    """A directory in the way of one target fails the run before any file is
+    renamed, so the file an earlier run left under another target stays."""
+    args = ["spectrum", "--out", tmp_path, *FAST_ARGS["spectrum"]]
+    assert run_cli(args) == 0
+    earlier = read_all(tmp_path / "spectrum.csv")
+    (tmp_path / "spectrum.svg").mkdir()
+    capsys.readouterr()
+    assert run_cli([*args, "--svg"]) == 2
+    assert f"cannot write {tmp_path / 'spectrum.svg'}: Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv", "spectrum.svg"]
+    assert read_all(tmp_path / "spectrum.csv") == earlier
+
+
+def test_a_temporary_name_taken_by_a_directory_is_named(tmp_path, capsys):
+    """The error names the temporary path when that is what cannot be written."""
+    (tmp_path / ".metric.csv.tmp").mkdir()
+    assert run_cli(["metric", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {tmp_path / '.metric.csv.tmp'}: Is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == [".metric.csv.tmp"]
+
+
 @pytest.mark.parametrize("stop", [MemoryError, KeyboardInterrupt])
 def test_a_failure_inside_the_snapshot_stream_leaves_no_file(stop, tmp_path, monkeypatch):
     """A run stopped after its first snapshot block is written leaves ``--out``
@@ -813,6 +836,7 @@ def test_snapshot_block_cells_equal_fmt(t, xs, parts):
     snap.real = parts[: len(xs)]
     snap.imag = parts[6 : 6 + len(xs)]
     (block,) = _snapshot_blocks(np.array([t]), np.array(xs), snap)
+    block = block.decode("ascii")
     want = [[fmt(t), fmt(x), fmt(v.real), fmt(v.imag)] for x, v in zip(xs, snap[0])]
     assert [line.split(",") for line in block.splitlines()] == want
     assert block.endswith("\n")
@@ -839,7 +863,30 @@ def test_snapshot_blocks_hold_whole_snapshots(n_x, count, tmp_path):
     blocks = list(_snapshot_blocks(times, xs, snaps))
     per_block = max(1, BLOCK_VALUES // (2 * n_x))
     assert len(blocks) == -(-count // per_block)
-    assert [b.count("\n") for b in blocks[:-1]] == [per_block * n_x] * (len(blocks) - 1)
+    assert [b.count(b"\n") for b in blocks[:-1]] == [per_block * n_x] * (len(blocks) - 1)
+    path = write_csv(tmp_path / "snapshots.csv", "t,x,re_phi,im_phi", blocks)
+    _assert_same_lines(path.read_text(), _snapshot_csv_by_fmt(times, xs, snaps))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.0, 1e-101] * 7,  # t cells of 18 and 19 characters
+        [1e-101, float("nan"), -0.0, -2.5, float("inf"), 0.3, 1e300] * 2,  # of 3 to 19
+    ],
+    ids=["two-widths", "many-widths"],
+)
+def test_snapshot_columns_are_as_wide_as_their_widest_cell(times, tmp_path):
+    """``t`` and ``x`` cells of several widths, negative ``x`` values among
+    them, in blocks of whole snapshots, write the file built from ``fmt``."""
+    rng = np.random.default_rng(len(times))
+    times = np.array(times)
+    xs = np.linspace(-300.0, 300.0, 601)  # x cells of 19 and 20 characters, a comma included
+    xs[1] = -5e-324
+    size = 2 * xs.size * len(times)
+    snaps = random_values(rng, size)[:size].view(np.complex128).reshape(len(times), -1)
+    blocks = list(_snapshot_blocks(times, xs, snaps))
+    assert len(blocks) == -(-len(times) // (BLOCK_VALUES // (2 * xs.size))) > 2
     path = write_csv(tmp_path / "snapshots.csv", "t,x,re_phi,im_phi", blocks)
     _assert_same_lines(path.read_text(), _snapshot_csv_by_fmt(times, xs, snaps))
 

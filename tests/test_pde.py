@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exocalc import pde
 from exocalc.dispersion import plane_wave_rates
 from exocalc.pde import (
     AMPLITUDE_ABORT,
@@ -35,7 +36,7 @@ from pde_reference import (
     reference_step,
     staggered_energies,
 )
-from step_sweep import sweep
+from step_sweep import check_run, sweep
 
 
 def test_ode_x_free_case_oscillatory():
@@ -321,8 +322,12 @@ def _holds_negative_zero(a) -> bool:
 
 # an underflowing, negative-amplitude packet: its tails are zeros of both signs
 _SIGNED_ZERO_PACKET = WavePacket(10.0, 0.2, 1.3, -1.0)
+# a packet at the left end of the box whose sum of squares starts within the
+# amplitude probe's gate; at theta_t 0.5 it crosses the gate and the run aborts
+_GATE_PACKET = WavePacket(0.0, 2.0, 0.0, 1e11)
 # explicit leapfrog: every boundary kind, theta_t of both signs, with and without
-# theta_x; and the signed-zero packet on every boundary kind
+# theta_x; the signed-zero packet on every boundary kind, also at theta_t dt -2
+# and -3, where the stepper scans every level for a -0; and the gate-crossing run
 _EXPLICIT_RUNS = [
     pytest.param(bc, theta_t, theta_x, WavePacket(10.0, 2.0, 1.3), id=f"{bc}-{theta_t}-{theta_x}")
     for bc in ("periodic", "dirichlet", "neumann")
@@ -330,6 +335,13 @@ _EXPLICIT_RUNS = [
     for theta_x in (0.0, 0.03)
 ] + [
     pytest.param(bc, -0.04, 0.03, _SIGNED_ZERO_PACKET, id=f"{bc}-signed-zeros")
+    for bc in ("periodic", "dirichlet", "neumann")
+] + [
+    pytest.param(bc, theta_t, theta_x, _SIGNED_ZERO_PACKET, id=f"{bc}-signed-zeros-{theta_t}-{theta_x}")
+    for bc in ("periodic", "dirichlet", "neumann")
+    for theta_t, theta_x in ((-20.0, 0.0), (-30.0, 0.03))
+] + [
+    pytest.param(bc, 0.5, 0.0, _GATE_PACKET, id=f"{bc}-gate-crossing")
     for bc in ("periodic", "dirichlet", "neumann")
 ]
 # implicit x-term leg: dirichlet only, on boxes with x_min at zero and below it;
@@ -344,15 +356,56 @@ _X_TERM_RUNS = [
 ] + [pytest.param(0.0, 4.0, -0.015, 0.01, WavePacket(1.0, 0.05, 3.0, -1.0), id="signed-zeros")]
 
 
+def _explicit_run(simulate, bc, theta_t, theta_x, packet):
+    """``simulate``'s run on a 96-point box: its snapshots, or the step and
+    amplitude bits of its ``InstabilityError``."""
+    grid = SimGrid(0.0, 20.0, 96, 0.1, 120, bc=bc, snapshot_stride=1)
+    try:
+        result = simulate(grid, 1.0, theta_t, theta_x, initial=packet)
+    except InstabilityError as exc:
+        return exc.step, _float_bits(exc.amplitude)
+    return result.snapshots if isinstance(result, SimGrid) else result[1]
+
+
 @pytest.mark.parametrize("bc,theta_t,theta_x,packet", _EXPLICIT_RUNS)
 def test_leapfrog_matches_the_allocating_reference_bit_for_bit(bc, theta_t, theta_x, packet):
-    grids = [SimGrid(0.0, 20.0, 96, 0.1, 120, bc=bc, snapshot_stride=1) for _ in range(2)]
-    simulate_time_domain(grids[0], 1.0, theta_t, theta_x, initial=packet)
-    times, snapshots = reference_simulate(grids[1], 1.0, theta_t, theta_x, initial=packet)
-    assert _same_bits(grids[0].times, times)
-    assert _same_bits(grids[0].snapshots, snapshots)
+    got = _explicit_run(simulate_time_domain, bc, theta_t, theta_x, packet)
+    want = _explicit_run(reference_simulate, bc, theta_t, theta_x, packet)
+    if packet is _GATE_PACKET:  # the run aborts, past the gate
+        assert got == want and want[0] < 120
+        return
+    assert _same_bits(got, want)
     if packet.amplitude < 0:  # the case is not vacuous: the run holds negative zeros
-        assert _holds_negative_zero(snapshots)
+        assert _holds_negative_zero(want)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+def test_the_advection_term_is_skipped_only_within_the_gate(bc, monkeypatch):
+    """With theta_x = 0 the stepper skips the advection term on the previous
+    level's sum of squares; every level it skips on has, ghosts included, a
+    computed sum of squares within the probe's gate, as the skip needs."""
+    calls, steps = [], []
+    stepper, advection = pde._leapfrog_stepper, pde._advection
+
+    def watched(*args):
+        step = stepper(*args)
+
+        def run(n, prev, cur, out):
+            c = cur.view(np.float64)
+            before = len(calls)
+            result = step(n, prev, cur, out)
+            steps.append((c @ c, len(calls) == before))
+            return result
+
+        return run
+
+    monkeypatch.setattr(pde, "_leapfrog_stepper", watched)
+    monkeypatch.setattr(pde, "_advection", lambda *args: calls.append(advection(*args)))
+    _explicit_run(simulate_time_domain, bc, 0.5, 0.0, _GATE_PACKET)
+    gate = (AMPLITUDE_ABORT / 1.5) ** 2
+    assert all(sumsq <= gate for sumsq, skipped in steps if skipped)
+    # not vacuous: the run skips, and crosses the gate
+    assert any(skipped for _, skipped in steps) and any(sumsq > gate for sumsq, _ in steps)
 
 
 @pytest.mark.parametrize("x_min,x_max,theta_t,theta_x,packet", _X_TERM_RUNS)
@@ -465,6 +518,29 @@ def test_one_step_of_each_kernel_matches_the_plain_complex_step_bit_for_bit(
         step_fn(step, _pad(prev, "dirichlet"), _pad(cur, "dirichlet"), out)
         want = _implicit_x_term_step(prev, cur, step * dt, xs, dt, dx, m, theta_t, theta_x, "dirichlet")
     assert _same_bits(out[1:-1], want)
+
+
+# runs whose first step makes a -0 from a part that was not one, and whose
+# second step takes it: th_t dt 3 (denom < 0), -2 (half the least subnormal
+# ties to -0) and -3 (1 / denom = 0.4); found by the sweep's random runs
+_NEW_NEGATIVE_ZERO_RUNS = {
+    "3": ([0.0, -2e-323, -0.0, -0.0, 0.0, -1.5e-323, 5e-324, 3.5e-323, 0.0, 0.0, 0.0, -2e-323],
+          "neumann", 0.1, 1.0, 30.0, -0.0),
+    "-2": ([-1e-323, -0.0, -1.5427773100668724e-308, 3.14644982766337e-309, 0.0, 0.0,
+            6.21934434324669e-309, 5e-324, 2.5e-323, -1.5e-323, 0.0, 0.0],
+           "neumann", 0.1, 1.0, -20.0, 0.0),
+    "-3": ([0.0, -0.0, 0.0, 1e-323, -1e-323, -0.0, -3.5e-323, 0.0, 0.0, -5e-324, 0.0, -1.5e-323],
+           "neumann", 0.1, 1.0, -30.0, -0.0),
+}
+
+
+@pytest.mark.parametrize("run", _NEW_NEGATIVE_ZERO_RUNS.values(), ids=_NEW_NEGATIVE_ZERO_RUNS)
+def test_a_run_scans_every_level_where_a_step_can_make_a_negative_zero(run):
+    """Where ``1 / denom <= 0.5`` a step can turn a part that is not -0 into
+    -0, so the stepper scans every level of the run; each level of these runs
+    equals the reference's bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert check_run(*run, steps=4)[1] is None
 
 
 def test_stepper_sweep_matches_the_plain_complex_step():
