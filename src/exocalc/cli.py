@@ -52,10 +52,11 @@ def fmt6(x) -> str:
 def write_csv(path: Path, header: str, rows) -> Path:
     """Write the schema line, ``header`` and ``rows``.
 
-    Each item of ``rows`` is a list of cell strings, or a block of whole
-    lines as ``str`` or as ASCII ``bytes``, which go to the file as they are.
-    Items are written as they arrive, so a generator of blocks is streamed to
-    the file without the table being held in memory.
+    Each item of ``rows`` is a list of cell strings, whole lines as ``str``
+    (``cartan_rows``), or a block of whole lines as ASCII ``bytes``
+    (``_snapshot_blocks``), which goes to the file as it is. Items are written
+    as they arrive, so a generator of blocks is streamed to the file without
+    the table being held in memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -603,11 +604,6 @@ def _padded(cells: list, width: int = CELL):
     return np.frombuffer("".join(c.ljust(width) for c in cells).encode(), np.uint8).reshape(-1, width)
 
 
-def _column(cells: list):
-    """``cells`` as rows of bytes padded with spaces to the widest of them."""
-    return _padded(cells, max(map(len, cells)))
-
-
 def _snapshot_blocks(times, xs, snapshots):
     """The ``t,x,re_phi,im_phi`` rows as ASCII ``bytes`` blocks of whole
     snapshots, yielded one by one, so only one block's buffers are held at a
@@ -619,27 +615,29 @@ def _snapshot_blocks(times, xs, snapshots):
     its own. A row is laid out as space-padded cells and a newline, in one
     row buffer that every block reuses, and the block drops the spaces: the
     ``t`` and ``x`` columns as wide as the run's widest ``t`` and ``x``
-    cell, each value cell ``CELL`` bytes. Every ``t`` and ``x`` cell is
-    formatted once per run, a block's ``t`` cells broadcast over each
-    snapshot's rows, and a block's real and imaginary parts in one
-    ``_cells`` pass; ``FLOAT_SPEC %`` fills the cells it cannot prove.
+    cell, so a run whose cells of a column are equally wide pads none of
+    them, and each value cell ``CELL`` bytes. ``x`` is formatted once, a
+    block's ``t`` cells once and broadcast over each snapshot's rows (the
+    ``t`` width is found in a first pass that keeps no cell), and a block's
+    real and imaginary parts in one ``_cells`` pass; ``FLOAT_SPEC %`` fills
+    the cells it cannot prove.
     """
     import numpy as np
 
     n = len(xs)
     parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
     k = max(1, BLOCK_VALUES // (2 * n))
-    t_cells = _column([FLOAT_SPEC % t for t in times.tolist()])
-    x_cells = _column(["," + FLOAT_SPEC % x for x in xs.tolist()])
-    t_end = t_cells.shape[1]
-    x_end = t_end + x_cells.shape[1]
+    x_cells = ["," + FLOAT_SPEC % x for x in xs.tolist()]
+    t_end = max((len(FLOAT_SPEC % t) for t in times), default=0)
+    x_end = t_end + max(map(len, x_cells))
     rows = np.empty((min(k, len(parts)), n, x_end + 2 * CELL + 1), np.uint8)
-    rows[:, :, t_end:x_end] = x_cells
+    rows[:, :, t_end:x_end] = _padded(x_cells, x_end - t_end)
     rows[..., -1] = ord("\n")
     for start in range(0, len(parts), k):
         values = parts[start : start + k]
         block = rows[: len(values)]
-        block[..., :t_end] = t_cells[start : start + k, None]
+        t_cells = _padded([FLOAT_SPEC % t for t in times[start : start + k].tolist()], t_end)
+        block[..., :t_end] = t_cells[:, None]
         block[..., x_end:-1] = _block_cells(values.ravel()).reshape(len(values), n, 2 * CELL)
         yield block[block != ord(" ")].tobytes()
 

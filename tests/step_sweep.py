@@ -19,8 +19,9 @@ test does; a run ends where the probe raises. No NaN part is drawn, because
 the bit-for-bit contract leaves out the sign of a NaN, which the order of the
 ops decides (the note above the steppers in ``exocalc/pde.py``); a NaN never
 reaches a CSV, as the amplitude probe fails a level with a NaN part and the
-run exits 4. Run as a script, with no arguments, it compares 1e5 levels,
-prints how many took each path and exits 1 at the first difference:
+run exits 4. Run as a script, with no arguments, it makes 1e5 runs, each
+from a freshly drawn level, prints how many levels took each path and exits
+1 at the first difference:
 
     PYTHONPATH=src python tests/step_sweep.py
 """
@@ -35,32 +36,37 @@ from exocalc.core import InstabilityError
 from exocalc.pde import AMPLITUDE_ABORT, _apply_bc, _check_amplitude, _leapfrog_stepper
 from pde_reference import _pad, reference_step
 
-LEVELS = 10**5
+RUNS = 10**5
 BOUNDARIES = ("periodic", "dirichlet", "neumann")
 SLOPES = (0.0, -0.0, 0.02, -0.02, 1e-3, -1e-3, 0.5, -0.5, -20.0, -30.0, 30.0)
 # the most steps a run takes
 RUN_STEPS = 4
-HUGE = (1e308, -1e308, 1.7e154, -1.7e154, np.inf, -np.inf)
+ZEROS = np.array([0.0, -0.0])
+HUGE = np.array([1e308, -1e308, 1.7e154, -1.7e154, np.inf, -np.inf])
 GATE = AMPLITUDE_ABORT / 1.5
-# how often a part comes from each family of ``random_parts``
-WEIGHTS = np.array([1, 1, 1, 5, 1, 1], dtype=float)
+# the family of each part of ``random_parts`` is drawn from this table, which
+# holds family i WEIGHTS[i] times, in order
+WEIGHTS = np.array([1, 1, 1, 5, 1, 1])
+FAMILY = np.repeat(np.arange(len(WEIGHTS)), WEIGHTS)
 
 
 def random_parts(rng: np.random.Generator, n: int, families: int) -> np.ndarray:
     """``n`` float parts, each from one of the first ``families`` families: a
     signed zero, a small multiple of the least subnormal, a subnormal, a normal
     value in [-10, 10], a value within 10 % of the gate's part bound, and a
-    value whose square overflows or an infinity."""
+    value whose square overflows or an infinity. One uniform draw picks a
+    part's family and one its value (its sign, then its size, for the gate's)."""
+    table = FAMILY[: WEIGHTS[:families].sum()]
+    pick, u = rng.random((2, n))
     values = [
-        rng.choice([0.0, -0.0], n),
-        rng.integers(-8, 9, n) * 5e-324,
-        rng.uniform(-2.2e-308, 2.2e-308, n),
-        rng.uniform(-10.0, 10.0, n),
-        rng.choice([-1.0, 1.0], n) * rng.uniform(0.9, 1.1, n) * GATE,
-        rng.choice(HUGE, n),
-    ][:families]
-    weights = WEIGHTS[:families]
-    return np.choose(rng.choice(families, n, p=weights / weights.sum()), values)
+        ZEROS[(2 * u).astype(int)],
+        np.floor(17 * u - 8) * 5e-324,
+        (2 * u - 1) * 2.2e-308,
+        20 * u - 10,
+        np.where(u < 0.5, -GATE, GATE) * (0.9 + 0.2 * (2 * u % 1)),
+        HUGE[(6 * u).astype(int)],
+    ]
+    return np.choose(table[(len(table) * pick).astype(int)], values[:families])
 
 
 def probe_raises(level: np.ndarray, sumsq) -> bool:
@@ -74,16 +80,20 @@ def probe_raises(level: np.ndarray, sumsq) -> bool:
 def random_run(rng: np.random.Generator) -> tuple:
     """The arguments of ``check_run`` for one random run of 1 to ``RUN_STEPS``
     steps on 3 to 12 points."""
-    n_x = int(rng.integers(3, 13))
-    # some runs hold only zeros and subnormals; of the others, a third of the
-    # levels stay far inside the gate, a third reach it, a third overflow
-    parts = random_parts(rng, 4 * n_x, int(rng.integers(2, 7)))
-    bc = BOUNDARIES[rng.integers(0, 3)]
-    dt, m = (0.1, 0.01)[rng.integers(0, 2)], float(rng.integers(0, 2))
-    theta_t = SLOPES[rng.integers(0, len(SLOPES))]
+    draws = iter(rng.random(10).tolist())
+
+    def pick(options):
+        return options[int(len(options) * next(draws))]
+
+    n_x = pick(range(3, 13))
+    # a third of the levels stay far inside the gate, a third reach it, a third
+    # overflow; one run in eight holds only zeros and subnormals
+    families = pick((4, 5, 6)) if next(draws) < 7 / 8 else pick((2, 3))
+    parts = random_parts(rng, 4 * n_x, families)
+    bc, dt, m, theta_t = pick(BOUNDARIES), pick((0.1, 0.01)), pick((0.0, 1.0)), pick(SLOPES)
     # half the runs have a zero th_x, where the stepper may skip the advection term
-    theta_x = SLOPES[rng.integers(0, 2 if rng.integers(0, 2) else len(SLOPES))]
-    return parts, bc, dt, m, theta_t, theta_x, int(rng.integers(1, RUN_STEPS + 1))
+    theta_x = pick(SLOPES[:2] if next(draws) < 0.5 else SLOPES)
+    return parts, bc, dt, m, theta_t, theta_x, pick(range(1, RUN_STEPS + 1))
 
 
 def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
@@ -94,9 +104,9 @@ def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
     how many levels the stepper could skip the advection term on, and how
     many it rewrote points of (returned no sum). The run ends after ``steps``
     steps or where the probe raises."""
-    parts = np.asarray(parts, dtype=np.float64)
-    prev, cur = np.split(parts.view(complex), 2)
-    n_x, dx = len(cur), 0.3
+    level = np.asarray(parts, dtype=np.float64).view(complex)
+    n_x, dx = len(level) // 2, 0.3
+    prev, cur = level[:n_x], level[n_x:]
     stepper = _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)
     # the three rotating ghost-padded levels of simulate_time_domain
     padded_prev, padded, out = _pad(prev, bc), _pad(cur, bc), np.zeros(n_x + 2, dtype=complex)
@@ -112,7 +122,7 @@ def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
         _apply_bc(out, bc)
         if bc == "dirichlet":
             want[0] = want[-1] = 0.0
-        amp = float(np.max(np.abs(want)))
+        amp = float(np.abs(want).max())
         aborts = not np.isfinite(amp) or amp > AMPLITUDE_ABORT
         if probe_raises(out[1:-1], sumsq) != aborts:
             return step + 1, step, skipped, flagged
@@ -123,27 +133,27 @@ def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
     return steps, None, skipped, flagged
 
 
-def sweep(rng: np.random.Generator, levels: int) -> tuple:
-    """``(first_mismatch, skipped, flagged)`` over random runs until ``levels``
-    levels are made; ``first_mismatch`` is the index of the first level that
-    differs, or None."""
+def sweep(rng: np.random.Generator, runs: int) -> tuple:
+    """``(first_mismatch, levels, skipped, flagged)`` over ``runs`` random
+    runs; ``first_mismatch`` is the index of the first level that differs, or
+    None, and ``levels`` the number of levels made."""
     done = skipped = flagged = 0
     # overflow and NaN reach the amplitude probe, as in simulate_time_domain
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < levels:
+        for _ in range(runs):
             made, bad, skip, flag = check_run(*random_run(rng))
             if bad is not None:
-                return done + bad, skipped, flagged
+                return done + bad, done, skipped, flagged
             done, skipped, flagged = done + made, skipped + skip, flagged + flag
-    return None, skipped, flagged
+    return None, done, skipped, flagged
 
 
 def main() -> int:
-    bad, skipped, flagged = sweep(np.random.default_rng(20260527), LEVELS)
+    bad, levels, skipped, flagged = sweep(np.random.default_rng(20260527), RUNS)
     if bad is not None:
         print(f"level {bad}: the stepper or the probe differs from the reference")
         return 1
-    print(f"{LEVELS} levels, {skipped} with the advection term skipped, {flagged} flagged, all equal")
+    print(f"{RUNS} runs, {levels} levels, {skipped} with the advection term skipped, {flagged} flagged, all equal")
     return 0
 
 

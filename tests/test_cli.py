@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -872,7 +873,7 @@ def test_snapshot_blocks_hold_whole_snapshots(n_x, count, tmp_path):
     "times",
     [
         [0.0, 1e-101] * 7,  # t cells of 18 and 19 characters
-        [1e-101, float("nan"), -0.0, -2.5, float("inf"), 0.3, 1e300] * 2,  # of 3 to 19
+        [1e-101, float("nan"), -0.0, -2.5, float("inf"), 0.3, -1e-300] * 2,  # of 3 to 20
     ],
     ids=["two-widths", "many-widths"],
 )
@@ -882,13 +883,34 @@ def test_snapshot_columns_are_as_wide_as_their_widest_cell(times, tmp_path):
     rng = np.random.default_rng(len(times))
     times = np.array(times)
     xs = np.linspace(-300.0, 300.0, 601)  # x cells of 19 and 20 characters, a comma included
-    xs[1] = -5e-324
+    xs[1] = -5e-324  # and of 21
     size = 2 * xs.size * len(times)
     snaps = random_values(rng, size)[:size].view(np.complex128).reshape(len(times), -1)
     blocks = list(_snapshot_blocks(times, xs, snaps))
     assert len(blocks) == -(-len(times) // (BLOCK_VALUES // (2 * xs.size))) > 2
     path = write_csv(tmp_path / "snapshots.csv", "t,x,re_phi,im_phi", blocks)
     _assert_same_lines(path.read_text(), _snapshot_csv_by_fmt(times, xs, snaps))
+
+
+def _formatting_peak(count: int) -> int:
+    """Peak bytes traced while the snapshot blocks of ``count`` snapshots of
+    8 points are built and dropped one by one."""
+    rng = np.random.default_rng(count)
+    snaps = rng.standard_normal((count, 16)).view(np.complex128)
+    times, xs = np.arange(count) * 0.01, np.linspace(0.0, 40.0, 8, endpoint=False)
+    tracemalloc.start()
+    try:
+        for block in _snapshot_blocks(times, xs, snaps):
+            del block
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_formatting_memory_does_not_grow_with_the_snapshots():
+    """Ten times the snapshots of a small grid take no more formatting
+    memory, beyond a margin: only one block's cells are held at a time."""
+    assert _formatting_peak(20_000) < 1.2 * _formatting_peak(2_000)
 
 
 def _assert_same_lines(got: str, want: str):
