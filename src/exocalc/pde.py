@@ -177,17 +177,9 @@ def simulate_time_domain(
     which needs dirichlet boundaries, and warns when
     ``max(|t|, |x|) * ||grad theta||`` is large.
 
-    Each step runs in place, in buffers allocated once per call: the
-    explicit leapfrog and the implicit update's right-hand side on the
-    interleaved float64 view of the levels, the implicit system by LAPACK
-    ``?gtsv``. Every coefficient is real, so a real coefficient multiplies
-    both parts, and a division by a real ``c`` is a multiply by
-    ``fl(1 / c)``, the reciprocal numpy's complex division multiplies by.
-    The complex ops add only exact-zero cross terms ``im * 0``, which leave
-    every nonzero part as it is and can only decide the sign of a zero part;
-    the points where that sign is open are evaluated with the complex ops
-    (see the note above the steppers). So the results are bit-identical to
-    the plain complex array expressions.
+    Only the explicit leapfrog runs on the interleaved float64 view of the
+    levels. Both steps are bit-identical to the plain complex array
+    expressions (see the note above the steppers).
     """
     xs = grid.xs()
     dx, dt = grid.dx, grid.dt
@@ -215,7 +207,7 @@ def simulate_time_domain(
         omega0 = complex(plane_wave_rates(-initial.wavenumber, m, theta_t, theta_x))
         phi_t0 = 1j * omega0 * phi0
 
-    # the complex stencil: it runs once, and on the float view it would need the steppers' flags
+    # the complex stencil: it runs once, and on the float view it would need the explicit stepper's flags
     _, lap0, adv0 = _complex_stencil(prev, np.arange(1, nx + 1), dx * dx, 2 * dx)
     phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
     if include_x_term:  # its own phi_tt at t = 0; the plain one would leave the run first order
@@ -277,10 +269,11 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float, sumsq=None):
 
 
 # The steppers below write time level n + 1 into the interior of ``out`` from
-# the ghost-padded levels ``prev`` (n - 1) and ``cur`` (n). They work on the
-# interleaved float64 view of the levels (interior ``[2:-2]``, neighbours
-# ``[4:]`` and ``[:-4]``), into scratch arrays allocated once. Every
-# coefficient of the update is real, so each complex op of the plain array
+# the ghost-padded levels ``prev`` (n - 1) and ``cur`` (n). The x-term one is
+# the plain complex expression. The explicit one works on the interleaved
+# float64 view of the levels (interior ``[2:-2]``, neighbours ``[4:]`` and
+# ``[:-4]``), in place, into scratch arrays allocated once. Every
+# coefficient of its update is real, so each complex op of the plain array
 # expression becomes one real op over both parts: an add or subtract is one
 # already, a real coefficient multiplies both parts, and a division by a real
 # ``c`` is a multiply by ``fl(1 / c)``, the reciprocal numpy's complex
@@ -290,24 +283,21 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float, sumsq=None):
 # ``im * 0`` they add to each part. Adding a zero leaves a nonzero part as it
 # is and can only turn a -0 into +0, and a product that underflows stays a
 # zero whether numpy fuses that add or not. So of a finite part only the sign
-# of a zero can differ. A sum of zeros is -0 only if every term is -0, so a part
-# whose leading term (``2 cur`` in the explicit update, ``a_tt (2 cur - prev)
-# / dt^2`` in the x-term's right-hand side) is +0 or nonzero on both routes
-# comes out alike; the cross terms only ever turn that term's -0 into +0 (for
-# ``a_tt >= 0``). A cross term ``0 * inf`` is NaN, so a part that is not
-# finite can differ too. The points where the leading term is -0 on the float
-# view (zero, for ``a_tt < 0``) or a result part is not finite are evaluated
+# of a zero can differ. A sum of zeros is -0 only if every term is -0, so a
+# part whose leading term ``2 cur`` is +0 or nonzero on both routes comes out
+# alike; the cross terms only ever turn that term's -0 into +0. A cross term
+# ``0 * inf`` is NaN, so a part that is not finite can differ too. The points
+# where the leading term is -0 or a result part is not finite are evaluated
 # again with the complex ops of the plain expression, so the result equals
-# that expression bit for bit. The explicit stepper looks for such points
-# only when its leading term holds a -0 or the sum of squares of the new
-# level's parts is not finite, as a part that is not finite makes it. It
-# returns that sum for the amplitude probe when it rewrote no point, else
-# None, as the x-term stepper always does.
+# that expression bit for bit. The stepper looks for such points only when
+# its leading term holds a -0 or the sum of squares of the new level's parts
+# is not finite, as a part that is not finite makes it. It returns that sum
+# for the amplitude probe when it rewrote no point, else None.
 #
 # "Bit for bit" leaves out the sign of a NaN. IEEE 754 does not fix it: on
 # x86 an invalid operation makes a negative NaN and an operation on two NaNs
 # passes the first one's sign on, so the order of the ops decides it, and
-# one stepper call can return a NaN of the other sign than the plain
+# one explicit stepper call can return a NaN of the other sign than the plain
 # expression (``prev = [0, 0, 0, nan j]``, ``cur = [0, 0, 0, 1e308j]``,
 # periodic, ``m = th_t = th_x = 0``). No NaN reaches a CSV: a level with a
 # NaN part fails the amplitude probe, and the run exits 4 before it writes.
@@ -424,78 +414,43 @@ def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
 
     The mixed time-space derivative couples neighbouring points of the new
     level, giving a tridiagonal complex system per step with dirichlet rows
-    at both ends. Its right-hand side is built on the float view, and LAPACK
-    ``?gtsv`` solves the complex system, the routine
-    ``scipy.linalg.solve_banded((1, 1), ...)`` calls, without a finiteness
-    check, so non-finite values reach the amplitude probe; a singular system
-    raises :class:`DegenerateParameterError`.
+    at both ends. Its right-hand side is the plain complex expression, and
+    LAPACK ``?gtsv``, the routine ``scipy.linalg.solve_banded((1, 1), ...)``
+    calls, solves the system in place without a finiteness check, so
+    non-finite values reach the amplitude probe; a singular system raises
+    :class:`DegenerateParameterError`.
     """
     from scipy.linalg import get_lapack_funcs  # scipy loads only on the paths that call it
 
     n_x = len(xs)
-    # the real coefficient arrays are interleaved, one value per part
-    xs2 = np.repeat(xs, 2)
-    a_xx = -1 + 2 * theta_x * xs2
-    theta_t_xs = theta_t * xs2
+    a_xx = -1 + 2 * theta_x * xs
+    theta_t_xs = theta_t * xs
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
     half_tt, shift_scale = 0.5 * theta_t, 4 * dt * dx
-    inv_dx2, inv_two_dx, inv_dt2, inv_dt = 1 / dx2, 1 / two_dx, 1 / dt2, 1 / dt
-    inv_shift = 1 / shift_scale
-    c_cross, off = np.empty(2 * n_x), np.empty(n_x - 1)
-    rhs_parts, two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(5))
-    rhs, d = rhs_parts.view(complex), np.empty(n_x, dtype=complex)
+    d = np.empty(n_x, dtype=complex)
     du, dl = np.empty(n_x - 1, dtype=complex), np.empty(n_x - 1, dtype=complex)
-    (gtsv,) = get_lapack_funcs(("gtsv",), (d, rhs))
+    (gtsv,) = get_lapack_funcs(("gtsv",), (d, d))
 
     def step(n, prev, cur, out):
         t_now = n * dt
         a_tt = 1 - 2 * theta_t * t_now
-        np.subtract(theta_x * t_now, theta_t_xs, out=c_cross)
-        np.multiply(2, c_cross, out=c_cross)
-        # rhs = a_tt (2 cur - prev) / dt^2 - th_t prev / (2 dt) + c_cross dprev / (4 dt dx)
-        #       - a_xx lap - m^2 cur - th_x adv
-        c, p = cur.view(np.float64), prev.view(np.float64)
-        now, before = c[2:-2], p[2:-2]
-        np.multiply(2, now, out=two_cur)
-        np.subtract(two_cur, before, out=rhs_parts)
-        np.multiply(a_tt, rhs_parts, out=rhs_parts)
-        np.multiply(rhs_parts, inv_dt2, out=rhs_parts)
-        # the leading term's parts that decide a zero's sign (see the note above)
-        lead = rhs_parts.view(np.int64) == _NEGATIVE_ZERO if a_tt >= 0 else rhs_parts == 0
-        np.multiply(half_tt, before, out=tmp)
-        np.multiply(tmp, inv_dt, out=tmp)
-        np.subtract(rhs_parts, tmp, out=rhs_parts)
-        np.subtract(p[4:], p[:-4], out=tmp)
-        np.multiply(tmp, inv_shift, out=tmp)
-        np.multiply(c_cross, tmp, out=tmp)
-        np.add(rhs_parts, tmp, out=rhs_parts)
-        _laplacian(c, two_cur, inv_dx2, lap)
-        _advection(c, inv_two_dx, adv)
-        np.multiply(a_xx, lap, out=lap)
-        np.subtract(rhs_parts, lap, out=rhs_parts)
-        np.multiply(mm, now, out=tmp)
-        np.subtract(rhs_parts, tmp, out=rhs_parts)
-        np.multiply(theta_x, adv, out=adv)
-        np.subtract(rhs_parts, adv, out=rhs_parts)
-        flag = lead | ~np.isfinite(rhs_parts)
-        if flag.any():
-            i = _flagged_points(flag)
-            two_c, lap_i, adv_i = _complex_stencil(cur, i, dx2, two_dx)
-            before_i = prev[i]
-            rhs[i - 1] = (
-                a_tt * (two_c - before_i) / dt2
-                - half_tt * before_i / dt
-                + c_cross[2 * i - 2] * ((prev[i + 1] - prev[i - 1]) / shift_scale)
-                - a_xx[2 * i - 2] * lap_i
-                - mm * cur[i]
-                - theta_x * adv_i
-            )
+        c_cross = 2 * (theta_x * t_now - theta_t_xs)
+        now, before = cur[1:-1], prev[1:-1]
+        lap = (cur[2:] - 2 * now + cur[:-2]) / dx2
+        adv = (cur[2:] - cur[:-2]) / two_dx
+        rhs = (
+            a_tt * (2 * now - before) / dt2
+            - half_tt * before / dt
+            + c_cross * ((prev[2:] - prev[:-2]) / shift_scale)
+            - a_xx * lap
+            - mm * now
+            - theta_x * adv
+        )
         # the band, dirichlet rows pinning the boundary values; off-diagonals
         # are divided as reals, then widened to complex
         d.fill(a_tt / dt2 - half_tt / dt)
-        np.true_divide(c_cross[:-2:2], shift_scale, out=du)
-        np.negative(c_cross[2::2], out=off)
-        np.true_divide(off, shift_scale, out=dl)
+        np.true_divide(c_cross[:-1], shift_scale, out=du)
+        np.true_divide(-c_cross[1:], shift_scale, out=dl)
         d[0] = d[-1] = 1.0
         du[0] = dl[-1] = 0.0
         rhs[0] = rhs[-1] = 0.0
