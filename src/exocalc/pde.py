@@ -208,11 +208,11 @@ def simulate_time_domain(
         phi_t0 = 1j * omega0 * phi0
 
     # the complex stencil: it runs once, and on the float view it would need the explicit stepper's flags
-    _, lap0, adv0 = _complex_stencil(prev, np.arange(1, nx + 1), dx * dx, 2 * dx)
+    _, lap0, adv0 = _complex_stencil(prev[:-2], phi0, prev[2:], dx * dx, 2 * dx)
     phi_tt0 = lap0 - m * m * phi0 + theta_t * phi_t0 - theta_x * adv0
     if include_x_term:  # its own phi_tt at t = 0; the plain one would leave the run first order
         p_t0 = _padded(phi_t0, bc)
-        phi_tx0 = (p_t0[2:] - p_t0[:-2]) / (2 * dx)
+        *_, phi_tx0 = _complex_stencil(p_t0[:-2], phi_t0, p_t0[2:], dx * dx, 2 * dx)
         phi_tt0 += 2 * theta_t * xs * phi_tx0 - 2 * theta_x * xs * lap0
     cur = _padded(phi0 + dt * phi_t0 + 0.5 * dt * dt * phi_tt0, bc)
 
@@ -302,62 +302,46 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float, sumsq=None):
 # periodic, ``m = th_t = th_x = 0``). No NaN reaches a CSV: a level with a
 # NaN part fails the amplitude probe, and the run exits 4 before it writes.
 #
-# With ``th_x == 0`` (of either sign) the explicit stepper skips the
-# advection term when the float parts of ``cur``, ghosts included, have a sum
-# of squares within the probe's gate, and the result is the same bit for bit.
-# Under that bound ``right - left`` is finite, and ``inv_two_dx <=
-# sqrt(inv_dx2) / 2``, so ``adv`` is finite whenever ``inv_dx2`` is; when
-# ``inv_dx2`` is not finite, every point's ``lap`` is inf or NaN and is flagged
-# whatever ``adv`` is. So ``th_x * adv`` is a zero, and subtracting a zero
-# changes ``lap`` only in the sign of a zero. Added to ``2 cur - lag prev``,
-# that zero decides the result only where ``2 cur - lag prev`` is -0, which
-# needs a -0 ``2 cur``: a point that is flagged already.
+# With ``th_x == 0`` (of either sign) the explicit stepper skips the advection
+# term on every call but a run's first, and the result is the same bit for
+# bit. Each such call's ``cur`` passed the amplitude probe, so every part of
+# its interior is at most ``AMPLITUDE_ABORT`` in size, and its ghosts are
+# copies of interior points or dirichlet zeros. So ``right - left`` is finite,
+# and ``inv_two_dx <= sqrt(inv_dx2) / 2``, so ``adv`` is finite whenever
+# ``inv_dx2`` is; when ``inv_dx2`` is not finite, every point's ``lap`` is inf
+# or NaN and is flagged whatever ``adv`` is. So ``th_x * adv`` is a zero, and
+# subtracting a zero changes ``lap`` only in the sign of a zero. Added to ``2
+# cur - lag prev``, that zero decides the result only where ``2 cur - lag
+# prev`` is -0, which needs a -0 ``2 cur``: a point that is flagged already.
+# The first call's ``cur`` is the seeded level, which no probe has seen, so
+# that call computes the term.
 #
 # The explicit stepper serves one run: each call's ``cur`` is the previous
 # call's ``out`` with ``_apply_bc`` applied. When that call rewrote no point,
-# two facts about ``cur`` follow from it, so they are proved once per run, not
-# checked at every step. The first call, and the call after a rewrite, check
-# them as above.
-# - The -0 scan. When ``0.5 < 1 / denom``, a part of the new level is -0 only
-#   where ``2 cur`` is -0. The part is ``x * fl(1 / denom)`` with ``x = (2 cur
-#   - lag prev) + dt^2 lap``, each op rounded. A sum of two floats that rounds
-#   to zero is exact, and an exact zero of nonzero terms is +0, so a sum or a
-#   difference is -0 only where its first term is -0; so ``x`` is -0 only where
-#   ``2 cur`` is. A nonzero ``x`` is at least the least subnormal ``2^-1074`` in
-#   size, so ``|x| * fl(1 / denom)`` exceeds ``2^-1075`` and rounds to a nonzero:
-#   the product is -0 only where ``x`` is. The boundary rule adds no -0 to the
-#   interior (dirichlet pins +0), and ``2 cur`` is -0 exactly where ``cur`` is.
-#   So a call that found no -0 in its ``2 cur`` hands the next call a ``2 cur``
-#   with none, and the scan runs on the first level, after a rewrite, and on
-#   every step when ``1 / denom <= 0.5``: ``th_t dt <= -2``, where a product
-#   with the least subnormal can round to -0, or ``th_t dt > 2``, where
-#   ``denom < 0`` turns a +0 into -0.
-# - The advection gate. With ``th_x == 0`` it reads the sum of squares ``s``
-#   that the call that made ``cur`` computed over that level's interior,
-#   instead of ``c @ c``. The exact sum ``S`` is at most ``s / (1 -
-#   gamma_{2 n_x})`` (the bound ``_check_amplitude`` cites; squares that
-#   underflow add at most ``2 n_x`` least subnormals, far inside the margins
-#   here). The boundary rule zeroes interior points, or copies into the
-#   ghosts two interior points, distinct on every grid (``n_x >= 8``), so the
-#   exact sum of ``cur``, ghosts included, is at most ``2 S``, and the
-#   computed ``c @ c`` at most ``(1 + gamma_{2 n_x + 4}) 2 S``. The two gammas
-#   sum to less than ``16 n_x u``, so ``s <= (1 - 16 n_x u) gate / 2`` puts
-#   ``c @ c`` within the gate, as the skip above asks.
+# a fact about ``cur`` follows from it, so it is proved once per run, not
+# checked at every step: when ``0.5 < 1 / denom``, a part of the new level is
+# -0 only where ``2 cur`` is -0. The part is ``x * fl(1 / denom)`` with ``x =
+# (2 cur - lag prev) + dt^2 lap``, each op rounded. A sum of two floats that
+# rounds to zero is exact, and an exact zero of nonzero terms is +0, so a sum
+# or a difference is -0 only where its first term is -0; so ``x`` is -0 only
+# where ``2 cur`` is. A nonzero ``x`` is at least the least subnormal
+# ``2^-1074`` in size, so ``|x| * fl(1 / denom)`` exceeds ``2^-1075`` and
+# rounds to a nonzero: the product is -0 only where ``x`` is. The boundary
+# rule adds no -0 to the interior (dirichlet pins +0), and ``2 cur`` is -0
+# exactly where ``cur`` is. So a call that found no -0 in its ``2 cur`` hands
+# the next call a ``2 cur`` with none, and the scan runs on the first level,
+# after a rewrite, and on every step when ``1 / denom <= 0.5``: ``th_t dt <=
+# -2``, where a product with the least subnormal can round to -0, or ``th_t dt
+# > 2``, where ``denom < 0`` turns a +0 into -0.
 
 # the bits of -0.0 read as an int64: the least int64, so a min finds it
 _NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
-def _flagged_points(flag: np.ndarray) -> np.ndarray:
-    """Indices, in the ghost-padded level, of the points with ``flag`` set on
-    either part of the interior's float view."""
-    return np.flatnonzero(flag.reshape(-1, 2).any(axis=1)) + 1
-
-
-def _complex_stencil(p, i, dx2, two_dx):
-    """``2 p[i]`` and the centered stencils of the complex ghost-padded field
-    ``p`` at the points ``i``, by the complex ops of the plain expression."""
-    right, left, two_phi = p[i + 1], p[i - 1], 2 * p[i]
+def _complex_stencil(left, phi, right, dx2, two_dx):
+    """``2 phi`` and the centered stencils ``(right - 2 phi + left) / dx2`` and
+    ``(right - left) / two_dx``, by the complex ops of the plain expression."""
+    two_phi = 2 * phi
     return two_phi, (right - two_phi + left) / dx2, (right - left) / two_dx
 
 
@@ -366,31 +350,30 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
     ``(2 cur - (1 + th_t dt/2) prev + dt^2 (lap - m^2 cur - th_x adv)) / (1 - th_t dt/2)``.
 
     The returned step serves one run: each call's ``cur`` is the previous
-    call's ``out`` with the boundary rule applied (see the note above)."""
+    call's ``out`` with the boundary rule applied, and it passed the
+    amplitude probe (see the note above)."""
     lag = 1 + 0.5 * theta_t * dt
     denom = 1 - 0.5 * theta_t * dt
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
     inv_dx2, inv_two_dx, inv_denom = 1 / dx2, 1 / two_dx, 1 / denom
-    # a level returned with a sum of squares at most this has, ghosts included, a
-    # computed sum within the gate (see the note above)
-    level_gate = 0.5 * _SUMSQ_GATE * (1 - 16 * n_x * 2.0**-53)
     two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(4))
-    # facts about ``cur``: whether it may hold a -0, and a bound on its sum of squares
-    scan, bound = True, None
+    # facts about ``cur``: whether it may hold a -0, and whether it is the run's unprobed first level
+    scan, first = True, True
 
     def step(n, prev, cur, out):
-        nonlocal scan, bound
+        nonlocal scan, first
         c = cur.view(np.float64)
         now, new = c[2:-2], out.view(np.float64)[2:-2]
         np.multiply(2, now, out=two_cur)
         _laplacian(c, two_cur, inv_dx2, lap)
         np.multiply(mm, now, out=tmp)
         np.subtract(lap, tmp, out=lap)
-        # with th_x = 0 and cur within the gate, the advection term is a zero (see the note above)
-        if not (theta_x == 0 and (c @ c <= _SUMSQ_GATE if bound is None else bound <= level_gate)):
+        # with th_x = 0 the advection term of a probed level is a zero (see the note above)
+        if first or theta_x != 0:
             _advection(c, inv_two_dx, adv)
             np.multiply(theta_x, adv, out=adv)
             np.subtract(lap, adv, out=lap)
+        first = False
         np.multiply(dt2, lap, out=lap)
         np.multiply(lag, prev.view(np.float64)[2:-2], out=tmp)
         np.subtract(two_cur, tmp, out=new)
@@ -398,12 +381,13 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
         np.multiply(new, inv_denom, out=new)
         sumsq = new @ new
         if not (scan and two_cur.view(np.int64).min() == _NEGATIVE_ZERO) and math.isfinite(sumsq):
-            scan, bound = inv_denom <= 0.5, sumsq
+            scan = inv_denom <= 0.5
             return sumsq
-        i = _flagged_points((two_cur.view(np.int64) == _NEGATIVE_ZERO) | ~np.isfinite(new))
-        two_c, lap_i, adv_i = _complex_stencil(cur, i, dx2, two_dx)
+        flag = (two_cur.view(np.int64) == _NEGATIVE_ZERO) | ~np.isfinite(new)
+        i = np.flatnonzero(flag.reshape(-1, 2).any(axis=1)) + 1
+        two_c, lap_i, adv_i = _complex_stencil(cur[i - 1], cur[i], cur[i + 1], dx2, two_dx)
         out[i] = (two_c - lag * prev[i] + dt2 * (lap_i - mm * cur[i] - theta_x * adv_i)) / denom
-        scan, bound = True, None
+        scan = True
         return None
 
     return step
@@ -436,10 +420,9 @@ def _x_term_stepper(xs, dx, dt, m, theta_t, theta_x):
         a_tt = 1 - 2 * theta_t * t_now
         c_cross = 2 * (theta_x * t_now - theta_t_xs)
         now, before = cur[1:-1], prev[1:-1]
-        lap = (cur[2:] - 2 * now + cur[:-2]) / dx2
-        adv = (cur[2:] - cur[:-2]) / two_dx
+        two_now, lap, adv = _complex_stencil(cur[:-2], now, cur[2:], dx2, two_dx)
         rhs = (
-            a_tt * (2 * now - before) / dt2
+            a_tt * (two_now - before) / dt2
             - half_tt * before / dt
             + c_cross * ((prev[2:] - prev[:-2]) / shift_scale)
             - a_xx * lap

@@ -1,10 +1,11 @@
 """Differential sweep of the explicit leapfrog stepper against the plain complex step.
 
 ``exocalc.pde._leapfrog_stepper`` computes a level on the float64 view, skips
-the advection term when ``th_x`` is a zero and the level is bounded, and
-evaluates again with the complex ops the points whose zero sign or finiteness
-the float view cannot vouch for. What it knows of a level it made (no -0, a
-bound on its sum of squares) it carries to the next call of the same run.
+the advection term when ``th_x`` is a zero and the level passed the amplitude
+probe (on every call of a run but its first), and evaluates again with the
+complex ops the points whose zero sign or finiteness the float view cannot
+vouch for. What it knows of a level it made (no -0) it carries to the next
+call of the same run.
 This module draws random levels whose parts mix both zeros, subnormals,
 normal values, values near the amplitude probe's gate, values whose squares
 overflow and infinities (no NaN), and runs a fresh stepper from them for one
@@ -28,10 +29,12 @@ from a freshly drawn level, prints how many levels took each path and exits
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import numpy as np
 
+from exocalc import pde
 from exocalc.core import InstabilityError
 from exocalc.pde import AMPLITUDE_ABORT, _apply_bc, _check_amplitude, _leapfrog_stepper
 from pde_reference import _pad, reference_step
@@ -77,6 +80,23 @@ def probe_raises(level: np.ndarray, sumsq) -> bool:
     return False
 
 
+@contextlib.contextmanager
+def counted_advection():
+    """Count in the list it yields the calls of ``pde._advection``, the
+    stepper's advection term, while the context is open."""
+    calls, advection = [], pde._advection
+
+    def counted(*args):
+        calls.append(None)
+        advection(*args)
+
+    pde._advection = counted
+    try:
+        yield calls
+    finally:
+        pde._advection = advection
+
+
 def random_run(rng: np.random.Generator) -> tuple:
     """The arguments of ``check_run`` for one random run of 1 to ``RUN_STEPS``
     steps on 3 to 12 points."""
@@ -101,7 +121,7 @@ def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
     from the unpadded levels ``prev`` and ``cur``, the two halves of the float
     ``parts``, on ``dx = 0.3``: how many levels it made, the step (from 0) at
     which the stepper or the probe first differs from the reference or None,
-    how many levels the stepper could skip the advection term on, and how
+    how many levels the stepper skipped the advection term on, and how
     many it rewrote points of (returned no sum). The run ends after ``steps``
     steps or where the probe raises."""
     level = np.asarray(parts, dtype=np.float64).view(complex)
@@ -112,9 +132,9 @@ def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
     padded_prev, padded, out = _pad(prev, bc), _pad(cur, bc), np.zeros(n_x + 2, dtype=complex)
     skipped = flagged = 0
     for step in range(steps):
-        parts = padded.view(np.float64)
-        skipped += theta_x == 0 and parts @ parts <= GATE**2
-        sumsq = stepper(step + 1, padded_prev, padded, out)
+        with counted_advection() as calls:
+            sumsq = stepper(step + 1, padded_prev, padded, out)
+        skipped += not calls
         flagged += sumsq is None
         want = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
         if not np.array_equal(out[1:-1].view(np.uint64), want.view(np.uint64)):

@@ -37,7 +37,7 @@ from pde_reference import (
     reference_step,
     staggered_energies,
 )
-from step_sweep import check_run, sweep
+from step_sweep import check_run, counted_advection, sweep
 
 
 def test_ode_x_free_case_oscillatory():
@@ -324,11 +324,13 @@ def _holds_negative_zero(a) -> bool:
 # an underflowing, negative-amplitude packet: its tails are zeros of both signs
 _SIGNED_ZERO_PACKET = WavePacket(10.0, 0.2, 1.3, -1.0)
 # a packet at the left end of the box whose sum of squares starts within the
-# amplitude probe's gate; at theta_t 0.5 it crosses the gate and the run aborts
+# amplitude probe's gate; at theta_t 0.5 its probed levels grow past half that
+# gate, then past the probe's threshold, and the run aborts
 _GATE_PACKET = WavePacket(0.0, 2.0, 0.0, 1e11)
 # explicit leapfrog: every boundary kind, theta_t of both signs, with and without
 # theta_x; the signed-zero packet on every boundary kind, also at theta_t dt -2
-# and -3, where the stepper scans every level for a -0; and the gate-crossing run
+# and -3, where the stepper scans every level for a -0; and the gate run, whose
+# levels the stepper skips the advection term on above half the probe's gate
 _EXPLICIT_RUNS = [
     pytest.param(bc, theta_t, theta_x, WavePacket(10.0, 2.0, 1.3), id=f"{bc}-{theta_t}-{theta_x}")
     for bc in ("periodic", "dirichlet", "neumann")
@@ -385,13 +387,15 @@ def test_leapfrog_matches_the_allocating_reference_bit_for_bit(bc, theta_t, thet
         assert _holds_negative_zero(want[1])
 
 
+@pytest.mark.parametrize("theta_x", [0.0, 0.03])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
-def test_the_advection_term_is_skipped_only_within_the_gate(bc, monkeypatch):
-    """With theta_x = 0 the stepper skips the advection term on the previous
-    level's sum of squares; every level it skips on has, ghosts included, a
-    computed sum of squares within the probe's gate, as the skip needs."""
-    calls, steps = [], []
-    stepper, advection = pde._leapfrog_stepper, pde._advection
+def test_the_advection_term_is_skipped_on_every_probed_level(bc, theta_x, monkeypatch):
+    """With theta_x = 0 the stepper computes the advection term on the run's
+    first level only, the seeded one that no probe has seen: every later level
+    passed the amplitude probe, which makes the term a zero whatever the
+    level's sum of squares. With theta_x != 0 it computes the term on every
+    level."""
+    steps, stepper = [], pde._leapfrog_stepper
 
     def watched(*args):
         step = stepper(*args)
@@ -400,18 +404,22 @@ def test_the_advection_term_is_skipped_only_within_the_gate(bc, monkeypatch):
             c = cur.view(np.float64)
             before = len(calls)
             result = step(n, prev, cur, out)
-            steps.append((c @ c, len(calls) == before))
+            steps.append((c @ c, len(calls) > before))
             return result
 
         return run
 
     monkeypatch.setattr(pde, "_leapfrog_stepper", watched)
-    monkeypatch.setattr(pde, "_advection", lambda *args: calls.append(advection(*args)))
-    _explicit_run(simulate_time_domain, bc, 0.5, 0.0, _GATE_PACKET)
-    gate = (AMPLITUDE_ABORT / 1.5) ** 2
-    assert all(sumsq <= gate for sumsq, skipped in steps if skipped)
-    # not vacuous: the run skips, and crosses the gate
-    assert any(skipped for _, skipped in steps) and any(sumsq > gate for sumsq, _ in steps)
+    with counted_advection() as calls:
+        _explicit_run(simulate_time_domain, bc, 0.5, theta_x, _GATE_PACKET)
+    computed = [done for _, done in steps]
+    if theta_x:
+        assert all(computed)
+        return
+    assert computed == [True] + [False] * (len(steps) - 1)
+    # not vacuous: a level it skips on has a sum of squares, ghosts included,
+    # above half the probe's gate
+    assert any(sumsq > pde._SUMSQ_GATE / 2 for sumsq, _ in steps[1:])
 
 
 @pytest.mark.parametrize("x_min,x_max,theta_t,theta_x,packet", _X_TERM_RUNS)
@@ -492,7 +500,8 @@ def _levels(draw):
     bc="periodic", dt=0.1, m=0.0, theta_t=0.02, theta_x=-0.5, step=5083,
 )
 # right - left overflows while lap is 0: with th_x = 0 the advection term is
-# th_x * inf = NaN, so the explicit step may skip that term only when cur is bounded
+# th_x * inf = NaN, so the explicit step computes that term on a run's first
+# level, which no amplitude probe has seen
 @example(
     levels=(np.zeros(3, dtype=complex), np.array([1e308, 0.0, -1e308], dtype=complex)),
     bc="periodic", dt=0.1, m=0.0, theta_t=0.0, theta_x=0.0, step=1,
