@@ -13,8 +13,9 @@ bit what plain complex arithmetic gives for that sample alone, because
   ``np.abs`` of a complex array may take a SIMD loop that differs in the
   last bit;
 - complex division is CPython's (Smith's method), mirrored by ``_quot``;
-- the nullity residual squares with Python's ``**`` (libm ``pow``), which
-  differs from ``x * x`` in the last bit of about one square in a thousand;
+- the nullity residual squares with a ``map(pow, ..., repeat(2))`` (libm
+  ``pow``, the call Python's ``**`` makes), which differs from ``x * x`` in
+  the last bit of about one square in a thousand;
 - batched ``np.linalg.det`` and stacked ``@`` repeat the per-matrix calls.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -149,15 +151,44 @@ def sl2c_act(lam: np.ndarray, v_matrix: np.ndarray) -> np.ndarray:
     return lam @ v_matrix @ lam.conj().swapaxes(-1, -2)
 
 
+def gauss_pairs(rng, pairs: int):
+    """The next ``2 * pairs`` values of ``rng.gauss(0, 1)`` as a float64 array,
+    bit for bit; ``rng``, a ``random.Random``, must hold no cached second
+    value of a pair.
+
+    ``gauss`` draws a Box–Muller pair from two ``random()`` uniforms, each
+    built from two 32-bit Mersenne Twister words as ``((a >> 5) * 2**26 +
+    (b >> 6)) * 2**-53``. ``getrandbits`` puts the first word it draws in the
+    least significant bits, so its little-endian bytes read as ``<u4`` are
+    the words in draw order, four a pair. The uniforms, the square root and the
+    products are exact or correctly rounded in numpy; ``log``, ``cos`` and
+    ``sin`` are ``math``'s, as in ``gauss``, since numpy's need not round as
+    they do. Adding ``0.0`` is ``gauss``'s ``mu + z * sigma``: a ``-0.0``
+    becomes ``+0.0``.
+    """
+    words = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+    w = np.frombuffer(words, "<u4").reshape(pairs, 2, 2)
+    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
+    x2pi = (u[:, 0] * (2.0 * math.pi)).tolist()
+    logs = np.fromiter(map(math.log, (1.0 - u[:, 1]).tolist()), float, count=pairs)
+    g2rad = np.sqrt(-2.0 * logs)
+    z = np.empty((pairs, 2))
+    z[:, 0] = np.fromiter(map(math.cos, x2pi), float, count=pairs) * g2rad
+    z[:, 1] = np.fromiter(map(math.sin, x2pi), float, count=pairs) * g2rad
+    return z.ravel() + 0.0
+
+
 def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
     """The ``cartan`` command's three residuals for stacked samples.
 
     ``s`` is an ``(n, 2)`` array of spinor pairs and ``lam`` an
     ``(n, 2, 2)`` array of complex matrices, each shifted by the identity
     when ``|det lam| < 1e-8`` and then scaled to ``|det lam| = 1``.  Returns
-    three lists of floats: the spinor -> point -> spinor -> point roundtrip
+    three float64 arrays: the spinor -> point -> spinor -> point roundtrip
     error over ``max(1, t)`` (0 where ``t <= 1e-12``), the nullity
-    ``|v.v| / max(1, t^2)`` and ``|det(lam V lam^dagger) - det V|`` over
+    ``|t^2 - x^2 - y^2 - z^2| / max(1, t^2)``, each square a libm ``pow`` of
+    one ``map(pow, ..., repeat(2))`` as Python's ``**`` makes it, and
+    ``|det(lam V lam^dagger) - det V|`` over
     ``max(1, (||lam||_F^2 t)^2)``.  ``V`` has rank 1, so ``det V`` is 0 up to
     rounding, and the entries of ``lam V lam^dagger`` are of size
     ``||lam||_F^2 t``: the determinant residual is its rounding, of order
@@ -168,7 +199,8 @@ def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
     roundtrip = np.zeros(len(v))
     back = spinor_to_point(point_to_spinor(v[nonzero]))
     roundtrip[nonzero] = np.abs(v[nonzero] - back).max(axis=1) / np.maximum(1.0, v[nonzero, 0])
-    nullity = [abs(t**2 - x**2 - y**2 - z**2) / max(1.0, t * t) for t, x, y, z in v.tolist()]
+    sq = np.fromiter(map(pow, v.ravel().tolist(), repeat(2)), float, count=v.size).reshape(-1, 4)
+    nullity = np.abs(sq[:, 0] - sq[:, 1] - sq[:, 2] - sq[:, 3]) / np.maximum(1.0, v[:, 0] * v[:, 0])
 
     lam = np.array(lam, dtype=complex)
     d = np.linalg.det(lam)
@@ -184,7 +216,7 @@ def sample_residuals(s: np.ndarray, lam: np.ndarray) -> tuple:
     sq = (lam.real * lam.real + lam.imag * lam.imag).reshape(-1, 4)
     size = (((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]) * v[:, 0]
     det_res = np.hypot(res.real, res.imag) / np.maximum(1.0, size * size)
-    return roundtrip.tolist(), nullity, det_res.tolist()
+    return roundtrip, nullity, det_res
 
 
 def rotate_phase(s: Sequence, alpha: float) -> SpinorPair:

@@ -11,9 +11,7 @@ import argparse
 import contextlib
 import copy
 import errno
-import functools
 import itertools
-import json
 import math
 import numbers
 import os
@@ -22,12 +20,13 @@ import sys
 from pathlib import Path
 
 # each command imports its own layer when it runs, so ``metric``, ``lightcone``
-# and ``forms-check`` never load numpy
+# and ``forms-check`` never load numpy, and only ``simulate`` and ``cartan`` the
+# bulk cell formatter (:mod:`exocalc.cells`)
 from .core import DegenerateParameterError, InstabilityError
 
 SCHEMA_LINE = "# schema=1"
 # the float format of every CSV cell but ``delta_diag`` (``fmt6``); ``fmt`` and the
-# snapshot blocks use it
+# bulk cell formatter use it
 FLOAT_SPEC = "%.12e"
 
 
@@ -52,9 +51,9 @@ def fmt6(x) -> str:
 def write_csv(path: Path, header: str, rows) -> Path:
     """Write the schema line, ``header`` and ``rows``.
 
-    Each item of ``rows`` is a list of cell strings, whole lines as ``str``
+    Each item of ``rows`` is a list of cell strings, a whole line as ``str``
     (``cartan_rows``), or a block of whole lines as ASCII ``bytes``
-    (``_snapshot_blocks``), which goes to the file as it is. Items are written
+    (``cells._snapshot_blocks``), which goes to the file as it is. Items are written
     as they arrive, so a generator of blocks is streamed to the file without
     the table being held in memory.
     """
@@ -240,6 +239,8 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
         else:
             node[key] = value
 
+    if path is not None or overrides:
+        import json  # only a config document or a ``--set`` value is JSON
     if path is not None:
         try:
             with open(path) as fh:
@@ -446,41 +447,13 @@ def forms_check_rows(cfg: dict, seed: int, d_fn=None):
 
 
 CARTAN_HEADER = "idx,roundtrip_err,nullity_residual,det_residual"
-CARTAN_ROW = "%d," + ",".join([FLOAT_SPEC] * 3) + "\n"
 # samples drawn and computed per numpy pass; bounds the arrays held at once
 CARTAN_CHUNK = 1024
 
 
-def gauss_pairs(rng: random.Random, pairs: int):
-    """The next ``2 * pairs`` values of ``rng.gauss(0, 1)`` as a float64 array,
-    bit for bit; ``rng`` must hold no cached second value of a pair.
-
-    ``gauss`` draws a Box–Muller pair from two ``random()`` uniforms, each
-    built from two 32-bit Mersenne Twister words as ``((a >> 5) * 2**26 +
-    (b >> 6)) * 2**-53``. ``getrandbits`` puts the first word it draws in the
-    least significant bits, so its little-endian bytes read as ``<u4`` are
-    the words in draw order, four a pair. The uniforms, the square root and the
-    products are exact or correctly rounded in numpy; ``log``, ``cos`` and
-    ``sin`` are ``math``'s, as in ``gauss``, since numpy's need not round as
-    they do. Adding ``0.0`` is ``gauss``'s ``mu + z * sigma``: a ``-0.0``
-    becomes ``+0.0``.
-    """
-    import numpy as np
-
-    words = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
-    w = np.frombuffer(words, "<u4").reshape(pairs, 2, 2)
-    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
-    x2pi = (u[:, 0] * (2.0 * math.pi)).tolist()
-    logs = np.fromiter(map(math.log, (1.0 - u[:, 1]).tolist()), float, count=pairs)
-    g2rad = np.sqrt(-2.0 * logs)
-    z = np.empty((pairs, 2))
-    z[:, 0] = np.fromiter(map(math.cos, x2pi), float, count=pairs) * g2rad
-    z[:, 1] = np.fromiter(map(math.sin, x2pi), float, count=pairs) * g2rad
-    return z.ravel() + 0.0
-
-
 def cartan_rows(cfg: dict, seed: int):
     from . import cartan as cartan_mod
+    from .cells import _indexed_lines
 
     n = cfg["samples"]
     if n < 0:
@@ -490,9 +463,9 @@ def cartan_rows(cfg: dict, seed: int):
     for start in range(0, n, CARTAN_CHUNK):
         size = min(CARTAN_CHUNK, n - start)
         # 12 draws a sample: zeta, chi, then lam row-major, each complex as re, im
-        z = gauss_pairs(rng, 6 * size).view(complex).reshape(size, 6)
-        cells = cartan_mod.sample_residuals(z[:, :2], z[:, 2:].reshape(size, 2, 2))
-        rows += [CARTAN_ROW % r for r in zip(range(start, start + size), *cells)]
+        z = cartan_mod.gauss_pairs(rng, 6 * size).view(complex).reshape(size, 6)
+        residuals = cartan_mod.sample_residuals(z[:, :2], z[:, 2:].reshape(size, 2, 2))
+        rows += _indexed_lines(start, residuals)
     return CARTAN_HEADER, rows
 
 
@@ -514,148 +487,10 @@ def _fit_window(spec, times):
     return mask
 
 
-# bytes of a value cell: ``,`` and a ``FLOAT_SPEC`` cell (at most 20 characters), space-padded
-CELL = 24
-# values formatted per snapshot block: whole snapshots, so it bounds the buffers held at once
-BLOCK_VALUES = 8192
-# the exponents the fast path can meet: |x| in [1e-290, 1e290], guessed within one
-E_MIN, E_MAX = -292, 291
-
-
-@functools.cache
-def _cell_tables():
-    """The fast path's tables, built on its first call: ``powers[i]`` is
-    ``float(f"1e{12 - E_MAX + i}")``, which CPython rounds correctly. The
-    others hold ASCII, one machine word an entry: ``lead`` is ``, d.`` and
-    ``,-d.`` for each digit ``d``, ``digits4`` the four digits of 0..9999 and
-    ``exps`` ``e±dd[d]``, padded to 8 bytes, for each exponent from ``E_MIN``."""
-    import numpy as np
-
-    def words(cells, dtype):
-        return np.frombuffer("".join(cells).encode(), dtype)
-
-    powers = np.array([float(f"1e{k}") for k in range(12 - E_MAX, 13 - E_MIN)])
-    lead = words([f",{sign}{d}." for sign in " -" for d in range(10)], np.uint32)
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    digits4 = digits.astype(np.uint8).view(np.uint32).ravel()
-    exps = words([f"e{e:+03d}".ljust(8) for e in range(E_MIN, E_MAX + 1)], np.uint64)
-    return powers, lead, digits4, exps
-
-
-def _cells(values):
-    """``(cells, fast)`` for a 1-D float64 array: where ``fast`` is true, row
-    ``i`` of the ``(len(values), CELL)`` bytes ``cells`` is ``"," + FLOAT_SPEC %
-    values[i]`` padded with spaces.
-
-    ``%.12e`` writes the 13-digit decimal nearest ``|x|``, ties to even. With
-    ``e`` the guess ``floor(log10|x|)``, moved by one where ``s`` falls outside
-    ``[1e12, 1e13)``, the fast path takes the digits ``r = rint(s)`` of
-    ``s = fl(|x| * P)`` with ``P = fl(10^(12 - e))``. Each rounding errs by a
-    factor ``1 + d``, ``|d| <= u = 2^-53``, so the exact ``S = |x| * 10^(12 - e)``
-    obeys ``|s - S| <= (2u + u^2) * S``; as ``s < 1e13`` gives
-    ``S < 1e13 / (1 - u)^2``, ``|s - S| < (2u + u^2) * 1e13 * (1 + 3u) < 2.3e-3 < 2^-8``.
-    A value is fast only if
-    - ``|x|`` lies in ``[1e-290, 1e290]``, so ``P`` and ``s`` are normal and
-      finite (zero, subnormals, ``inf`` and ``nan`` are not);
-    - ``s`` lies in ``[1e12, 1e13)`` and ``r < 1e13``;
-    - ``|s - r| < 1/2 - 2^-8``.
-
-    The last rule puts ``s`` and ``S`` strictly inside one interval
-    ``(r - 1/2, r + 1/2)``, so ``r`` is the integer nearest ``S`` and no tie
-    arises. If ``S`` is in ``[1e12, 1e13)``, ``r * 10^(e - 12)`` is the decimal
-    ``%.12e`` writes; if ``S`` is just below ``1e12``, ``r = 1e12`` is the carry
-    ``%.12e`` makes into exponent ``e``. Nothing depends on ``log10`` being
-    accurate: a wrong guess only leaves ``s`` outside the range, and a guess
-    beyond the table is clamped to its ends, where ``s`` is below ``1e11`` or
-    above ``1e14``. Every other value is left to ``FLOAT_SPEC %``.
-    """
-    import numpy as np
-
-    powers, lead, digits4, exps = _cell_tables()
-    a = np.abs(values)
-    ok = (a >= 1e-290) & (a <= 1e290)
-    a = np.where(ok, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    # a guess wrong by more than one can overflow or underflow ``s``; that value is not fast
-    with np.errstate(over="ignore", under="ignore"):
-        s = a * powers.take(E_MAX - e, mode="clip")
-        e += s >= 1e13
-        e -= s < 1e12
-        s = a * powers.take(E_MAX - e, mode="clip")
-    r = np.rint(s)
-    fast = ok & (s >= 1e12) & (r < 1e13) & (np.abs(s - r) < 0.5 - 2.0**-8)
-    # words: the lead ``,-d.``, three groups of four digits, the exponent (two words)
-    cells = np.empty((len(values), CELL // 4), np.uint32)
-    digits = np.where(fast, r, 0.0).astype(np.int64)
-    for word in (3, 2, 1):
-        rest = digits // 10_000
-        cells[:, word] = digits4[digits - 10_000 * rest]
-        digits = rest
-    cells[:, 0] = lead[digits + 10 * np.signbit(values)]
-    cells.view(np.uint64)[:, 2] = exps.take(e - E_MIN, mode="clip")
-    return cells.view(np.uint8), fast
-
-
-def _padded(cells: list, width: int = CELL):
-    """``cells``, strings of at most ``width`` characters, as rows of ``width``
-    bytes padded with spaces."""
-    import numpy as np
-
-    return np.frombuffer("".join(c.ljust(width) for c in cells).encode(), np.uint8).reshape(-1, width)
-
-
-def _snapshot_blocks(times, xs, snapshots):
-    """The ``t,x,re_phi,im_phi`` rows as ASCII ``bytes`` blocks of whole
-    snapshots, yielded one by one, so only one block's buffers are held at a
-    time.
-
-    Every cell reads as ``fmt`` of its value. A block holds
-    ``max(1, BLOCK_VALUES // (2 * len(xs)))`` snapshots (the last may hold
-    fewer), so a snapshot of more than ``BLOCK_VALUES`` values is a block of
-    its own. A row is laid out as space-padded cells and a newline, in one
-    row buffer that every block reuses, and the block drops the spaces: the
-    ``t`` and ``x`` columns as wide as the run's widest ``t`` and ``x``
-    cell, so a run whose cells of a column are equally wide pads none of
-    them, and each value cell ``CELL`` bytes. ``x`` is formatted once, a
-    block's ``t`` cells once and broadcast over each snapshot's rows (the
-    ``t`` width is found in a first pass that keeps no cell), and a block's
-    real and imaginary parts in one ``_cells`` pass; ``FLOAT_SPEC %`` fills
-    the cells it cannot prove.
-    """
-    import numpy as np
-
-    n = len(xs)
-    parts = np.ascontiguousarray(snapshots, dtype=np.complex128).view(np.float64)
-    k = max(1, BLOCK_VALUES // (2 * n))
-    x_cells = ["," + FLOAT_SPEC % x for x in xs.tolist()]
-    t_end = max((len(FLOAT_SPEC % t) for t in times), default=0)
-    x_end = t_end + max(map(len, x_cells))
-    rows = np.empty((min(k, len(parts)), n, x_end + 2 * CELL + 1), np.uint8)
-    rows[:, :, t_end:x_end] = _padded(x_cells, x_end - t_end)
-    rows[..., -1] = ord("\n")
-    for start in range(0, len(parts), k):
-        values = parts[start : start + k]
-        block = rows[: len(values)]
-        t_cells = _padded([FLOAT_SPEC % t for t in times[start : start + k].tolist()], t_end)
-        block[..., :t_end] = t_cells[:, None]
-        block[..., x_end:-1] = _block_cells(values.ravel()).reshape(len(values), n, 2 * CELL)
-        yield block[block != ord(" ")].tobytes()
-
-
-def _block_cells(values):
-    """``_cells`` of ``values`` with ``FLOAT_SPEC %`` in the cells it cannot
-    prove; its own frame, so its arrays are freed before a block is compacted."""
-    import numpy as np
-
-    cells, fast = _cells(values)
-    slow = np.flatnonzero(~fast)
-    cells[slow] = _padded(["," + FLOAT_SPEC % v for v in values[slow].tolist()])
-    return cells
-
-
 def simulate_outputs(cfg: dict, out_dir: Path, svg: bool):
     import numpy as np
 
+    from .cells import _snapshot_blocks
     from .pde import (
         SimGrid, WavePacket, check_x_term_boundary, fit_decay_rate, simulate_time_domain,
     )
@@ -711,20 +546,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deformed flat-spacetime calculus: metric, light cone, spectrum, "
         "simulation, exterior-calculus identity checks, spinor-point maps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in DEFAULTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config document")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config scalar (repeatable, dotted keys allowed)",
-        )
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=_seed, default=42, help="random seed (u64)")
-        p.add_argument("--svg", action="store_true", help="also write SVG plots")
+    parser.add_argument("command", choices=DEFAULTS)
+    parser.add_argument("--config", default=None, help="JSON config document")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a config scalar (repeatable, dotted keys allowed)",
+    )
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=_seed, default=42, help="random seed (u64)")
+    parser.add_argument("--svg", action="store_true", help="also write SVG plots")
     return parser
 
 

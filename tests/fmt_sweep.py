@@ -1,7 +1,8 @@
 """Differential sweep of the snapshot CSV's fast formatter against ``%.12e``.
 
-``exocalc.cli._cells`` formats float64 values with numpy and marks the ones
-whose rounding it has proved; ``FLOAT_SPEC %`` formats the rest. This module
+``exocalc.cells._cells`` formats float64 values with numpy and marks the ones
+whose rounding it has proved; ``FLOAT_SPEC %`` formats the rest. The
+snapshot CSV and the ``cartan`` rows are both written through it. This module
 holds the value families and the comparison that the test suite runs on a
 few million values. Run as a script, with no arguments, it compares the
 edge families and over 1e7 random values chunk by chunk, prints the
@@ -17,7 +18,8 @@ import sys
 
 import numpy as np
 
-from exocalc.cli import FLOAT_SPEC, _cells
+from exocalc.cells import _cells
+from exocalc.cli import FLOAT_SPEC
 
 # chunks of 1.5e6 values (``random_values(rng, 10**6)``), so the sweep passes 1e7 values
 CHUNKS = 7

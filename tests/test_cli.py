@@ -18,17 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exocalc.cartan import gauss_pairs
+from exocalc.cells import BLOCK_VALUES, _cells, _indexed_lines, _snapshot_blocks
 from exocalc.cli import (
-    BLOCK_VALUES,
     CARTAN_CHUNK,
     DEFAULTS,
     METRIC_HEADER,
     SCHEMA_LINE,
-    _cells,
-    _snapshot_blocks,
     cartan_rows,
     fmt,
-    gauss_pairs,
     load_config,
     main,
     metric_rows,
@@ -358,6 +356,39 @@ def test_cartan_rows_match_the_reference_at_benchmark_size():
     assert rows == cartan_rows_reference(20000, 5)
 
 
+CARTAN_LINE = "%d," + ",".join(["%.12e"] * 3) + "\n"
+# cells the drawn samples never reach: zeros, a subnormal, the fast path's far ends, non-finite
+EDGE_CELLS = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("start", [0, 9, 1020, 99_990])
+def test_indexed_lines_write_percent_12e_of_edge_cells(start):
+    """Every value of ``EDGE_CELLS`` in every column, next to drawn-like values,
+    and index widths that change inside the chunk."""
+    rng = np.random.default_rng(start)
+    columns = [np.roll(EDGE_CELLS * 2, k) * rng.choice([1.0, -1.0], 16) for k in range(3)]
+    columns[1][::5] = rng.lognormal(-30.0, 5.0, 4)
+    lines = _indexed_lines(start, columns)
+    want = [CARTAN_LINE % (start + i, *row) for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    assert lines == want
+
+
+def test_a_nonfinite_cartan_residual_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    from exocalc import cartan
+
+    residuals = cartan.sample_residuals
+
+    def one_nan(s, lam):
+        roundtrip, nullity, det_res = residuals(s, lam)
+        nullity[len(nullity) // 2] = math.nan
+        return roundtrip, nullity, det_res
+
+    monkeypatch.setattr(cartan, "sample_residuals", one_nan)
+    assert run_cli(["cartan", "--out", tmp_path, "--set", "samples=50"]) == 3
+    assert "cartan.csv would hold a value that is not finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", [1, 7, 42, 913, 12345])
 def test_gauss_pairs_continue_the_random_gauss_stream_bit_for_bit(seed):
     rng, reference = random.Random(seed), random.Random(seed)
@@ -446,18 +477,25 @@ LAYERS = {f"exocalc.{p.stem}" for p in (SRC / "exocalc").glob("*.py")} - {
 }
 
 
+# the bulk cell formatter: its module, and its ``_cells`` in the CLI module
+FORMATTER = {"exocalc.cells", "exocalc.cli._cells"}
+
+
 @pytest.mark.parametrize(
     "command, absent",
     [
         # ``dataclasses`` imports ``inspect``; no pure-Python command needs either
-        (None, LAYERS | {"numpy", "scipy", "dataclasses", "inspect"}),
-        ("metric", {"numpy", "dataclasses", "inspect"}),
-        ("lightcone", {"numpy", "dataclasses", "inspect"}),
-        ("forms-check", {"numpy", "dataclasses", "inspect"}),
+        (None, LAYERS | {"numpy", "scipy", "dataclasses", "inspect", "json"}),
+        # only ``--config`` and ``--set`` read JSON, and only simulate and cartan
+        # write through the bulk cell formatter
+        ("metric", {"numpy", "dataclasses", "inspect", "json", *FORMATTER}),
+        ("lightcone", {"numpy", "dataclasses", "inspect", "json", *FORMATTER}),
+        ("forms-check", {"numpy", "dataclasses", "inspect", "json", *FORMATTER}),
         # only the implicit x-term step needs scipy, no command the gamma layer,
         # and only plane_wave_rates (the simulator's) numpy
-        ("spectrum", {"exocalc.clifford", "scipy", "numpy", "dataclasses", "inspect"}),
-        ("simulate", {"exocalc.clifford", "scipy"}),
+        ("spectrum", {"exocalc.clifford", "scipy", "numpy", "dataclasses", "inspect", "json",
+                      *FORMATTER}),
+        ("simulate", {"exocalc.clifford", "scipy", "json"}),
         ("cartan", {f"exocalc.{m}" for m in ("pde", "dispersion", "forms", "poly", "metric")}),
     ],
     ids=["import-cli", "metric", "lightcone", "forms-check", "spectrum", "simulate", "cartan"],
@@ -467,7 +505,7 @@ def test_each_command_loads_only_its_own_layer(command, absent, tmp_path):
     the CLI) and loads none of the modules in ``absent``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
-    code = "import json, runpy, sys\n"
+    code = "import runpy, sys\n"
     if command is None:
         code += "import exocalc.cli\n"
     else:
@@ -478,10 +516,16 @@ def test_each_command_loads_only_its_own_layer(command, absent, tmp_path):
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
         )
-    code += "print(json.dumps(sorted(sys.modules)))\n"
+    # the probe imports nothing that ``absent`` names; it lists the loaded modules
+    # and the ``_cells`` any exocalc module holds
+    code += (
+        "cells = [m + '._cells' for m in list(sys.modules)\n"
+        "         if m.startswith('exocalc') and hasattr(sys.modules[m], '_cells')]\n"
+        "print(' '.join(sorted(sys.modules) + cells))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = set(proc.stdout.splitlines()[-1].split())
     assert not absent & loaded
 
 
@@ -702,7 +746,7 @@ def test_a_failure_inside_the_snapshot_stream_leaves_no_file(stop, tmp_path, mon
         yield next(_snapshot_blocks(*args))
         raise stop("stopped after one block")
 
-    monkeypatch.setattr("exocalc.cli._snapshot_blocks", one_block_then_stop)
+    monkeypatch.setattr("exocalc.cells._snapshot_blocks", one_block_then_stop)
     args = ["simulate", "--out", tmp_path, *FAST_ARGS["simulate"]]
     if stop is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
