@@ -13,7 +13,6 @@ import copy
 import errno
 import itertools
 import math
-import numbers
 import os
 import random
 import sys
@@ -38,9 +37,9 @@ class ConfigError(ValueError):
 
 
 def fmt(x) -> str:
-    """Canonical float formatting shared by implementation and fixture paths."""
-    if isinstance(x, numbers.Integral):  # numpy registers its integer types here
-        return str(int(x))
+    """Canonical cell, shared by implementation and fixture paths: an ``int`` as its digits."""
+    if type(x) is int:
+        return str(x)
     return FLOAT_SPEC % float(x)
 
 
@@ -215,7 +214,7 @@ def _typed(value, default, where: str):
         return value
     if type(default) is float:
         return _finite(value, where)
-    if isinstance(default, dict) and isinstance(value, dict):
+    if isinstance(default, dict) and isinstance(value, dict) and value.keys() == default.keys():
         return {key: _typed(value[key], sub, f"{where}.{key}") for key, sub in default.items()}
     if isinstance(default, list) and isinstance(value, list):
         if isinstance(default[0], list):
@@ -229,15 +228,16 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
     """The merged config of ``command``, typed against ``DEFAULTS[command]``."""
     cfg = copy.deepcopy(DEFAULTS[command])
 
-    def merge(node: dict, key: str, value, where: str):
-        """Set ``node[key]``; a dict given for a dict section merges key by key."""
-        if key not in node:
-            raise ConfigError(f"unknown config key {where!r} for {command!r}")
-        if isinstance(node[key], dict) and isinstance(value, dict):
-            for sub, sub_value in value.items():
-                merge(node[key], sub, sub_value, f"{where}.{sub}")
-        else:
-            node[key] = value
+    def merge(node: dict, doc: dict, prefix: str = ""):
+        """Set ``node``'s keys from ``doc``; a dict given for a dict section merges key by key."""
+        for key, value in doc.items():
+            where = prefix + key
+            if key not in node:
+                raise ConfigError(f"unknown config key {where!r} for {command!r}")
+            if isinstance(node[key], dict) and isinstance(value, dict):
+                merge(node[key], value, f"{where}.")
+            else:
+                node[key] = value
 
     if path is not None or overrides:
         import json  # only a config document or a ``--set`` value is JSON
@@ -249,8 +249,7 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        for key, value in data.items():
-            merge(cfg, key, value, key)
+        merge(cfg, data)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -259,13 +258,9 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        *parents, leaf = key.split(".")
-        node = cfg
-        for part in parents:
-            if not isinstance(node.get(part), dict):
-                raise ConfigError(f"unknown config key {key!r} for {command!r}")
-            node = node[part]
-        merge(node, leaf, value, key)
+        for part in reversed(key.split(".")):  # ``a.b=v`` is the document {"a": {"b": v}}
+            value = {part: value}
+        merge(cfg, value)
     own_parser = SWEEP_AXES if command == "spectrum" else ()
     return {k: v if k in own_parser else _typed(v, DEFAULTS[command][k], k) for k, v in cfg.items()}
 
@@ -312,9 +307,7 @@ def lightcone_rows(cfg: dict):
         u_plus, u_minus = metric_mod.lightcone_velocity(t, x, td, tp, c)
         res_p = metric_mod.interval_2d(1.0, u_plus, t, x, td, tp, c)
         res_m = metric_mod.interval_2d(1.0, u_minus, t, x, td, tp, c)
-        rows.append(
-            [fmt(t), fmt(x), fmt(td), fmt(tp), fmt(c), fmt(u_plus), fmt(u_minus), fmt(res_p), fmt(res_m)]
-        )
+        rows.append([fmt(v) for v in (t, x, td, tp, c, u_plus, u_minus, res_p, res_m)])
     return LIGHTCONE_HEADER, rows
 
 
@@ -415,17 +408,13 @@ def forms_identity_rows(seed: int, n_max: int, deg_max: int, d_fn=None):
         "homotopy": hom,
         "field_strength": fs,
     }
-    # forms-check holds every row until it writes, so a seed's rows share their cells
+    # forms-check holds its rows until it writes, so they share cells: a seed's draw, interned grades
     draw = (str(seed), str(dim), str(deg))
     rows = []
     for name, pass_grade in FORMS_IDENTITIES.items():
         grade = residuals[name].eps_grade()
-        rows.append((name, *draw, fmt_grade(grade), "1" if grade >= pass_grade else "0"))
+        rows.append((name, *draw, sys.intern(fmt(grade)), "1" if grade >= pass_grade else "0"))
     return rows
-
-
-def fmt_grade(grade) -> str:
-    return "inf" if math.isinf(grade) else str(int(grade))
 
 
 def forms_check_rows(cfg: dict, seed: int, d_fn=None):
@@ -579,7 +568,7 @@ def run(args) -> list:
     if name != "forms_check" and any("n" in (r if isinstance(r, str) else ",".join(r)) for r in rows):
         raise DegenerateParameterError(f"{name}.csv would hold a value that is not finite")
     files = {f"{name}.csv": (write_csv, header, rows)}
-    if args.svg and name == "spectrum" and rows:
+    if args.svg and name == "spectrum":
         xs, ys = [float(r[0]) for r in rows], [float(r[4]) for r in rows]
         files["spectrum.svg"] = (write_svg_line, xs, ys, "Im E+ vs theta_dot", "theta_dot", "Im E+")
     return publish(out_dir, files)
@@ -608,8 +597,10 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 4
-    for path in written:
-        print(path)
+    try:
+        print(*written, sep="\n", flush=True)
+    except BrokenPipeError:  # every file is in place; only the reader of their names went away
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush is quiet
     return 0
 
 

@@ -224,8 +224,9 @@ def simulate_time_domain(
         if step % grid.snapshot_stride == 0:
             snapshots[step // grid.snapshot_stride] = level[1:-1]
 
-    store(0, prev)
-    store(1, cur)
+    for step, level in enumerate((prev, cur)):  # the two seeded levels are probed as every step is
+        _check_amplitude(level[1:-1], step, dt)
+        store(step, level)
 
     if include_x_term:
         stepper = _x_term_stepper(xs, dx, dt, m, theta_t, theta_x)
@@ -313,8 +314,8 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float, sumsq=None):
 # subtracting a zero changes ``lap`` only in the sign of a zero. Added to ``2
 # cur - lag prev``, that zero decides the result only where ``2 cur - lag
 # prev`` is -0, which needs a -0 ``2 cur``: a point that is flagged already.
-# The first call's ``cur`` is the seeded level, which no probe has seen, so
-# that call computes the term.
+# A stepper's first call may get a level no probe has seen (a caller that
+# steps once), so that call computes the term.
 #
 # The explicit stepper serves one run: each call's ``cur`` is the previous
 # call's ``out`` with ``_apply_bc`` applied. When that call rewrote no point,
@@ -357,7 +358,7 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
     inv_dx2, inv_two_dx, inv_denom = 1 / dx2, 1 / two_dx, 1 / denom
     two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(4))
-    # facts about ``cur``: whether it may hold a -0, and whether it is the run's unprobed first level
+    # facts about ``cur``: whether it may hold a -0, and whether it is the first level, maybe unprobed
     scan, first = True, True
 
     def step(n, prev, cur, out):

@@ -131,13 +131,16 @@ def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, *, initi
 
     stored_t, stored = [], []
 
-    def store(step, snap):
+    def probe_and_store(step, snap):
+        amp = float(np.max(np.abs(snap)))
+        if not np.isfinite(amp) or amp > AMPLITUDE_ABORT:
+            raise InstabilityError(step, step * dt, amp)
         if step % grid.snapshot_stride == 0:
             stored_t.append(step * dt)
             stored.append(snap.copy())
 
-    store(0, phi0)
-    store(1, phi1)
+    probe_and_store(0, phi0)
+    probe_and_store(1, phi1)
 
     prev, cur = phi0, phi1
     for n in range(1, nt):
@@ -147,11 +150,8 @@ def reference_simulate(grid, m, theta_t, theta_x, include_x_term=False, *, initi
             nxt = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
         if bc == "dirichlet":
             nxt[0] = nxt[-1] = 0.0
-        amp = float(np.max(np.abs(nxt)))
-        if not np.isfinite(amp) or amp > AMPLITUDE_ABORT:
-            raise InstabilityError(n + 1, (n + 1) * dt, amp)
         prev, cur = cur, nxt
-        store(n + 1, cur)
+        probe_and_store(n + 1, cur)
 
     return np.array(stored_t), np.array(stored)
 

@@ -1,11 +1,14 @@
 """CLI surface: determinism, schemas, exit codes, golden files."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,6 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from exocalc.cartan import gauss_pairs
 from exocalc.cells import BLOCK_VALUES, _cells, _indexed_lines, _snapshot_blocks
@@ -33,7 +41,7 @@ from exocalc.cli import (
     sweep_values,
     write_csv,
 )
-from exocalc.pde import SimGrid, WavePacket, simulate_time_domain
+from exocalc.pde import AMPLITUDE_ABORT, SimGrid, WavePacket, simulate_time_domain
 from cartan_reference import cartan_rows_reference
 from fmt_sweep import edge_values, fast_cells_match, random_values
 from regenerate_fixtures import fixture_tables, write_fixtures
@@ -190,6 +198,42 @@ def test_unknown_nested_config_key_exits_2(doc, sets, tmp_path, capsys):
     assert "unknown config key 'grid." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["m.x", "grid.n_x.a", "bogus.a"])
+def test_a_dotted_set_fails_as_its_one_key_document(key, tmp_path, capsys):
+    """``--set a.b=1`` is the document ``{"a": {"b": 1}}``: the same exit code and message."""
+    doc = 1
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--out", tmp_path / "flag", "--set", f"{key}=1"]) == 2
+    flag_err = capsys.readouterr().err
+    assert run_cli(["simulate", "--out", tmp_path / "doc", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == flag_err
+    assert flag_err.startswith("config error: ") and flag_err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc, sets",
+    [(None, ["grid=5", "grid.n_x=128"]), ({"grid": 5}, ["grid.n_x=128"]),
+     (None, ["grid=5", "grid={\"n_x\": 1}"])],
+    ids=["dotted", "document", "object"],
+)
+def test_a_section_set_over_a_non_object_exits_2(doc, sets, tmp_path, capsys):
+    """A section replaced by a non-object and then set in part is a partial
+    section: a config error, not a missing-key crash."""
+    args = ["simulate", "--out", tmp_path / "out", *(a for s in sets for a in ("--set", s))]
+    if doc is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        args += ["--config", cfg_path]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid must be typed like its default ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_degenerate_exits_3(tmp_path):
     code = run_cli(
         ["spectrum", "--out", tmp_path, "--set", "theta_dot=[0.0]", "--set", "grad_norm=[0.0]"]
@@ -236,6 +280,16 @@ def test_forms_check_all_rows_pass(tmp_path):
         assert ok == "1"
         if identity == "leibniz":
             assert grade == "inf"
+
+
+def test_a_residual_of_finite_grade_is_written_as_its_digits():
+    """With the undeformed ``d`` in place of the exotic one, the ``d_squared`` and
+    field-strength residuals keep a grade-1 term: the cell is ``1`` and the row fails."""
+    from exocalc.cli import forms_identity_rows
+    from exocalc.forms import exterior_d
+
+    rows = forms_identity_rows(0, 3, 2, d_fn=lambda form, grad: exterior_d(form))
+    assert [row[4:] for row in rows] == [("inf", "1"), ("1", "0"), ("inf", "1"), ("inf", "1"), ("1", "0")]
 
 
 def test_simulate_outputs_and_rate(tmp_path):
@@ -305,6 +359,15 @@ def test_simulate_unstable_exits_4(tmp_path):
         ]
     )
     assert code == 4
+
+
+def test_a_seeded_level_over_the_threshold_exits_4_at_step_0(tmp_path, capsys):
+    """The probe sees the two seeded levels too: here |phi| is 1.10e12 at t = 0
+    and 1.017e12 at t = 0.3, and under 1e12 at every step after them."""
+    sets = ["packet.amplitude=1.1e12", "theta_dot=-6.6", "grid.snapshot_stride=1", "grid.n_t=6"]
+    assert run_cli(["simulate", "--out", tmp_path, *(a for s in sets for a in ("--set", s))]) == 4
+    assert "instability detected at step 0 (t = 0): max |phi| = 1.100e+12" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_cfl_violation_is_config_error(tmp_path):
@@ -756,6 +819,52 @@ def test_a_failure_inside_the_snapshot_stream_leaves_no_file(stop, tmp_path, mon
     assert not any(tmp_path.iterdir())
 
 
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+ENTRY_POINTS = {
+    "python -m": ["-m", "exocalc"],
+    "cli.main": ["-c", "import sys; from exocalc.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_closed_stdout_after_a_full_write_exits_0_quietly(entry, tmp_path):
+    """A reader that went away before the file names are printed costs only the names."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *ENTRY_POINTS[entry], "metric", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["metric.csv"]
+
+
+def _one_megabyte_files():
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so a write past the limit fails with EFBIG
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize(
+    "command, sets, temp",
+    [("simulate", [], ".simulate_snapshots.csv.tmp"), ("cartan", ["--set", "samples=20000"], ".cartan.csv.tmp")],
+    ids=["simulate", "cartan"],
+)
+def test_a_full_disk_exits_2_names_the_file_and_leaves_none(command, sets, temp, tmp_path):
+    """A file that outgrows the space it may take is a config error naming its
+    temporary path, and the run removes what it wrote."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "exocalc", command, "--out", str(tmp_path), *sets],
+        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=_one_megabyte_files,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: cannot write {tmp_path / temp}: File too large\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["forms-check", "cartan"])
 def test_seed_outside_u64_exits_2_and_writes_nothing(command, tmp_path, capsys):
     """``--seed`` is a u64: CPython would seed -1 as 1 and accept 2**64 silently.
@@ -1066,6 +1175,12 @@ def _nonfinite_cells(out: Path) -> list:
     return bad
 
 
+def _max_modulus(out: Path) -> float:
+    """The largest |phi| in the snapshots a ``simulate`` run wrote to ``out``."""
+    _, _, re_phi, im_phi = np.loadtxt(out / "simulate_snapshots.csv", delimiter=",", skiprows=2, ndmin=2).T
+    return float(np.max(np.hypot(re_phi, im_phi)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(case=_config_case())
 @example(case=("lightcone", {"c": 1e300}))
@@ -1078,8 +1193,9 @@ def _nonfinite_cells(out: Path) -> list:
 }))
 def test_any_config_value_keeps_the_exit_code_contract(case):
     """Drawn values, by flag or in a document, exit 0, 2, 3 or 4 and raise
-    nothing; a run that exits 0 writes only finite cells, and any other run
-    leaves its ``--out`` empty."""
+    nothing, both ways with the same code and message; a run that exits 0
+    writes only finite cells, and a simulate run no |phi| over the probe's
+    threshold, and any other run leaves its ``--out`` empty."""
     command, values = case
     doc = {}
     for key, value in values.items():
@@ -1093,11 +1209,17 @@ def test_any_config_value_keeps_the_exit_code_contract(case):
         cfg_path.write_text(json.dumps(doc))
         fast, codes = FAST_ARGS[command], (0, 2, 3, 4)
         sets = [a for key, value in values.items() for a in ("--set", f"{key}={json.dumps(value)}")]
-        # the document's values must not be overridden by the same keys' fast flags
+        # the document's values must not be overridden by the same keys' fast flags,
+        # and the flags run sets the drawn values first, as the document run reads them
         doc_fast = [a for s in fast[1::2] if s.partition("=")[0] not in values for a in ("--set", s)]
-        for tag, args in (("flags", [*fast, *sets]), ("doc", ["--config", cfg_path, *doc_fast])):
-            out = Path(tmp) / tag
-            code = run_cli([command, "--out", out, *args])
+        runs = []
+        for tag, args in (("flags", [*sets, *doc_fast]), ("doc", ["--config", cfg_path, *doc_fast])):
+            out, err = Path(tmp) / tag, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli([command, "--out", out, *args])
+            runs.append((code, err.getvalue()))
             assert code in codes
             assert code != 0 or _nonfinite_cells(out) == []
+            assert code != 0 or command != "simulate" or _max_modulus(out) <= AMPLITUDE_ABORT
             assert code == 0 or not out.exists() or not any(out.iterdir())
+        assert runs[0] == runs[1]
