@@ -228,14 +228,15 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
     """The merged config of ``command``, typed against ``DEFAULTS[command]``."""
     cfg = copy.deepcopy(DEFAULTS[command])
 
-    def merge(node: dict, doc: dict, prefix: str = ""):
-        """Set ``node``'s keys from ``doc``; a dict given for a dict section merges key by key."""
+    def merge(node: dict, doc: dict, keys: dict, prefix: str = ""):
+        """Merge ``doc`` into ``node`` key by key. Each key must be in ``keys``, ``node``'s DEFAULTS
+        section, or in ``node`` where its default is no section (a sweep axis given as a range)."""
         for key, value in doc.items():
             where = prefix + key
-            if key not in node:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {where!r} for {command!r}")
-            if isinstance(node[key], dict) and isinstance(value, dict):
-                merge(node[key], value, f"{where}.")
+            if isinstance(node.get(key), dict) and isinstance(value, dict):
+                merge(node[key], value, keys[key] if isinstance(keys[key], dict) else node[key], f"{where}.")
             else:
                 node[key] = value
 
@@ -249,7 +250,7 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        merge(cfg, data)
+        merge(cfg, data, DEFAULTS[command])
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -260,7 +261,7 @@ def load_config(command: str, path: str | None, overrides: list) -> dict:
             value = raw
         for part in reversed(key.split(".")):  # ``a.b=v`` is the document {"a": {"b": v}}
             value = {part: value}
-        merge(cfg, value)
+        merge(cfg, value, DEFAULTS[command])
     own_parser = SWEEP_AXES if command == "spectrum" else ()
     return {k: v if k in own_parser else _typed(v, DEFAULTS[command][k], k) for k, v in cfg.items()}
 
@@ -597,10 +598,16 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:  # no file is left: ``publish`` removes any it wrote
+        print(f"interrupted: {args.command}", file=sys.stderr)
+        return 130
     try:
         print(*written, sep="\n", flush=True)
-    except BrokenPipeError:  # every file is in place; only the reader of their names went away
+    except OSError as exc:  # every file is in place; only the reader of their names failed or went away
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush is quiet
+        if not isinstance(exc, BrokenPipeError):
+            print(f"config error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -137,15 +137,6 @@ def _padded(phi: np.ndarray, bc: str) -> np.ndarray:
     return buf
 
 
-def _laplacian(p, two_phi, inv_dx2, out):
-    """Centered ``(right - 2 phi + left) / dx2`` of a ghost-padded field, on its
-    float view ``p`` (interior ``p[2:-2]``, neighbours ``p[4:]`` and ``p[:-4]``),
-    written into ``out``; ``inv_dx2`` is ``1 / dx2``."""
-    np.subtract(p[4:], two_phi, out=out)
-    np.add(out, p[:-4], out=out)
-    np.multiply(out, inv_dx2, out=out)
-
-
 def _advection(p, inv_two_dx, out):
     """Centered ``(right - left) / two_dx`` of a ghost-padded field, on its float
     view ``p``, written into ``out``; ``inv_two_dx`` is ``1 / two_dx``."""
@@ -304,18 +295,17 @@ def _check_amplitude(field: np.ndarray, step: int, dt: float, sumsq=None):
 # NaN part fails the amplitude probe, and the run exits 4 before it writes.
 #
 # With ``th_x == 0`` (of either sign) the explicit stepper skips the advection
-# term on every call but a run's first, and the result is the same bit for
-# bit. Each such call's ``cur`` passed the amplitude probe, so every part of
-# its interior is at most ``AMPLITUDE_ABORT`` in size, and its ghosts are
-# copies of interior points or dirichlet zeros. So ``right - left`` is finite,
-# and ``inv_two_dx <= sqrt(inv_dx2) / 2``, so ``adv`` is finite whenever
-# ``inv_dx2`` is; when ``inv_dx2`` is not finite, every point's ``lap`` is inf
-# or NaN and is flagged whatever ``adv`` is. So ``th_x * adv`` is a zero, and
-# subtracting a zero changes ``lap`` only in the sign of a zero. Added to ``2
-# cur - lag prev``, that zero decides the result only where ``2 cur - lag
-# prev`` is -0, which needs a -0 ``2 cur``: a point that is flagged already.
-# A stepper's first call may get a level no probe has seen (a caller that
-# steps once), so that call computes the term.
+# term, and the result is the same bit for bit. Every ``cur`` it gets passed
+# the amplitude probe (``simulate_time_domain`` probes the two seeded levels
+# before the first step), so every part of its interior is at most
+# ``AMPLITUDE_ABORT`` in size, and its ghosts are copies of interior points or
+# dirichlet zeros. So ``right - left`` is finite, and ``inv_two_dx <=
+# sqrt(inv_dx2) / 2``, so ``adv`` is finite whenever ``inv_dx2`` is; when
+# ``inv_dx2`` is not finite, every point's ``lap`` is inf or NaN and is flagged
+# whatever ``adv`` is. So ``th_x * adv`` is a zero, and subtracting a zero
+# changes ``lap`` only in the sign of a zero. Added to ``2 cur - lag prev``,
+# that zero decides the result only where ``2 cur - lag prev`` is -0, which
+# needs a -0 ``2 cur``: a point that is flagged already.
 #
 # The explicit stepper serves one run: each call's ``cur`` is the previous
 # call's ``out`` with ``_apply_bc`` applied. When that call rewrote no point,
@@ -358,23 +348,22 @@ def _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x):
     dx2, two_dx, dt2, mm = dx * dx, 2 * dx, dt * dt, m * m
     inv_dx2, inv_two_dx, inv_denom = 1 / dx2, 1 / two_dx, 1 / denom
     two_cur, lap, adv, tmp = (np.empty(2 * n_x) for _ in range(4))
-    # facts about ``cur``: whether it may hold a -0, and whether it is the first level, maybe unprobed
-    scan, first = True, True
+    scan = True  # ``cur`` may hold a -0
 
     def step(n, prev, cur, out):
-        nonlocal scan, first
+        nonlocal scan
         c = cur.view(np.float64)
         now, new = c[2:-2], out.view(np.float64)[2:-2]
         np.multiply(2, now, out=two_cur)
-        _laplacian(c, two_cur, inv_dx2, lap)
+        np.subtract(c[4:], two_cur, out=lap)
+        np.add(lap, c[:-4], out=lap)
+        np.multiply(lap, inv_dx2, out=lap)
         np.multiply(mm, now, out=tmp)
         np.subtract(lap, tmp, out=lap)
-        # with th_x = 0 the advection term of a probed level is a zero (see the note above)
-        if first or theta_x != 0:
+        if theta_x != 0:  # with th_x = 0 a probed level's advection term is a zero (see the note above)
             _advection(c, inv_two_dx, adv)
             np.multiply(theta_x, adv, out=adv)
             np.subtract(lap, adv, out=lap)
-        first = False
         np.multiply(dt2, lap, out=lap)
         np.multiply(lag, prev.view(np.float64)[2:-2], out=tmp)
         np.subtract(two_cur, tmp, out=new)

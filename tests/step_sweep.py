@@ -1,16 +1,16 @@
 """Differential sweep of the explicit leapfrog stepper against the plain complex step.
 
 ``exocalc.pde._leapfrog_stepper`` computes a level on the float64 view, skips
-the advection term when ``th_x`` is a zero and the level passed the amplitude
-probe (on every call of a run but its first), and evaluates again with the
-complex ops the points whose zero sign or finiteness the float view cannot
-vouch for. What it knows of a level it made (no -0) it carries to the next
-call of the same run.
+the advection term when ``th_x`` is a zero (every level it gets passed the
+amplitude probe), and evaluates again with the complex ops the points whose
+zero sign or finiteness the float view cannot vouch for. What it knows of a
+level it made (no -0) it carries to the next call of the same run.
 This module draws random levels whose parts mix both zeros, subnormals,
 normal values, values near the amplitude probe's gate, values whose squares
-overflow and infinities (no NaN), and runs a fresh stepper from them for one
-to ``RUN_STEPS`` steps, applying the boundary rule between steps as
-``simulate_time_domain`` does. Every level is compared with
+overflow and infinities (no NaN). Where the drawn ``cur`` passes the probe,
+as ``simulate_time_domain`` probes its seeded levels, it runs a fresh stepper
+from them for one to ``RUN_STEPS`` steps, applying the boundary rule between
+steps as ``simulate_time_domain`` does. Every level is compared with
 ``pde_reference.reference_step`` bit for bit, on every boundary, for ``m``
 in {0, 1} and for ``th_t`` and ``th_x`` among signed zeros, small and large
 slopes, and slopes with ``th_t dt`` at -2 and -3, where the stepper scans
@@ -123,10 +123,14 @@ def check_run(parts, bc, dt, m, theta_t, theta_x, steps) -> tuple:
     which the stepper or the probe first differs from the reference or None,
     how many levels the stepper skipped the advection term on, and how
     many it rewrote points of (returned no sum). The run ends after ``steps``
-    steps or where the probe raises."""
+    steps or where the probe raises. A ``cur`` that fails the probe makes no
+    level, as the stepper's one precondition is a probed ``cur``; ``prev`` is
+    not probed, so non-finite ``prev`` parts are still drawn."""
     level = np.asarray(parts, dtype=np.float64).view(complex)
     n_x, dx = len(level) // 2, 0.3
     prev, cur = level[:n_x], level[n_x:]
+    if probe_raises(cur, None):  # simulate_time_domain probes its seeded levels before the first step
+        return 0, None, 0, 0
     stepper = _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)
     # the three rotating ghost-padded levels of simulate_time_domain
     padded_prev, padded, out = _pad(prev, bc), _pad(cur, bc), np.zeros(n_x + 2, dtype=complex)

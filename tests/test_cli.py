@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -216,8 +217,10 @@ def test_a_dotted_set_fails_as_its_one_key_document(key, tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, sets",
     [(None, ["grid=5", "grid.n_x=128"]), ({"grid": 5}, ["grid.n_x=128"]),
-     (None, ["grid=5", "grid={\"n_x\": 1}"])],
-    ids=["dotted", "document", "object"],
+     (None, ["grid=5", "grid={\"n_x\": 1}"]),
+     # a key of the section set into the partial section: the section fails, not the key
+     (None, ["grid=5", "grid.n_x=128", "grid.n_t=5"])],
+    ids=["dotted", "document", "object", "dotted-twice"],
 )
 def test_a_section_set_over_a_non_object_exits_2(doc, sets, tmp_path, capsys):
     """A section replaced by a non-object and then set in part is a partial
@@ -232,6 +235,13 @@ def test_a_section_set_over_a_non_object_exits_2(doc, sets, tmp_path, capsys):
     assert err.startswith("config error: grid must be typed like its default ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_dotted_set_merges_into_a_sweep_axis_given_as_a_range():
+    """A sweep axis whose default is a list takes a dotted key of the range it
+    was given, as a section does."""
+    cfg = load_config("spectrum", None, ['m={"start": 1, "stop": 2, "count": 3}', "m.count=5"])
+    assert cfg["m"] == {"start": 1, "stop": 2, "count": 5}
 
 
 def test_spectrum_degenerate_exits_3(tmp_path):
@@ -802,20 +812,18 @@ def test_a_temporary_name_taken_by_a_directory_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stop", [MemoryError, KeyboardInterrupt])
-def test_a_failure_inside_the_snapshot_stream_leaves_no_file(stop, tmp_path, monkeypatch):
+def test_a_failure_inside_the_snapshot_stream_leaves_no_file(stop, tmp_path, monkeypatch, capsys):
     """A run stopped after its first snapshot block is written leaves ``--out``
-    empty: out of memory is exit 3, and an interrupt propagates."""
+    empty: out of memory is exit 3, and an interrupt is exit 130, each with
+    one stderr line."""
     def one_block_then_stop(*args):
         yield next(_snapshot_blocks(*args))
         raise stop("stopped after one block")
 
     monkeypatch.setattr("exocalc.cells._snapshot_blocks", one_block_then_stop)
     args = ["simulate", "--out", tmp_path, *FAST_ARGS["simulate"]]
-    if stop is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            run_cli(args)
-    else:
-        assert run_cli(args) == 3
+    assert run_cli(args) == (3 if stop is MemoryError else 130)
+    assert capsys.readouterr().err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 
@@ -840,6 +848,39 @@ def test_a_closed_stdout_after_a_full_write_exits_0_quietly(entry, tmp_path):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert [p.name for p in tmp_path.iterdir()] == ["metric.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_failing_stdout_after_a_full_write_exits_2_in_one_line(entry, tmp_path):
+    """A stdout that cannot take the file names is a config error, and the
+    files the run wrote stay."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *ENTRY_POINTS[entry], "metric", "--out", str(tmp_path)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: cannot write to stdout: No space left on device\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["metric.csv"]
+
+
+def test_an_interrupt_during_compute_exits_130_in_one_line(tmp_path):
+    """SIGINT once ``--out`` exists, during a compute of about a second: exit
+    130, one stderr line and no file."""
+    out = tmp_path / "out"
+    sets = ["grid.n_x=4096", "grid.dt=0.04", "grid.n_t=20000", "grid.snapshot_stride=2000"]
+    args = ["simulate", "--out", str(out), *(a for s in sets for a in ("--set", s))]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exocalc", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+    )
+    while not out.exists() and proc.poll() is None:  # --out is made before compute starts
+        time.sleep(0.001)
+    proc.send_signal(signal.SIGINT)
+    stdout, stderr = proc.communicate()
+    assert (proc.returncode, stdout, stderr) == (130, "", "interrupted: simulate\n")
+    assert not any(out.iterdir())
 
 
 def _one_megabyte_files():

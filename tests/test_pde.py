@@ -37,7 +37,7 @@ from pde_reference import (
     reference_step,
     staggered_energies,
 )
-from step_sweep import check_run, counted_advection, sweep
+from step_sweep import check_run, counted_advection, probe_raises, sweep
 
 
 def test_ode_x_free_case_oscillatory():
@@ -390,11 +390,10 @@ def test_leapfrog_matches_the_allocating_reference_bit_for_bit(bc, theta_t, thet
 @pytest.mark.parametrize("theta_x", [0.0, 0.03])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
 def test_the_advection_term_is_skipped_on_every_probed_level(bc, theta_x, monkeypatch):
-    """With theta_x = 0 the stepper computes the advection term on the run's
-    first level only, the seeded one that no probe has seen: every later level
-    passed the amplitude probe, which makes the term a zero whatever the
-    level's sum of squares. With theta_x != 0 it computes the term on every
-    level."""
+    """With theta_x = 0 the stepper never computes the advection term: every
+    level it gets passed the amplitude probe, the two seeded ones included,
+    which makes the term a zero whatever the level's sum of squares. With
+    theta_x != 0 it computes the term on every level."""
     steps, stepper = [], pde._leapfrog_stepper
 
     def watched(*args):
@@ -416,10 +415,10 @@ def test_the_advection_term_is_skipped_on_every_probed_level(bc, theta_x, monkey
     if theta_x:
         assert all(computed)
         return
-    assert computed == [True] + [False] * (len(steps) - 1)
+    assert not any(computed)
     # not vacuous: a level it skips on has a sum of squares, ghosts included,
     # above half the probe's gate
-    assert any(sumsq > pde._SUMSQ_GATE / 2 for sumsq, _ in steps[1:])
+    assert any(sumsq > pde._SUMSQ_GATE / 2 for sumsq, _ in steps)
 
 
 @pytest.mark.parametrize("x_min,x_max,theta_t,theta_x,packet", _X_TERM_RUNS)
@@ -499,17 +498,6 @@ def _levels(draw):
     ),
     bc="periodic", dt=0.1, m=0.0, theta_t=0.02, theta_x=-0.5, step=5083,
 )
-# right - left overflows while lap is 0: with th_x = 0 the advection term is
-# th_x * inf = NaN, so the explicit step computes that term on a run's first
-# level, which no amplitude probe has seen
-@example(
-    levels=(np.zeros(3, dtype=complex), np.array([1e308, 0.0, -1e308], dtype=complex)),
-    bc="periodic", dt=0.1, m=0.0, theta_t=0.0, theta_x=0.0, step=1,
-)
-@example(
-    levels=(np.zeros(3, dtype=complex), np.array([1e308, 0.0, -1e308], dtype=complex)),
-    bc="periodic", dt=0.1, m=0.0, theta_t=0.0, theta_x=-0.0, step=1,
-)
 # an infinite part: the cross terms 0 * inf turn the other part into NaN
 @example(
     levels=(np.array([1 + 0j, -2 - 2j, 1 + 0j]), np.array([complex(1.0, math.inf), 0j, 1j])),
@@ -524,15 +512,19 @@ def test_one_step_of_each_kernel_matches_the_plain_complex_step_bit_for_bit(
     the float view and evaluates the points it flags again; the x-term
     kernel's right-hand side is the reference's complex expression, in the
     same order of ops. The x-term kernel takes its ``step``-th step on a
-    dirichlet box of width 4."""
+    dirichlet box of width 4. The explicit kernel skips the advection term
+    when theta_x is a zero, which takes a ``cur`` that passed the amplitude
+    probe, so it is not compared on a ``cur`` that fails it; the x-term
+    kernel takes every draw."""
     prev, cur = levels
     n_x = len(cur)
     out = np.zeros(n_x + 2, dtype=complex)
     dx = 0.3
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate_time_domain
-        _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)(1, _pad(prev, bc), _pad(cur, bc), out)
-        want = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
-    assert _same_bits(out[1:-1], want)
+        if theta_x != 0 or not probe_raises(cur, None):
+            _leapfrog_stepper(n_x, dx, dt, m, theta_t, theta_x)(1, _pad(prev, bc), _pad(cur, bc), out)
+            want = reference_step(prev, cur, dx, dt, m, theta_t, theta_x, bc)
+            assert _same_bits(out[1:-1], want)
 
     xs = np.linspace(-2.0, 2.0, n_x)
     dx, dt = xs[1] - xs[0], 0.005
@@ -605,6 +597,25 @@ def test_instability_matches_the_allocating_reference(grid_args, m, theta_t, x_t
     assert _float_bits(got.time) == _float_bits(want.time)
     assert _float_bits(got.amplitude) == _float_bits(want.amplitude)
     assert str(got) == str(want)
+
+
+@pytest.mark.parametrize(
+    "amplitude,theta_t,step",
+    [(1.1e12, 0.02, 0), (0.9e12, -100.0, 1), (0.5, 1e300, 1)],
+    ids=["step-0", "step-1", "step-1-nan"],
+)
+def test_the_seeded_levels_are_probed_before_any_stepper_is_built(amplitude, theta_t, step, monkeypatch):
+    """``simulate_time_domain`` probes both seeded levels before it builds a
+    stepper, which is the explicit stepper's precondition: a seeded level
+    over the threshold, or not finite, ends the run there."""
+    def unbuilt(*args):
+        raise AssertionError("a stepper was built for a seeded level that fails the probe")
+
+    monkeypatch.setattr(pde, "_leapfrog_stepper", unbuilt)
+    grid = SimGrid(0.0, 20.0, 32, 0.1, 6, bc="periodic", snapshot_stride=1)
+    with pytest.raises(InstabilityError) as info:
+        simulate_time_domain(grid, 1.0, theta_t, 0.0, initial=WavePacket(10.0, 2.0, 0.5, amplitude))
+    assert info.value.step == step
 
 
 def test_amplitude_probe_judges_the_modulus_near_the_threshold():
